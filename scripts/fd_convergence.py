@@ -10,7 +10,7 @@ problem at its minimizing shift.
 import argparse
 
 from diskmag.fd import (Grid1D, assemble_degennes_system,
-                        assemble_disk_system, solve_smallest)
+                        assemble_disk_system, richardson, solve_smallest)
 
 
 def study(label, assemble, base_count, levels):
@@ -31,8 +31,7 @@ def study(label, assemble, base_count, levels):
             den = values[i - 1][1] - lam
             ratio = f"{num / den:8.4f}"
         if i >= 1:
-            rich = lam + (lam - values[i - 1][1]) / 3.0
-            combined = f"{rich:22.16f}"
+            combined = f"{richardson(lam, values[i - 1][1]):22.16f}"
         print(f"{count:>8} {lam:22.16f} {ratio:>8} {combined:>22}")
 
 

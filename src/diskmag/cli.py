@@ -45,8 +45,6 @@ class _Parser(argparse.ArgumentParser):
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, (int,)) and not isinstance(value, bool):
-        return str(value)
     if isinstance(value, float):
         return f"{value:.16g}"
     return str(value)

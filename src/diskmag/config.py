@@ -38,7 +38,6 @@ class SolverConfig:
     beta_grid_spec: tuple[float, float, float] = (0.5, 900.0, 0.5)
 
     # cross-check tolerances
-    deriv_xcheck_tol: float = 1e-5
     const_tol: float = 2e-3
 
     # reporting

@@ -142,16 +142,11 @@ def crossing_by_system(n: int, config: SolverConfig = DEFAULT_CONFIG,
         else:
             if norm < max(1e-11, config.cross_rel_tol):
                 break  # stagnated at the residual's noise floor: done
-            return _fallback_to_curves(n, config)
+            return crossing_by_curves(n, config)
     else:
         if norm >= max(1e-11, config.cross_rel_tol):
-            return _fallback_to_curves(n, config)
+            return crossing_by_curves(n, config)
     return _make_point(n, x, nu, "kummer_system", config)
-
-
-def _fallback_to_curves(n: int, config: SolverConfig) -> CrossingPoint:
-    point = crossing_by_curves(n, config)
-    return point
 
 
 def crossing_by_curves(n: int, config: SolverConfig = DEFAULT_CONFIG) -> CrossingPoint:

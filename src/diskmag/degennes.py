@@ -1,9 +1,15 @@
 """De Gennes constants and the second-order perturbation profile.
 
 The half-line Neumann oscillator h0(xi) = -d^2/dt^2 + (t+xi)^2 has a
-unique non-degenerate minimum of its ground energy over xi; the minimum
-value is the De Gennes constant Theta0, the minimizer xi0 satisfies
-Theta0 = xi0^2, and the normalized ground state u0 fixes C1 = u0(0)^2/3.
+unique non-degenerate minimum of its ground energy mu(xi) over xi; the
+minimum value is the De Gennes constant Theta0, the minimizer xi0
+satisfies Theta0 = xi0^2, and the normalized ground state u0 fixes
+C1 = u0(0)^2/3.
+
+xi0 is the root of the Feynman-Hellmann stationarity functional
+<u0(xi), (t+xi) u0(xi)> = (1/2) mu'(xi), found by one bracketed root
+solve; Theta0 = mu(xi0) and u0(0) are read off the ground state there.
+Theta0 = xi0^2 is never imposed, so checking it tests the computation.
 
 The boundary-layer expansion of the disk eigenvalues is driven by the
 operator family h0 + b^{-1/2} h1 + b^{-1} h2 with
@@ -18,24 +24,24 @@ here by solving the regularized-resolvent equation for the first
 corrector u1 on the finite-difference grid, with the orthogonality
 constraint handled by a bordered (arrowhead) linear solve.
 
-Everything is reported through the same two-grid Richardson policy as
-the underlying eigensolves.
+Every quantity is read from one grid-pair solve at its xi and reported
+through the two-grid Richardson combination of :func:`fd.richardson`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from .config import DEFAULT_CONFIG, SolverConfig
-from .errors import IllConditioned, InvalidParams, MinimizationFailure
-from .fd import Grid1D, assemble_degennes_system, solve_smallest
+from .errors import BracketFailure, IllConditioned, InvalidParams
+from .fd import Grid1D, assemble_degennes_system, richardson, solve_smallest
 
 _XI_BRACKET = (-2.0, 0.0)  # Theta0 = xi0^2 in (0,1) forces xi0 in (-1, 0)
-_XI_XATOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -63,76 +69,110 @@ class DeGennesConstants:
         if abs(self.theta0 - self.xi0 ** 2) > const_tol:
             raise InvalidParams(
                 f"Theta0 - xi0^2 = {self.theta0 - self.xi0**2:.2e} beyond tolerance")
-        if math.isfinite(self.delta0_fit):
-            if abs(self.delta0_fit - self.delta0_formula) > const_tol:
-                raise InvalidParams(
-                    f"delta0 fit {self.delta0_fit:.6f} vs formula "
-                    f"{self.delta0_formula:.6f} disagree")
+        if math.isfinite(self.delta0_fit) \
+                and abs(self.delta0_fit - self.delta0_formula) > const_tol:
+            raise InvalidParams(
+                f"delta0 fit {self.delta0_fit:.6f} vs formula "
+                f"{self.delta0_formula:.6f} disagree")
 
 
-def _grid_pair(config: SolverConfig) -> tuple[Grid1D, Grid1D]:
+class _GridSolve:
+    """Ground state (lam0, u0) of h0(xi) on one grid, with the assembled
+    system (its mass is the lumped L2 weight) and the operators built on it."""
+
+    def __init__(self, xi: float, grid: Grid1D):
+        self.xi = xi
+        self.system = assemble_degennes_system(xi, grid)
+        self.mass = self.system.mass
+        self.lam0, self.u0 = solve_smallest(self.system)
+        self.t = grid.nodes()[:-1]
+        self.h = grid.spacing
+
+    def inner(self, v: np.ndarray) -> float:
+        """<u0, v> in the lumped L2 of this grid."""
+        return float(np.sum(self.u0 * v * self.mass))
+
+    def stationarity(self) -> float:
+        """<u0, (t+xi) u0> = (1/2) d lam0 / d xi (Feynman-Hellmann)."""
+        return self.inner(self.u0 * (self.t + self.xi))
+
+    def apply_h1(self, u: np.ndarray, delta: float) -> np.ndarray:
+        t, shifted = self.t, self.t + self.xi
+        pot = 2.0 * shifted * (delta - 0.5 * t * t) + 2.0 * t * shifted ** 2
+        return _derivative(u, self.h) + pot * u
+
+    def apply_h2(self, u: np.ndarray, delta: float) -> np.ndarray:
+        t, shifted = self.t, self.t + self.xi
+        well = delta - 0.5 * t * t
+        pot = well ** 2 + 4.0 * t * shifted * well + 3.0 * t * t * shifted ** 2
+        return t * _derivative(u, self.h) + pot * u
+
+    @cached_property
+    def bordered(self) -> _BorderedSolver:
+        kd = self.system.diag - self.lam0 * self.mass
+        return _BorderedSolver(kd, self.system.offdiag, self.mass * self.u0)
+
+    def solve_corrector(self, rhs: np.ndarray) -> np.ndarray:
+        """u1 with (h0 - lam0) u1 = rhs, <u0, u1> = 0; residual-checked."""
+        mrhs = self.mass * rhs
+        u1, mu = self.bordered.solve(mrhs)
+        residual = (self.system.diag - self.lam0 * self.mass) * u1 \
+            + mu * self.mass * self.u0 - mrhs
+        residual[:-1] += self.system.offdiag * u1[1:]
+        residual[1:] += self.system.offdiag * u1[:-1]
+        rel = np.linalg.norm(residual) / max(np.linalg.norm(mrhs), 1e-300)
+        if rel > 1e-8:
+            raise IllConditioned(f"bordered corrector solve residual {rel:.2e}")
+        return u1
+
+    def lambda2(self, delta: float) -> float:
+        h1_u0 = self.apply_h1(self.u0, delta)
+        lam1 = self.inner(h1_u0)
+        u1 = self.solve_corrector(-(h1_u0 - lam1 * self.u0))
+        return self.inner(self.apply_h2(self.u0, delta)) \
+            + self.inner(self.apply_h1(u1, delta) - lam1 * u1)
+
+
+def _solve_pair(xi: float, config: SolverConfig) -> tuple[_GridSolve, _GridSolve]:
+    """(coarse, fine) ground states at xi: the one place the grids are solved."""
     coarse = Grid1D(0.0, config.degennes_L, config.degennes_grid_count)
-    return coarse, coarse.refined()
+    return _GridSolve(xi, coarse), _GridSolve(xi, coarse.refined())
 
 
-def _richardson(fine: float, coarse: float) -> float:
-    return fine + (fine - coarse) / 3.0
+def _combine(pair: tuple[_GridSolve, _GridSolve], func):
+    """Richardson-combine func(grid solve) over a (coarse, fine) pair."""
+    coarse, fine = pair
+    return richardson(func(fine), func(coarse))
 
 
 def lambda_dg(xi: float, config: SolverConfig = DEFAULT_CONFIG) -> float:
     """Ground energy of the half-line Neumann oscillator at shift xi."""
-    coarse, fine = _grid_pair(config)
-    lam_c, _ = solve_smallest(assemble_degennes_system(xi, coarse))
-    lam_f, _ = solve_smallest(assemble_degennes_system(xi, fine))
-    return _richardson(lam_f, lam_c)
-
-
-def _stationarity(xi: float, config: SolverConfig) -> float:
-    """<u0(xi), (t+xi) u0(xi)> = (1/2) d lambda_dg / d xi (Feynman-Hellmann)."""
-    out = []
-    for grid in _grid_pair(config):
-        _, u0 = solve_smallest(assemble_degennes_system(xi, grid))
-        t = grid.nodes()[:-1]
-        mass = np.full_like(t, grid.spacing)
-        mass[0] = 0.5 * grid.spacing
-        out.append(float(np.sum(u0 * (t + xi) * u0 * mass)))
-    return _richardson(out[1], out[0])
+    return _combine(_solve_pair(xi, config), lambda s: s.lam0)
 
 
 def minimize_theta0(config: SolverConfig = DEFAULT_CONFIG) -> DeGennesConstants:
-    """Minimize xi -> lambda_dg(xi); fill theta0, xi0, u0(0), C1, delta0.
+    """Root xi0 of the stationarity functional; fills theta0, xi0, u0(0),
+    C1 and delta0.
 
-    The scalar minimizer only localizes the flat quadratic minimum to
-    ~1e-5, so its output is polished by a root solve of the first-order
-    stationarity condition, which has an O(1) slope.
+    <u0, (t+xi) u0> = (1/2) d lambda_dg / d xi has an O(1) slope at xi0,
+    so one brentq over _XI_BRACKET pins xi0 to 1e-12, where minimizing
+    the flat lambda_dg itself only localizes it to ~1e-5.  Theta0 and
+    u0(0) come from one grid-pair solve at the root.  BracketFailure if
+    the functional has no sign change on the bracket.
     """
-    res = minimize_scalar(lambda xi: lambda_dg(xi, config), bounds=_XI_BRACKET,
-                          method="bounded", options={"xatol": _XI_XATOL})
-    xi_rough = float(res.x)
-    if min(xi_rough - _XI_BRACKET[0], _XI_BRACKET[1] - xi_rough) < 10.0 * _XI_XATOL:
-        raise MinimizationFailure(f"minimizer {xi_rough} stuck at bracket endpoint")
-    halfwidth = 1e-3
-    while _stationarity(xi_rough - halfwidth, config) \
-            * _stationarity(xi_rough + halfwidth, config) > 0.0:
-        halfwidth *= 4.0
-        if halfwidth > 0.5:
-            raise MinimizationFailure("stationarity polish lost its bracket")
-    xi0 = float(brentq(lambda xi: _stationarity(xi, config),
-                       xi_rough - halfwidth, xi_rough + halfwidth, xtol=1e-12))
-    theta0 = lambda_dg(xi0, config)
-
-    coarse, fine = _grid_pair(config)
-    _, u_c = solve_smallest(assemble_degennes_system(xi0, coarse))
-    _, u_f = solve_smallest(assemble_degennes_system(xi0, fine))
-    u0_trace = float(_richardson(u_f[0], u_c[0]))
+    try:
+        xi0 = float(brentq(lambda xi: _combine(_solve_pair(xi, config),
+                                               _GridSolve.stationarity),
+                           *_XI_BRACKET, xtol=1e-12))
+    except ValueError as exc:  # brentq: f(a) and f(b) have the same sign
+        raise BracketFailure(
+            f"stationarity has no sign change on {_XI_BRACKET}") from exc
+    root = _solve_pair(xi0, config)
+    theta0 = _combine(root, lambda s: s.lam0)
+    u0_trace = float(_combine(root, lambda s: s.u0[0]))
     c1 = u0_trace ** 2 / 3.0
-    return DeGennesConstants(
-        theta0=theta0,
-        xi0=xi0,
-        c1=c1,
-        u0_trace=u0_trace,
-        delta0_formula=0.5 * c1 / math.sqrt(theta0),
-    )
+    return DeGennesConstants(theta0=theta0, xi0=xi0, c1=c1, u0_trace=u0_trace,
+                             delta0_formula=0.5 * c1 / math.sqrt(theta0))
 
 
 def _derivative(u: np.ndarray, h: float) -> np.ndarray:
@@ -144,61 +184,27 @@ def _derivative(u: np.ndarray, h: float) -> np.ndarray:
     return du
 
 
-def _apply_h1(u: np.ndarray, t: np.ndarray, h: float, xi: float,
-              delta: float) -> np.ndarray:
-    shifted = t + xi
-    pot = 2.0 * shifted * (delta - 0.5 * t * t) + 2.0 * t * shifted ** 2
-    return _derivative(u, h) + pot * u
-
-
-def _apply_h2(u: np.ndarray, t: np.ndarray, h: float, xi: float,
-              delta: float) -> np.ndarray:
-    shifted = t + xi
-    well = delta - 0.5 * t * t
-    pot = well ** 2 + 4.0 * t * shifted * well + 3.0 * t * t * shifted ** 2
-    return t * _derivative(u, h) + pot * u
-
-
-def _on_grids(config: SolverConfig, xi: float, func):
-    """Richardson-combine func(t, h, u0, mass) over the two-grid pair."""
-    out = []
-    for grid in _grid_pair(config):
-        _, u0 = solve_smallest(assemble_degennes_system(xi, grid))
-        t = grid.nodes()[:-1]
-        h = grid.spacing
-        mass = np.full_like(t, h)
-        mass[0] = 0.5 * h
-        out.append(func(t, h, u0, mass))
-    return _richardson(out[1], out[0])
-
-
 def stationarity_check(constants: DeGennesConstants,
                        config: SolverConfig = DEFAULT_CONFIG,
                        xi: float | None = None) -> float:
     """<u0, (t+xi) u0>: vanishes at xi0 by first-order stationarity."""
     xi = constants.xi0 if xi is None else xi
-    return _on_grids(
-        config, xi,
-        lambda t, h, u0, mass: float(np.sum(u0 * (t + xi) * u0 * mass)))
+    return _combine(_solve_pair(xi, config), _GridSolve.stationarity)
 
 
 def lambda1_check(constants: DeGennesConstants,
                   config: SolverConfig = DEFAULT_CONFIG,
                   delta: float = 0.0) -> float:
     """<u0, h1 u0>; equals -C1, independently of delta (stationarity)."""
-    xi = constants.xi0
-    return _on_grids(
-        config, xi,
-        lambda t, h, u0, mass: float(
-            np.sum(u0 * _apply_h1(u0, t, h, xi, delta) * mass)))
+    return _combine(_solve_pair(constants.xi0, config),
+                    lambda s: s.inner(s.apply_h1(s.u0, delta)))
 
 
 def boundary_pairing_check(constants: DeGennesConstants,
                            config: SolverConfig = DEFAULT_CONFIG) -> tuple[float, float]:
     """(<u0, u0'>, -u0(0)^2/2): equal by integration by parts."""
-    lhs = _on_grids(
-        config, constants.xi0,
-        lambda t, h, u0, mass: float(np.sum(u0 * _derivative(u0, h) * mass)))
+    lhs = _combine(_solve_pair(constants.xi0, config),
+                   lambda s: s.inner(_derivative(s.u0, s.h)))
     return lhs, -0.5 * constants.u0_trace ** 2
 
 
@@ -264,42 +270,6 @@ class _BorderedSolver:
         return u, mu
 
 
-class _PerturbationWorkspace:
-    """Per-grid state shared by all delta values of the lambda2 profile."""
-
-    def __init__(self, xi: float, grid: Grid1D):
-        self.system = assemble_degennes_system(xi, grid)
-        self.lam0, self.u0 = solve_smallest(self.system)
-        self.t = grid.nodes()[:-1]
-        self.h = grid.spacing
-        self.mass = self.system.mass
-        self.xi = xi
-        kd = self.system.diag - self.lam0 * self.mass
-        self.bordered = _BorderedSolver(kd, self.system.offdiag, self.mass * self.u0)
-
-    def solve_corrector(self, rhs: np.ndarray) -> np.ndarray:
-        """u1 with (h0 - lam0) u1 = rhs, <u0, u1> = 0; residual-checked."""
-        mrhs = self.mass * rhs
-        u1, mu = self.bordered.solve(mrhs)
-        residual = (self.system.diag - self.lam0 * self.mass) * u1 \
-            + mu * self.mass * self.u0 - mrhs
-        residual[:-1] += self.system.offdiag * u1[1:]
-        residual[1:] += self.system.offdiag * u1[:-1]
-        rel = np.linalg.norm(residual) / max(np.linalg.norm(mrhs), 1e-300)
-        if rel > 1e-8:
-            raise IllConditioned(f"bordered corrector solve residual {rel:.2e}")
-        return u1
-
-    def lambda2(self, delta: float) -> float:
-        u0, t, h, xi, mass = self.u0, self.t, self.h, self.xi, self.mass
-        h1_u0 = _apply_h1(u0, t, h, xi, delta)
-        lam1 = float(np.sum(u0 * h1_u0 * mass))
-        u1 = self.solve_corrector(-(h1_u0 - lam1 * u0))
-        lam21 = float(np.sum(u0 * _apply_h2(u0, t, h, xi, delta) * mass))
-        lam22 = float(np.sum(u0 * (_apply_h1(u1, t, h, xi, delta) - lam1 * u1) * mass))
-        return lam21 + lam22
-
-
 @dataclass(frozen=True)
 class Lambda2Fit:
     """Quadratic fit lambda2(delta) ~ leading * ((delta - delta0)^2 + c0)."""
@@ -323,12 +293,10 @@ def lambda2_profile(delta_grid, constants: DeGennesConstants,
     deltas = np.asarray(list(delta_grid), dtype=float)
     if len(deltas) < 5 or deltas.min() > -1.0 or deltas.max() < 1.0:
         raise InvalidParams("delta grid needs >= 5 points spanning [-1, 1]")
-    coarse, fine = _grid_pair(config)
-    work_c = _PerturbationWorkspace(constants.xi0, coarse)
-    work_f = _PerturbationWorkspace(constants.xi0, fine)
-    vals_c = np.array([work_c.lambda2(d) for d in deltas])
-    vals_f = np.array([work_f.lambda2(d) for d in deltas])
-    vals = _richardson(vals_f, vals_c)
+    coarse, fine = _solve_pair(constants.xi0, config)
+    vals_c = np.array([coarse.lambda2(d) for d in deltas])
+    vals_f = np.array([fine.lambda2(d) for d in deltas])
+    vals = richardson(vals_f, vals_c)
 
     c2, c1_coef, c0_coef = np.polyfit(deltas, vals, 2)
     delta0_fit = -c1_coef / (2.0 * c2)

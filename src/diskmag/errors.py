@@ -10,7 +10,7 @@ class InvalidParams(SolverError):
 
 
 class NonConvergence(SolverError):
-    """Series summation exceeded its term budget."""
+    """Series summation exceeded its term budget, or an eigensolve failed."""
 
 
 class QuadratureFailure(SolverError):
@@ -25,24 +25,12 @@ class NewtonDivergence(SolverError):
     """Damped Newton iteration exhausted its iteration cap."""
 
 
-class MinimizationFailure(SolverError):
-    """Scalar minimizer returned a bracket endpoint."""
-
-
 class IllConditioned(SolverError):
     """Linear solve residual exceeded the acceptance threshold."""
 
 
 class InsufficientData(SolverError):
     """A sequence transform was given too few usable entries."""
-
-
-class SingularPivot(SolverError):
-    """Tridiagonal factorization hit an exact zero pivot."""
-
-
-class NoConvergence(SolverError):
-    """Eigenvalue iteration failed to converge."""
 
 
 class TruncationWarning(UserWarning):

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .config import DEFAULT_CONFIG, SolverConfig
-from .errors import InvalidParams, NoConvergence, TruncationWarning
+from .errors import InvalidParams, NonConvergence, TruncationWarning
 
 
 @dataclass(frozen=True)
@@ -89,12 +89,24 @@ def solve_smallest(system: TridiagSystem) -> tuple[float, np.ndarray]:
         vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, 0),
                                       tol=_EIG_ABSTOL)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NoConvergence(f"tridiagonal eigensolve failed: {exc}") from exc
+        raise NonConvergence(f"tridiagonal eigensolve failed: {exc}") from exc
     v = vecs[:, 0] / root_m
     v = v / np.sqrt(np.sum(v * v * system.mass))
     if v[np.argmax(np.abs(v))] < 0.0:
         v = -v
     return float(vals[0]), v
+
+
+def richardson(fine, coarse):
+    """Two-grid Richardson value from spacings h/2 and h: the O(h^2) error
+    of the second-order schemes cancels.  Works elementwise on arrays."""
+    return fine + (fine - coarse) / 3.0
+
+
+def two_grid(solve, grid: Grid1D) -> float:
+    """Richardson-combined solve(g) over g = grid and grid.refined()."""
+    coarse = solve(grid)
+    return richardson(solve(grid.refined()), coarse)
 
 
 def assemble_disk_system(n: int, beta: float, grid: Grid1D) -> TridiagSystem:
@@ -147,9 +159,7 @@ def fd_disk_lambda(n: int, beta: float, count: int | None = None,
                    config: SolverConfig = DEFAULT_CONFIG) -> float:
     """Richardson-combined disk eigenvalue from grids (count, 2*count-1)."""
     grid = Grid1D(0.0, 1.0, count if count is not None else config.fd_grid_count)
-    coarse, _ = fd_disk_eigen(n, beta, grid)
-    fine, _ = fd_disk_eigen(n, beta, grid.refined())
-    return fine + (fine - coarse) / 3.0
+    return two_grid(lambda g: fd_disk_eigen(n, beta, g)[0], grid)
 
 
 def assemble_degennes_system(xi: float, grid: Grid1D) -> TridiagSystem:
@@ -194,6 +204,4 @@ def fd_degennes_lambda(xi: float, L: float | None = None, count: int | None = No
     """Richardson-combined half-line eigenvalue from grids (count, 2*count-1)."""
     L = L if L is not None else config.degennes_L
     grid = Grid1D(0.0, L, count if count is not None else config.degennes_grid_count)
-    coarse, _ = fd_degennes_eigen(xi, L, grid)
-    fine, _ = fd_degennes_eigen(xi, L, grid.refined())
-    return fine + (fine - coarse) / 3.0
+    return two_grid(lambda g: fd_degennes_eigen(xi, L, g)[0], grid)

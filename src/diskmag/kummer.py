@@ -16,7 +16,6 @@ stay O(1) regardless of the raw Kummer magnitudes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -32,23 +31,12 @@ _RESCALE_AT = 1e280
 _NUMPY_MIN_Z = 100.0
 
 
-@dataclass(frozen=True)
-class KummerArgs:
-    """Parameter triple of M(a, b, z) with the domain checks applied."""
-
-    a: float
-    b: float
-    z: float
-
-    def __post_init__(self) -> None:
-        if self.b <= 0 and self.b == int(self.b):
-            raise InvalidParams(f"b={self.b} is a non-positive integer (pole of M)")
-        if self.z < 0:
-            raise InvalidParams(f"z={self.z} must be >= 0")
-
-
 def _check_args(a: float, b: float, z: float) -> None:
-    KummerArgs(a, b, z)
+    """Domain checks of M(a, b, z)."""
+    if b <= 0 and b == int(b):
+        raise InvalidParams(f"b={b} is a non-positive integer (pole of M)")
+    if z < 0:
+        raise InvalidParams(f"z={z} must be >= 0")
 
 
 def _series_scalar(a: float, b: float, z: float, rel_tol: float,

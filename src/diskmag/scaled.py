@@ -47,9 +47,6 @@ class ScaledReal:
         except OverflowError:
             return self.sign * math.inf
 
-    def __float__(self) -> float:
-        return self.value()
-
     def __mul__(self, other: "ScaledReal") -> "ScaledReal":
         if self.sign == 0 or other.sign == 0:
             return ScaledReal.zero()

@@ -26,7 +26,6 @@ from scipy.special import jnp_zeros
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import BracketFailure, InvalidParams
 from .kummer import kummer_m, kummer_ratio_shift_b
-from .scaled import ScaledReal
 
 _BRENTQ_RTOL = 4.0 * np.finfo(float).eps
 
@@ -57,14 +56,12 @@ class EigenPoint:
 class EigenfunctionHandle:
     """Normalized radial ground state of one fiber operator.
 
-    ``norm_const`` is the multiplicative normalization of the raw Kummer
-    form; it routinely spans e^{+-200} so it is kept as a ScaledReal.
     ``log_norm_integral`` caches ln of the squared-norm integral of the
-    raw form, which :meth:`evaluate` needs.
+    raw Kummer form, which routinely spans e^{+-400}; :meth:`evaluate`
+    divides by its square root in log space.
     """
 
     point: EigenPoint
-    norm_const: ScaledReal
     boundary_trace: float
     log_norm_integral: float
 
@@ -223,7 +220,6 @@ def eigenfunction(point: EigenPoint,
     trace = m1.sign * math.exp(-0.25 * beta + m1.log_mag - 0.5 * log_norm)
     return EigenfunctionHandle(
         point=point,
-        norm_const=ScaledReal(-0.5 * log_norm, 1),
         boundary_trace=trace,
         log_norm_integral=log_norm,
     )

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from diskmag import degennes
 from diskmag.degennes import (DeGennesConstants, boundary_pairing_check,
                               lambda1_check, lambda2_profile, lambda_dg,
-                              stationarity_check)
-from diskmag.errors import InvalidParams
+                              minimize_theta0, stationarity_check)
+from diskmag.errors import BracketFailure, InvalidParams
+from diskmag.fd import fd_degennes_lambda
 
 from oracles import shooting_halfline_eigenvalue
 from refdata import C1, C1_HP, THETA0, THETA0_HP, U00_HP, XI0, XI0_HP
@@ -29,6 +31,11 @@ class TestGroundEnergyCurve:
         second = np.diff(values, 2)
         assert np.all(second > 0.0)
 
+    def test_same_number_as_fd_oracle(self):
+        # one two-grid path: the constants route and the FD oracle agree bitwise
+        for xi in (-2.0, XI0_HP, 0.0):
+            assert lambda_dg(xi) == fd_degennes_lambda(xi)
+
 
 class TestMinimization:
     def test_minimum_and_minimizer(self, constants):
@@ -44,6 +51,12 @@ class TestMinimization:
 
     def test_square_relation(self, constants):
         assert constants.theta0 - constants.xi0 ** 2 == pytest.approx(0.0, abs=1e-5)
+
+    def test_bracket_without_sign_change_raises(self, monkeypatch):
+        # xi0 ~ -0.768 lies outside (-2, -1): stationarity is negative at both ends
+        monkeypatch.setattr(degennes, "_XI_BRACKET", (-2.0, -1.0))
+        with pytest.raises(BracketFailure):
+            minimize_theta0()
 
     def test_validate_rejects_inconsistent_record(self):
         bad = DeGennesConstants(theta0=0.6, xi0=-0.7, c1=0.25, u0_trace=0.87,

@@ -58,6 +58,12 @@ class TestDisk:
         _, vec = fd_disk_eigen(4, 30.0, Grid1D(0.0, 1.0, 2001))
         assert np.all(vec > -1e-12)
 
+    def test_lambda_is_richardson_of_grid_pair(self):
+        n, beta, count = 3, 20.0, 257
+        coarse, _ = fd_disk_eigen(n, beta, Grid1D(0.0, 1.0, count))
+        fine, _ = fd_disk_eigen(n, beta, Grid1D(0.0, 1.0, 2 * count - 1))
+        assert fd_disk_lambda(n, beta, count) == fine + (fine - coarse) / 3.0
+
     def test_grid_must_span_unit_interval(self):
         with pytest.raises(InvalidParams):
             assemble_disk_system(1, 1.0, Grid1D(0.0, 2.0, 64))

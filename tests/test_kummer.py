@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from diskmag.config import SolverConfig
 from diskmag.errors import InvalidParams, NonConvergence
-from diskmag.kummer import (KummerArgs, check_recurrences, kummer_m,
-                            kummer_m_integral, kummer_ratio_shift_b)
+from diskmag.kummer import (check_recurrences, kummer_m, kummer_m_integral,
+                            kummer_ratio_shift_b)
 
 from oracles import kummer_series_rational
 from refdata import CROSSINGS
@@ -52,7 +52,7 @@ class TestSeries:
         with pytest.raises(InvalidParams):
             kummer_m(0.3, 2.0, -1.0)
         with pytest.raises(InvalidParams):
-            KummerArgs(0.5, -1.0, 2.0)
+            kummer_ratio_shift_b(0.5, -1.0, 2.0)
 
     def test_term_budget_exhaustion(self):
         tight = SolverConfig(max_terms=5)
