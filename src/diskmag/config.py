@@ -22,7 +22,6 @@ class SolverConfig:
 
     # eigenvalue root finding
     eig_rel_tol: float = 1e-13
-    eta_scan_step: float = 0.02
 
     # crossing solvers
     cross_rel_tol: float = 1e-13
@@ -45,12 +44,9 @@ class SolverConfig:
     format: str = "csv"
 
     def __post_init__(self) -> None:
-        if self.series_rel_tol <= 0 or self.quad_rel_tol <= 0:
+        if min(self.series_rel_tol, self.quad_rel_tol, self.eig_rel_tol,
+               self.cross_rel_tol) <= 0:
             raise ValueError("tolerances must be positive")
-        if self.eig_rel_tol <= 0 or self.cross_rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.eta_scan_step <= 0:
-            raise ValueError("eta_scan_step must be positive")
         if self.n_max < 0:
             raise ValueError("n_max must be >= 0")
         if self.beta_grid_spec[2] <= 0:
@@ -81,12 +77,7 @@ def _parse_value(name: str, raw: str):
         if len(parts) != 3:
             raise ValueError(f"beta_grid_spec wants START:STOP:STEP, got {raw!r}")
         return tuple(float(p) for p in parts)
-    if name in ("max_terms", "newton_max_iter", "fd_grid_count",
-                "degennes_grid_count", "n_max"):
-        return int(raw)
-    if name in ("output_dir", "format"):
-        return raw
-    return float(raw)
+    return {"int": int, "str": str}.get(_FIELD_TYPES[name], float)(raw)
 
 
 def load_config(path: str | Path, **overrides) -> SolverConfig:

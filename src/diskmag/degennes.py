@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
@@ -133,6 +133,7 @@ class _GridSolve:
             + self.inner(self.apply_h1(u1, delta) - lam1 * u1)
 
 
+@lru_cache(maxsize=1)  # the checks and lambda2 profile at xi0 reuse the root
 def _solve_pair(xi: float, config: SolverConfig) -> tuple[_GridSolve, _GridSolve]:
     """(coarse, fine) ground states at xi: the one place the grids are solved."""
     coarse = Grid1D(0.0, config.degennes_L, config.degennes_grid_count)

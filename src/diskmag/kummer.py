@@ -2,8 +2,11 @@
 
 Two independent evaluation routes are provided for cross-validation:
 
-* :func:`kummer_m` sums the ascending series term by term with running
-  rescaling, so magnitudes like e^422 never overflow;
+* :func:`kummer_m` sums the ascending series, whose terms are positive
+  for a >= 0, rescaled by powers of two so e^422 never overflows; for
+  a < 0 it recurs down in a from a + ceil(-a) (DLMF 13.3.1; Gil, Segura
+  & Temme, *Numerical Methods for Special Functions*, ch. 4) instead of
+  summing the alternating series;
 * :func:`kummer_m_integral` evaluates the Euler-type integral
   representation (valid for 0 < a < b) by adaptive quadrature after an
   explicit substitution that removes the endpoint singularities.
@@ -16,6 +19,7 @@ stay O(1) regardless of the raw Kummer magnitudes.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 from scipy.integrate import quad
@@ -24,130 +28,135 @@ from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import InvalidParams, NonConvergence, QuadratureFailure
 from .scaled import ScaledReal, signed_sum
 
-# raw-float series are safe while partial sums stay below exp(_RAW_LOG_CAP);
-# beyond that the scalar loop rescales
+# the numpy path sums raw floats, safe while the sum stays below
+# exp(_RAW_LOG_CAP); the scalar loop rescales past _RESCALE_AT
 _RAW_LOG_CAP = 600.0
 _RESCALE_AT = 1e280
 _NUMPY_MIN_Z = 100.0
+_LN2 = math.log(2.0)
+_EPS = sys.float_info.epsilon
+_MAX_REL_ERR = 1e-12  # largest error bound of a recurrence result returned
 
 
 def _check_args(a: float, b: float, z: float) -> None:
     """Domain checks of M(a, b, z)."""
-    if b <= 0 and b == int(b):
-        raise InvalidParams(f"b={b} is a non-positive integer (pole of M)")
+    if b <= 0:
+        raise InvalidParams(f"b={b} must be positive")
     if z < 0:
         raise InvalidParams(f"z={z} must be >= 0")
 
 
-def _series_scalar(a: float, b: float, z: float, rel_tol: float,
-                   budget: int) -> tuple[float, float]:
-    """Sum the ascending series; returns (mantissa, log_scale).
+def _series(a: float, b: float, z: float,
+            config: SolverConfig) -> tuple[float, int]:
+    """Sum the positive-term ascending series; returns (mantissa, e).
 
-    The value is mantissa * exp(log_scale).  Truncation requires three
-    consecutive terms below the relative tolerance *and* the index to be
-    past the term-growth peak at k ~ z, so a small early term cannot
-    stop the sum prematurely.
+    The value is mantissa * 2**e.  For 100 < z <= 600 one numpy
+    cumulative product of z + 14 sqrt(z+1) + 80 terms is tried first.
+    Truncation requires three consecutive terms below the relative
+    tolerance *and* the index to be past the term-growth peak at k ~ z,
+    so a small early term cannot stop the sum prematurely.
     """
-    term = 1.0
-    total = 1.0
-    log_scale = 0.0
-    small = 0
-    k = 0
-    while k < budget:
+    assert a >= 0.0, "the ascending series is summed only for a >= 0"
+    rel_tol, budget = config.series_rel_tol, config.series_budget(z)
+    if _NUMPY_MIN_Z < z <= _RAW_LOG_CAP:
+        count = min(budget, int(z + 14.0 * math.sqrt(z + 1.0) + 80.0))
+        k = np.arange(count, dtype=float)
+        terms = np.cumprod((a + k) * z / ((b + k) * (k + 1.0)))
+        total = 1.0 + float(terms.sum())
+        if total < math.inf and np.all(terms[-3:] <= rel_tol * total) and count >= z:
+            return total, 0
+    term = total = 1.0
+    exp2 = small = 0
+    for k in range(budget):
         term *= (a + k) * z / ((b + k) * (k + 1.0))
         total += term
-        k += 1
-        if abs(term) <= rel_tol * abs(total):
-            small += 1
-            if small >= 3 and k >= z:
-                return total, log_scale
-        else:
-            small = 0
-        if abs(total) > _RESCALE_AT:
-            scale = abs(total)
-            log_scale += math.log(scale)
-            term /= scale
-            total /= scale
+        small = small + 1 if term <= rel_tol * total else 0
+        if small >= 3 and k + 1 >= z:
+            return total, exp2
+        if total > _RESCALE_AT:
+            total, e = math.frexp(total)
+            term = math.ldexp(term, -e)
+            exp2 += e
     raise NonConvergence(
         f"Kummer series for (a={a}, b={b}, z={z}) not converged in {budget} terms")
 
 
-def _series_numpy(a: float, b: float, z: float, rel_tol: float,
-                  budget: int) -> tuple[float, float] | None:
-    """Vectorized series sum for moderate z; None if the scalar path must run."""
-    count = min(budget, int(z + 14.0 * math.sqrt(z + 1.0) + 80.0))
-    while True:
-        k = np.arange(count, dtype=float)
-        terms = np.cumprod((a + k) * z / ((b + k) * (k + 1.0)))
-        if not np.isfinite(terms[-1]):
-            return None
-        total = 1.0 + float(terms.sum())
-        tail_ok = np.all(np.abs(terms[-3:]) <= rel_tol * abs(total))
-        if tail_ok and count >= z:
-            return total, 0.0
-        if count >= budget:
-            raise NonConvergence(
-                f"Kummer series for (a={a}, b={b}, z={z}) not converged "
-                f"in {budget} terms")
-        count = min(budget, 2 * count)
+def _descend(a: float, b: float, z: float,
+             config: SolverConfig) -> tuple[float, float, float]:
+    """(p(a), ln M(a+1, b, z), relative error bound of p(a)) for a < 0 < z,
+    where p(a) = M(a+1, b, z)/M(a, b, z) - 1.
+
+    p(a0) = (z/b) M(a0+1, b+1, z)/M(a0, b, z) at a0 = a + ceil(-a) (DLMF
+    13.3.4) is a quotient of positive-term sums; DLMF 13.3.1 written for p
+    (so small z/b costs no digits) carries it down: p(a'-1) = (z - a' p(a'))
+    / (b - a' - z + a' p(a')).  A p <= -1 above a (a zero of M crossed),
+    a zero denominator or an overflow raises NonConvergence; near a zero
+    of M the denominator cancels and the bound grows by that factor.
+    """
+    steps = math.ceil(-a)
+    ap = a + steps
+    m0, e0 = _series(ap, b, z, config)
+    m1, e1 = _series(ap + 1.0, b + 1.0, z, config)
+    prod, err = 1.0, 4.0 * math.sqrt(z + 1.0)  # p(a0) observed within 3 sqrt(z+1) eps
+    b_z, size = b - z, b + z + 2.0
+    try:
+        p = math.ldexp(m1 / m0, e1 - e0) * z / b
+        log_next = math.log(m0) + e0 * _LN2 + math.log1p(p)
+        for _ in range(steps):
+            prod *= 1.0 + p  # M(a0+1) / M(ap)
+            if not 1e-280 < prod < _RESCALE_AT:
+                if not prod > 0.0:
+                    raise NonConvergence(f"Kummer recurrence for (a={a}, b={b}, "
+                                         f"z={z}) crosses a zero of M")
+                log_next -= math.log(prod)
+                prod = 1.0
+            u = ap * p
+            num = z - u
+            p = num / (b_z - ap + u)
+            # relative errors of num and of the denominator, |den| = |num / p|
+            w = abs(u) * (err + 1.0)
+            err = (w + z + abs(p) * (w + size - ap)) / abs(num) + 1.0
+            ap -= 1.0
+    except (ZeroDivisionError, OverflowError):
+        raise NonConvergence(
+            f"Kummer recurrence for (a={a}, b={b}, z={z}) breaks down") from None
+    return p, log_next - math.log(prod), err * _EPS
 
 
 def kummer_m(a: float, b: float, z: float,
              config: SolverConfig = DEFAULT_CONFIG) -> ScaledReal:
-    """M(a, b, z) as a ScaledReal, by direct series summation."""
+    """M(a, b, z) as a ScaledReal: the series for a >= 0, else the
+    recurrence, M(a) = M(a+1) / (1 + p(a)), which may cross a zero of M
+    only in its last step."""
     _check_args(a, b, z)
-    budget = config.series_budget(z)
-    result = None
-    if a > 0 and _NUMPY_MIN_Z < z <= _RAW_LOG_CAP:
-        result = _series_numpy(a, b, z, config.series_rel_tol, budget)
-    if result is None:
-        result = _series_scalar(a, b, z, config.series_rel_tol, budget)
-    total, log_scale = result
-    if total == 0.0:
-        return ScaledReal.zero()
-    return ScaledReal(math.log(abs(total)) + log_scale, 1 if total > 0 else -1)
+    if z == 0.0:
+        return ScaledReal(0.0, 1)
+    if a >= 0.0:
+        total, exp2 = _series(a, b, z, config)
+        return ScaledReal(math.log(total) + exp2 * _LN2, 1)
+    p, log_next, err = _descend(a, b, z, config)
+    q = 1.0 + p
+    if not abs(p) * err <= _MAX_REL_ERR * abs(q) < math.inf:
+        raise NonConvergence(f"M({a}, {b}, {z}): recurrence error bound {err:.1e}")
+    return ScaledReal(log_next - math.log(abs(q)), 1 if q > 0.0 else -1)
 
 
 def kummer_ratio_shift_b(a: float, b: float, z: float,
                          config: SolverConfig = DEFAULT_CONFIG) -> float:
-    """M(a+1, b+1, z) / M(a, b, z) via simultaneous scaled summation.
-
-    Both series share one running rescaling factor, so the ratio is exact
-    in the exponent.  For a > 0 the result is finite and positive.
-    """
+    """M(a+1, b+1, z) / M(a, b, z): for a >= 0 a quotient of positive-term
+    sums, exact in the power-of-two exponent; for a < 0 (b/z) p(a) by DLMF
+    13.3.4, refused unless M(a, b, z) > 0 and p(a) is within _MAX_REL_ERR."""
     _check_args(a, b, z)
-    budget = config.series_budget(z)
-    rel_tol = config.series_rel_tol
-    if a > 0 and _NUMPY_MIN_Z < z <= _RAW_LOG_CAP:
-        num = _series_numpy(a + 1.0, b + 1.0, z, rel_tol, budget)
-        den = _series_numpy(a, b, z, rel_tol, budget)
-        if num is not None and den is not None:
-            return num[0] / den[0]
-    t_den = t_num = 1.0
-    s_den = s_num = 1.0
-    small = 0
-    k = 0
-    while k < budget:
-        t_den *= (a + k) * z / ((b + k) * (k + 1.0))
-        t_num *= (a + 1.0 + k) * z / ((b + 1.0 + k) * (k + 1.0))
-        s_den += t_den
-        s_num += t_num
-        k += 1
-        if (abs(t_den) <= rel_tol * abs(s_den)
-                and abs(t_num) <= rel_tol * abs(s_num)):
-            small += 1
-            if small >= 3 and k >= z:
-                return s_num / s_den
-        else:
-            small = 0
-        peak = max(abs(s_den), abs(s_num))
-        if peak > _RESCALE_AT:
-            t_den /= peak
-            t_num /= peak
-            s_den /= peak
-            s_num /= peak
-    raise NonConvergence(
-        f"Kummer ratio for (a={a}, b={b}, z={z}) not converged in {budget} terms")
+    if z == 0.0:
+        return 1.0
+    if a >= 0.0:
+        num, e_num = _series(a + 1.0, b + 1.0, z, config)
+        den, e_den = _series(a, b, z, config)
+        return math.ldexp(num / den, e_num - e_den)
+    p, _, err = _descend(a, b, z, config)
+    if not (-1.0 < p < math.inf and err <= _MAX_REL_ERR):
+        raise NonConvergence(f"ratio at ({a}, {b}, {z}): M <= 0 or error {err:.1e}")
+    return (b / z) * p
 
 
 def _quad_piece(f, lo: float, hi: float, rel_tol: float) -> float:

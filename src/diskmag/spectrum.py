@@ -28,6 +28,7 @@ from .errors import BracketFailure, InvalidParams
 from .kummer import kummer_m, kummer_ratio_shift_b
 
 _BRENTQ_RTOL = 4.0 * np.finfo(float).eps
+_ETA_SCAN_STEP = 0.02  # fixed eta step of the scan at beta <= 2n
 
 
 @dataclass(frozen=True)
@@ -98,10 +99,10 @@ def boundary_residual(n: int, beta: float, eta_trial: float,
     """Scaled Neumann boundary residual at trial ratio eta.
 
     The raw condition is divided by (n+1) max(1, x) M(nu, n+1, x), which
-    keeps the value O(1) and sign-accurate: below the lowest eigenvalue
-    the denominator Kummer function is strictly positive (the first
-    Dirichlet eigenvalue lies above the first Neumann one), so the first
-    sign change in an upward eta scan is the ground state.
+    keeps the value O(1) and sign-accurate: below the first Dirichlet
+    eigenvalue, which lies above the first Neumann one, M(nu, n+1, x) > 0,
+    so the first sign change in eta is the ground state.  Past it the
+    Kummer ratio raises NonConvergence.
     """
     if beta <= 0.0:
         raise InvalidParams("boundary residual needs beta > 0")
@@ -113,12 +114,8 @@ def boundary_residual(n: int, beta: float, eta_trial: float,
 
 
 def _eta_scan_limit(n: int, beta: float) -> float:
-    # boundary value of the rescaled potential, plus margin
-    limit = max(2.0, (n / math.sqrt(beta) - 0.5 * math.sqrt(beta)) ** 2 + 5.0)
-    if n > 0 and beta <= 2.0 * n:
-        # lambda(n, .) decreases on (0, 2n], so lambda(n, 0) caps eta there
-        limit = max(limit, 1.05 * bessel_jnp_first_zero(n) ** 2 / beta + 5.0)
-    return limit
+    # lambda(n, .) decreases on (0, 2n], so lambda(n, 0) caps eta there
+    return 1.05 * bessel_jnp_first_zero(n) ** 2 / beta + 5.0
 
 
 @lru_cache(maxsize=None)
@@ -131,28 +128,24 @@ def _lowest_eigenvalue_cached(n: int, beta: float,
     def residual(eta: float) -> float:
         return boundary_residual(n, beta, eta, config)
 
-    step = config.eta_scan_step
-    eta_max = _eta_scan_limit(n, beta)
-    lo = 0.0
-    f_lo = residual(lo)
-    hi = lo
-    while hi < eta_max:
-        hi = lo + step
-        if beta > 2.0 * n and lo < 1.0 < hi:
-            # pin a node at eta = 1 exactly: for beta > 2n the residual
-            # there is (n-x)/max(1,x) < 0 while the Dirichlet pole sits
-            # strictly above 1, so the ground state cannot slip through
-            # even when its distance to 1 is below float resolution
-            hi = 1.0
-        f_hi = residual(hi)
-        if f_lo == 0.0:
-            return EigenPoint(n, beta, beta * lo, lo)
-        if f_lo * f_hi < 0.0:
-            break
-        lo, f_lo = hi, f_hi
+    if beta > 2.0 * n:
+        # residual(1) = (n - x)/max(1, x) < 0 while the first Dirichlet
+        # pole lies above eta = 1, so [0, 1] holds exactly one root
+        lo, hi = 0.0, 1.0
     else:
-        raise BracketFailure(
-            f"no residual sign change for n={n}, beta={beta} on (0, {eta_max:.3g})")
+        # the potential (n/r - beta r/2)^2 is >= (n - beta/2)^2 on (0, 1]
+        eta_max = _eta_scan_limit(n, beta)
+        lo = hi = (n - 0.5 * beta) ** 2 / beta
+        f_lo = residual(lo)
+        while hi < eta_max:
+            hi = lo + _ETA_SCAN_STEP
+            f_hi = residual(hi)
+            if f_lo * f_hi <= 0.0:
+                break
+            lo, f_lo = hi, f_hi
+        else:
+            raise BracketFailure(f"no residual sign change for n={n}, "
+                                 f"beta={beta} below eta={eta_max:.3g}")
     eta = brentq(residual, lo, hi, xtol=1e-100, rtol=_BRENTQ_RTOL)
     return EigenPoint(n, beta, beta * eta, eta)
 
@@ -161,8 +154,9 @@ def lowest_eigenvalue(n: int, beta: float,
                       config: SolverConfig = DEFAULT_CONFIG) -> EigenPoint:
     """Lowest eigenvalue of the fiber operator at angular mode n.
 
-    Scans eta upward from 0 in fixed steps until the boundary residual
-    changes sign, then refines the bracket; results are memoized.
+    For beta > 2n one brentq on eta in [0, 1]; for beta <= 2n a fixed-step
+    scan up from the potential minimum (n - beta/2)^2 / beta brackets the
+    first residual sign change for brentq.  Results are memoized.
     """
     return _lowest_eigenvalue_cached(int(n), float(beta), config)
 

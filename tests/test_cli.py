@@ -178,3 +178,12 @@ def test_bad_config_key_exits_three(tmp_path: Path):
     cfg = tmp_path / "solver.cfg"
     cfg.write_text("no_such_knob = 3\n")
     assert run_cli("crossings", "--config", str(cfg)).returncode == 3
+
+
+def test_removed_scan_step_key_exits_three(tmp_path: Path):
+    # eta_scan_step is no longer a config key: the scan step is fixed
+    cfg = tmp_path / "solver.cfg"
+    cfg.write_text("eta_scan_step = 0.02\n")
+    out = run_cli("crossings", "--config", str(cfg))
+    assert out.returncode == 3
+    assert "eta_scan_step" in out.stderr

@@ -1,11 +1,12 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from diskmag.config import SolverConfig
-from diskmag.errors import InvalidParams, NonConvergence
+from diskmag.errors import InvalidParams, NonConvergence, SolverError
 from diskmag.kummer import (check_recurrences, kummer_m, kummer_m_integral,
                             kummer_ratio_shift_b)
 
@@ -15,6 +16,21 @@ from refdata import CROSSINGS
 
 def rel_gap(a, b):
     return abs(a - b) / max(abs(a), abs(b))
+
+
+def mp_ratio(a, b, z, digits):
+    """M(a+1, b+1, z) / M(a, b, z) in mpmath at the given precision."""
+    with mpmath.workdps(digits):
+        return mpmath.hyp1f1(a + 1, b + 1, z) / mpmath.hyp1f1(a, b, z)
+
+
+def close_or_solver_error(compute, exact, tol):
+    """compute() is within tol of exact (relative), or raises SolverError."""
+    try:
+        value = compute()
+    except SolverError:
+        return True
+    return abs(value - exact) <= tol * abs(exact)
 
 
 class TestSeries:
@@ -110,6 +126,63 @@ class TestRatio:
             assert kummer_ratio_shift_b(0.31, 2.0, z) > 1.0
 
 
+class TestNegativeA:
+    """a < 0 (eta > 1): the downward recurrence in a, never the alternating
+    series."""
+
+    # (n, beta, eta) of the ROADMAP baseline, where the alternating series
+    # was off by 1.2e-2, 2.9 and 5.4e-13
+    @pytest.mark.parametrize("n,beta,eta", [
+        (100, 50.0, 6363.41939013 / 50.0), (400, 10.0, 1e4), (20, 2.0, 200.0)])
+    def test_ratio_at_baseline_points(self, n, beta, eta):
+        a, b, z = 0.5 * (1.0 - eta), n + 1.0, 0.5 * beta
+        exact = mp_ratio(a, b, z, 60)
+        assert abs(kummer_ratio_shift_b(a, b, z) - exact) <= 1e-13 * abs(exact)
+
+    def test_ratio_past_dirichlet_poles_raises(self):
+        # the fourth baseline point, (n, beta, eta) = (50, 60, 30), where the
+        # series was off by 8.4e-10: eta(50, 60) = 10.69, and M(a', 51, 30)
+        # changes sign twice for a' in (-14.5, 0.5), so the chain is refused
+        a, b, z = -14.5, 51.0, 30.0
+        assert math.isfinite(mp_ratio(a, b, z, 60))
+        with pytest.raises(NonConvergence):
+            kummer_ratio_shift_b(a, b, z)
+
+    def test_zero_crossed_before_last_step(self):
+        # M(-0.125, 1, 9) < 0 < M(0.875, 1, 9): a plain recurrence through
+        # that zero is off by 1.3e-10
+        a, b, z = -1.125, 1.0, 9.0
+        exact = mpmath.hyp1f1(a, b, z)
+        assert close_or_solver_error(lambda: kummer_m(a, b, z).value(), exact, 1e-12)
+        assert close_or_solver_error(lambda: kummer_ratio_shift_b(a, b, z),
+                                     mp_ratio(a, b, z, 50), 1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("z", [0.25, 1.5, 4.0, 9.0])
+    def test_integer_a_is_laguerre(self, m, z):
+        # M(-m, 1, z) = L_m(z) = sum_k C(m, k) (-z)^k / k!
+        with mpmath.workdps(50):
+            laguerre = sum(math.comb(m, k) * mpmath.mpf(-z) ** k / math.factorial(k)
+                           for k in range(m + 1))
+        assert close_or_solver_error(lambda: kummer_m(-m, 1.0, z).value(),
+                                     laguerre, 1e-12)
+        assert close_or_solver_error(lambda: kummer_ratio_shift_b(-m, 1.0, z),
+                                     mp_ratio(-m, 1, z, 50), 1e-12)
+
+    @pytest.mark.parametrize("a", [-0.5, -3.0, -41.7])
+    def test_zero_argument(self, a):
+        assert kummer_m(a, 2.0, 0.0).value() == 1.0
+        assert kummer_ratio_shift_b(a, 2.0, 0.0) == 1.0
+
+    def test_value_below_first_zero(self):
+        # the eigenfunction path: M(nu, n+1, x) at eta below the Dirichlet pole
+        a, b, z = -250.3, 21.0, 0.5
+        exact = mpmath.hyp1f1(a, b, z)
+        value = kummer_m(a, b, z)
+        assert value.sign == 1
+        assert abs(value.log_mag - float(mpmath.log(exact))) < 1e-12
+
+
 class TestRecurrences:
     def test_exact_at_zero(self):
         assert check_recurrences(0.3, 2.0, 0.0) == (0.0, 0.0)
@@ -159,6 +232,15 @@ class TestProperties:
         lower = kummer_m(a, b, z)
         upper = kummer_m(a, b, z + dz)
         assert upper.log_mag > lower.log_mag
+
+    @given(st.floats(min_value=-200.0, max_value=-0.01, **bounded)
+           .filter(lambda a: a != math.floor(a)),
+           st.integers(min_value=1, max_value=400),
+           st.floats(min_value=0.25, max_value=450.0, **bounded))
+    @settings(max_examples=300, deadline=None)
+    def test_ratio_negative_a_matches_mpmath(self, a, b, z):
+        assert close_or_solver_error(lambda: kummer_ratio_shift_b(a, float(b), z),
+                                     mp_ratio(a, b, z, 50), 1e-12)
 
     @given(st.floats(min_value=0.05, max_value=1.5, **bounded),
            st.floats(min_value=0.5, max_value=10.0, **bounded),

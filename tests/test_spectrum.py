@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from diskmag.errors import InvalidParams
+from diskmag.errors import InvalidParams, SolverError
 from diskmag.fd import Grid1D, fd_disk_eigen, fd_disk_lambda
 from diskmag.spectrum import (EigenPoint, bessel_jnp_first_zero,
                               boundary_residual, eigenfunction, ground_state,
@@ -77,7 +77,7 @@ class TestLowestEigenvalue:
         # eta(5, 1) ~ 36; a ceiling of 1 cannot bracket it, and for
         # beta < 2n there is no root below 1 either
         monkeypatch.setattr(spectrum, "_eta_scan_limit", lambda n, beta: 1.0)
-        fresh = SolverConfig(eta_scan_step=0.019)
+        fresh = SolverConfig(output_dir="fresh")
         with pytest.raises(BracketFailure):
             lowest_eigenvalue(5, 1.0, fresh)
 
@@ -150,9 +150,48 @@ class TestGroundState:
         assert k == 2
 
 
+def _fibonacci_lattice(count: int) -> list[tuple[int, float]]:
+    """(n, beta) with n in [0, 400] and beta log-spread over
+    [max(0.5, n/4), 900], from two irrational rotations."""
+    points = []
+    for i in range(1, count + 1):
+        n = round(400 * ((i * 0.6180339887498949) % 1.0))
+        lo = max(0.5, n / 4.0)
+        points.append((n, lo * (900.0 / lo) ** ((i * 0.7548776662466927) % 1.0)))
+    return points
+
+
+# beta < n/4 at large n is left out: the scan below beta = 2n walks eta up
+# from (n - beta/2)^2 / beta in fixed 0.02 steps, (eta - eta_lo)/0.02
+# residual evaluations, about 24 000 at n = 400, beta = 10, each an
+# ~8 000-step Kummer recurrence
+SWEEP = _fibonacci_lattice(24)
+
+
 class TestFdAgreement:
     def test_kummer_vs_fd_spot_checks(self):
         for n, beta in [(1, 5.0), (10, 100.0)]:
             kummer_lam = lowest_eigenvalue(n, beta).lam
             fd_lam = fd_disk_lambda(n, beta, 4001)
             assert kummer_lam == pytest.approx(fd_lam, rel=1e-6)
+
+    @pytest.mark.parametrize("n,beta", [(100, 50.0), (400, 100.0), (400, 200.0)])
+    def test_eta_far_above_one(self, n, beta):
+        # the alternating Kummer series gave 6 305.0, 30 434.0 and 29 960.0
+        fd_lam = fd_disk_lambda(n, beta, 4001)
+        assert lowest_eigenvalue(n, beta).lam == pytest.approx(fd_lam, rel=1e-8)
+
+    def test_sweep_covers_both_regimes(self):
+        assert len(SWEEP) == 24
+        assert sum(beta <= 2 * n for n, beta in SWEEP) >= 8
+        assert sum(beta > 2 * n for n, beta in SWEEP) >= 4
+
+    @pytest.mark.parametrize("n,beta", SWEEP)
+    def test_domain_sweep_against_fd(self, n, beta):
+        # within 1e-6 of FD (absolute below lambda = 1), or a SolverError
+        try:
+            lam = lowest_eigenvalue(n, beta).lam
+        except SolverError:
+            return
+        fd_lam = fd_disk_lambda(n, beta, 4001)
+        assert abs(lam - fd_lam) <= 1e-6 * max(1.0, abs(fd_lam))
