@@ -46,28 +46,37 @@ def _check_args(a: float, b: float, z: float) -> None:
         raise InvalidParams(f"z={z} must be >= 0")
 
 
-def _series(a: float, b: float, z: float,
-            config: SolverConfig) -> tuple[float, int]:
+def _series(a: float, b: float, z: float, config: SolverConfig,
+            head: float | None = None) -> tuple[float, int]:
     """Sum the positive-term ascending series; returns (mantissa, e).
 
-    The value is mantissa * 2**e.  For 100 < z <= 600 one numpy
-    cumulative product of z + 14 sqrt(z+1) + 80 terms is tried first.
+    The value is mantissa * 2**e.  ``head`` replaces the factor a of the
+    first term: with a in [-1, 0) and head = 1 every term stays positive
+    and the sum is 1 + S, S = (M(a, b, z) - 1)/a.  For 100 < z <= 600 one
+    numpy cumulative product of z + 14 sqrt(z+1) + 80 terms is tried first.
     Truncation requires three consecutive terms below the relative
     tolerance *and* the index to be past the term-growth peak at k ~ z,
     so a small early term cannot stop the sum prematurely.
     """
-    assert a >= 0.0, "the ascending series is summed only for a >= 0"
+    assert a >= 0.0 or (head is not None and a >= -1.0), \
+        "the ascending series is summed only over positive terms"
     rel_tol, budget = config.series_rel_tol, config.series_budget(z)
     if _NUMPY_MIN_Z < z <= _RAW_LOG_CAP:
         count = min(budget, int(z + 14.0 * math.sqrt(z + 1.0) + 80.0))
         k = np.arange(count, dtype=float)
-        terms = np.cumprod((a + k) * z / ((b + k) * (k + 1.0)))
+        factors = (a + k) * z / ((b + k) * (k + 1.0))
+        if head is not None:
+            factors[0] = head * z / b
+        terms = np.cumprod(factors)
         total = 1.0 + float(terms.sum())
         if total < math.inf and np.all(terms[-3:] <= rel_tol * total) and count >= z:
             return total, 0
     term = total = 1.0
-    exp2 = small = 0
-    for k in range(budget):
+    exp2 = small = start = 0
+    if head is not None:
+        term, start = head * z / b, 1
+        total += term
+    for k in range(start, budget):
         term *= (a + k) * z / ((b + k) * (k + 1.0))
         total += term
         small = small + 1 if term <= rel_tol * total else 0
@@ -89,19 +98,36 @@ def _descend(a: float, b: float, z: float,
     p(a0) = (z/b) M(a0+1, b+1, z)/M(a0, b, z) at a0 = a + ceil(-a) (DLMF
     13.3.4) is a quotient of positive-term sums; DLMF 13.3.1 written for p
     (so small z/b costs no digits) carries it down: p(a'-1) = (z - a' p(a'))
-    / (b - a' - z + a' p(a')).  A p <= -1 above a (a zero of M crossed),
-    a zero denominator or an overflow raises NonConvergence; near a zero
-    of M the denominator cancels and the bound grows by that factor.
+    / (b - a' - z + a' p(a')).  At a' = b that step is 0/0, which a0 in
+    [0, 1) can meet only for b <= 1; there the chain starts one step lower,
+    at a0 - 1 in [-1, 0), where M(a0 - 1, b, z) = 1 + (a0 - 1) S with S a
+    positive-term sum, and the cancellation of that sum seeds the bound.
+    A p <= -1 above a (a zero of M crossed), a zero denominator or an
+    overflow raises NonConvergence; near a zero of M the denominator
+    cancels and the bound grows by that factor.
     """
     steps = math.ceil(-a)
-    ap = a + steps
-    m0, e0 = _series(ap, b, z, config)
-    m1, e1 = _series(ap + 1.0, b + 1.0, z, config)
-    prod, err = 1.0, 4.0 * math.sqrt(z + 1.0)  # p(a0) observed within 3 sqrt(z+1) eps
-    b_z, size = b - z, b + z + 2.0
+    err = 4.0 * math.sqrt(z + 1.0)  # p(a0) observed within 3 sqrt(z+1) eps
     try:
-        p = math.ldexp(m1 / m0, e1 - e0) * z / b
-        log_next = math.log(m0) + e0 * _LN2 + math.log1p(p)
+        if b > 1.0:
+            ap = a + steps
+            m0, e0 = _series(ap, b, z, config)
+            m1, e1 = _series(ap + 1.0, b + 1.0, z, config)
+            p = math.ldexp(m1 / m0, e1 - e0) * z / b
+            log_next = math.log(m0) + e0 * _LN2 + math.log1p(p)
+        else:
+            steps -= 1
+            ap = a + steps
+            t, e_t = _series(ap, b, z, config, head=1.0)  # 1 + S
+            m0, e0 = _series(ap + 1.0, b, z, config)
+            m1, e1 = _series(ap + 1.0, b + 1.0, z, config)
+            lead = math.ldexp(1.0 - ap, -e_t)
+            m_ap = lead + ap * t  # M(ap, b, z) / 2**e_t
+            p = math.ldexp(m1 / m_ap, e1 - e_t) * z / b
+            log_next = math.log(m0) + e0 * _LN2
+            err *= 1.0 + (lead - ap * t) / abs(m_ap)
+        prod = 1.0
+        b_z, size = b - z, b + z + 2.0
         for _ in range(steps):
             prod *= 1.0 + p  # M(a0+1) / M(ap)
             if not 1e-280 < prod < _RESCALE_AT:

@@ -8,8 +8,12 @@ boundary condition written through Kummer functions,
     nu = (1 - eta)/2,  x = beta/2,
 
 whose residual is evaluated here in the O(1), overflow-free scaled form.
-For beta = 0 the problem degenerates to the free Neumann Laplacian and
-is handled through the first zero of the Bessel derivative J_n'.
+Between Dirichlet poles (zeros of M(nu, n+1, x) in eta) the residual
+strictly decreases in eta, and the Kummer ratio refuses every eta past
+the first pole, so a walk that uses only accepted values brackets the
+first root without a sign test of M at a distant point.  For beta = 0
+the problem degenerates to the free Neumann Laplacian and is handled
+through the first zero of the Bessel derivative J_n'.
 """
 
 from __future__ import annotations
@@ -24,11 +28,11 @@ from scipy.optimize import brentq
 from scipy.special import jnp_zeros
 
 from .config import DEFAULT_CONFIG, SolverConfig
-from .errors import BracketFailure, InvalidParams
+from .errors import BracketFailure, InvalidParams, NonConvergence
 from .kummer import kummer_m, kummer_ratio_shift_b
 
 _BRENTQ_RTOL = 4.0 * np.finfo(float).eps
-_ETA_SCAN_STEP = 0.02  # fixed eta step of the scan at beta <= 2n
+_ETA_SCAN_STEP = 0.02  # first eta step of the bracket walk at beta <= 2n
 
 
 @dataclass(frozen=True)
@@ -133,19 +137,30 @@ def _lowest_eigenvalue_cached(n: int, beta: float,
         # pole lies above eta = 1, so [0, 1] holds exactly one root
         lo, hi = 0.0, 1.0
     else:
-        # the potential (n/r - beta r/2)^2 is >= (n - beta/2)^2 on (0, 1]
+        # the potential (n/r - beta r/2)^2 is >= (n - beta/2)^2 on (0, 1],
+        # so the walk starts below the first Neumann root N1; a residual
+        # <= 0 puts hi in (N1, D1), since past the first Dirichlet pole D1
+        # the Kummer ratio raises NonConvergence
         eta_max = _eta_scan_limit(n, beta)
-        lo = hi = (n - 0.5 * beta) ** 2 / beta
-        f_lo = residual(lo)
-        while hi < eta_max:
-            hi = lo + _ETA_SCAN_STEP
-            f_hi = residual(hi)
-            if f_lo * f_hi <= 0.0:
+        lo, step, grow = (n - 0.5 * beta) ** 2 / beta, _ETA_SCAN_STEP, 2.0
+        while True:
+            if lo >= eta_max:
+                raise BracketFailure(f"no residual sign change for n={n}, "
+                                     f"beta={beta} below eta={eta_max:.3g}")
+            hi = min(lo + step, eta_max)
+            try:
+                f_hi = residual(hi)
+            except NonConvergence as exc:
+                # bisect toward the lowest refused point from here on
+                step, grow = 0.5 * (hi - lo), 0.5
+                if step <= _BRENTQ_RTOL * hi:
+                    raise NonConvergence(
+                        f"no residual sign change for n={n}, beta={beta}: "
+                        f"every trial above eta={lo!r} refused ({exc})") from exc
+                continue
+            if f_hi <= 0.0:
                 break
-            lo, f_lo = hi, f_hi
-        else:
-            raise BracketFailure(f"no residual sign change for n={n}, "
-                                 f"beta={beta} below eta={eta_max:.3g}")
+            lo, step = hi, grow * step
     eta = brentq(residual, lo, hi, xtol=1e-100, rtol=_BRENTQ_RTOL)
     return EigenPoint(n, beta, beta * eta, eta)
 
@@ -154,9 +169,16 @@ def lowest_eigenvalue(n: int, beta: float,
                       config: SolverConfig = DEFAULT_CONFIG) -> EigenPoint:
     """Lowest eigenvalue of the fiber operator at angular mode n.
 
-    For beta > 2n one brentq on eta in [0, 1]; for beta <= 2n a fixed-step
-    scan up from the potential minimum (n - beta/2)^2 / beta brackets the
-    first residual sign change for brentq.  Results are memoized.
+    For beta > 2n one brentq on eta in [0, 1].  For beta <= 2n a walk up
+    from the potential minimum (n - beta/2)^2 / beta brackets the root:
+    its step starts at 0.02 and doubles while the residual is positive,
+    and once a trial point is refused (past the first Dirichlet pole, or
+    by the Kummer recurrence's error bound) it bisects toward the lowest
+    refused point, so the first accepted residual <= 0 closes a bracket
+    holding one root and no pole.  Raises BracketFailure past the cap
+    1.05 j'_{n,1}^2 / beta + 5, and NonConvergence, chained from the
+    last refusal, once the step falls below brentq's tolerance (seen at
+    beta <= 1 with eta >~ 8e4: (200, 0.5), (350, 1)).  Results are memoized.
     """
     return _lowest_eigenvalue_cached(int(n), float(beta), config)
 

@@ -169,6 +169,19 @@ class TestNegativeA:
         assert close_or_solver_error(lambda: kummer_ratio_shift_b(-m, 1.0, z),
                                      mp_ratio(-m, 1, z, 50), 1e-12)
 
+    @pytest.mark.parametrize("a,b,z", [
+        (-1e-300, 1.0, 2.0), (-1e-17, 1.0, 2.0), (-1e-12, 1.0, 2.0),
+        (-0.75, 0.25, 0.2)])
+    def test_chain_start_below_b(self, a, b, z):
+        # from a0 = a + ceil(-a) (1.0 after rounding at the first two, b
+        # itself at the last) the first step would be the 0/0 step a' = b;
+        # at (-1e-12, 1, 2) its cancellation was refused at 3.7e-2
+        exact = mp_ratio(a, b, z, 50)
+        assert abs(kummer_ratio_shift_b(a, b, z) - exact) <= 1e-13 * abs(exact)
+        with mpmath.workdps(50):
+            exact_m = mpmath.hyp1f1(a, b, z)
+        assert abs(kummer_m(a, b, z).value() - exact_m) <= 1e-13 * abs(exact_m)
+
     @pytest.mark.parametrize("a", [-0.5, -3.0, -41.7])
     def test_zero_argument(self, a):
         assert kummer_m(a, 2.0, 0.0).value() == 1.0

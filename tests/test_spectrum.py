@@ -1,10 +1,14 @@
 import math
+import time
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from diskmag.errors import InvalidParams, SolverError
+import diskmag.spectrum as spectrum
+from diskmag.config import DEFAULT_CONFIG, SolverConfig
+from diskmag.errors import BracketFailure, InvalidParams, NonConvergence
 from diskmag.fd import Grid1D, fd_disk_eigen, fd_disk_lambda
 from diskmag.spectrum import (EigenPoint, bessel_jnp_first_zero,
                               boundary_residual, eigenfunction, ground_state,
@@ -31,6 +35,25 @@ class TestBoundaryResidual:
     def test_requires_positive_beta(self):
         with pytest.raises(InvalidParams):
             boundary_residual(0, 0.0, 0.1)
+
+    # (n, beta) with rough first and second Dirichlet poles D1 < D2 in eta
+    @pytest.mark.parametrize("n,beta,d1_guess,d2_guess", [
+        (16, 32.0, 3.4877, 8.8993), (20, 4.0, 142.2527, 205.054),
+        (100, 50.0, 148.0978, 178.2873), (200, 390.0, 3.7906, 8.4548),
+        (3, 0.5, 78.471, 187.6038)])
+    def test_refused_past_first_dirichlet_pole(self, n, beta, d1_guess, d2_guess):
+        # the bracket walk below beta = 2n relies on this: every eta past D1
+        # raises, so the first accepted residual <= 0 lies below D1
+        with mpmath.workdps(40):
+            def dirichlet(eta):
+                return mpmath.hyp1f1((1 - eta) / 2, n + 1, mpmath.mpf(beta) / 2)
+            d1, d2 = (float(mpmath.findroot(dirichlet, g))
+                      for g in (d1_guess, d2_guess))
+        assert d1 == pytest.approx(d1_guess, rel=1e-4)
+        assert d2 == pytest.approx(d2_guess, rel=1e-4)
+        for eta in np.linspace(d1, d1 + 4.0 * (d2 - d1), 302)[1:-1]:
+            with pytest.raises(NonConvergence):
+                boundary_residual(n, beta, float(eta))
 
 
 class TestLowestEigenvalue:
@@ -70,16 +93,52 @@ class TestLowestEigenvalue:
             EigenPoint(-1, 1.0, 1.0, 1.0)
 
     def test_bracket_failure_when_scan_range_exhausted(self, monkeypatch):
-        import diskmag.spectrum as spectrum
-        from diskmag.config import SolverConfig
-        from diskmag.errors import BracketFailure
-
         # eta(5, 1) ~ 36; a ceiling of 1 cannot bracket it, and for
         # beta < 2n there is no root below 1 either
         monkeypatch.setattr(spectrum, "_eta_scan_limit", lambda n, beta: 1.0)
         fresh = SolverConfig(output_dir="fresh")
         with pytest.raises(BracketFailure):
             lowest_eigenvalue(5, 1.0, fresh)
+
+    @pytest.mark.parametrize("n,beta", [(20, 0.5), (400, 10.0), (16, 32.0)])
+    def test_bracket_walk_work_count(self, n, beta, monkeypatch):
+        # the fixed 0.02 scan took 9 375 and 24 053 residual evaluations
+        # at (20, 0.5) and (400, 10)
+        calls = []
+        residual = spectrum.boundary_residual
+
+        def counted(*args):
+            calls.append(args)
+            return residual(*args)
+
+        monkeypatch.setattr(spectrum, "boundary_residual", counted)
+        spectrum._lowest_eigenvalue_cached.__wrapped__(n, beta, DEFAULT_CONFIG)
+        assert 0 < len(calls) <= 40
+
+    def test_refusal_raises_fast(self):
+        # at eta ~ 1.6e5 the recurrence's error bound refuses every trial
+        # point near the root; the walk gives up once its step falls below
+        # brentq's tolerance and reports the last refusal
+        start = time.perf_counter()
+        with pytest.raises(NonConvergence, match="error") as excinfo:
+            spectrum._lowest_eigenvalue_cached.__wrapped__(400, 1.0, DEFAULT_CONFIG)
+        assert time.perf_counter() - start < 5.0
+        assert isinstance(excinfo.value.__cause__, NonConvergence)
+
+    @pytest.mark.parametrize("n,beta", [
+        (19, 0.5), (20, 0.5), (10, 0.5), (20, 4.0), (1, 6.0)])
+    def test_eta_is_residual_root_in_mpmath(self, n, beta):
+        # the Neumann condition in 50-digit arithmetic, rooted from eta
+        eta = lowest_eigenvalue(n, beta).eta
+        with mpmath.workdps(50):
+            x = mpmath.mpf(beta) / 2
+
+            def neumann(e):
+                nu = (1 - e) / 2
+                return ((n + 1) * (n - x) * mpmath.hyp1f1(nu, n + 1, x)
+                        + 2 * x * nu * mpmath.hyp1f1(nu + 1, n + 2, x))
+            root = mpmath.findroot(neumann, mpmath.mpf(eta))
+            assert abs(eta - root) <= 1e-15 * root
 
     def test_eta_approaches_one_at_leading_order(self):
         # 1 - eta(n, beta) ~ beta^{n+1} e^{-beta/2} / (2^n n!) for large beta
@@ -161,10 +220,9 @@ def _fibonacci_lattice(count: int) -> list[tuple[int, float]]:
     return points
 
 
-# beta < n/4 at large n is left out: the scan below beta = 2n walks eta up
-# from (n - beta/2)^2 / beta in fixed 0.02 steps, (eta - eta_lo)/0.02
-# residual evaluations, about 24 000 at n = 400, beta = 10, each an
-# ~8 000-step Kummer recurrence
+# beta >= n/4 keeps the sweep off the corner beta <= 1, n >= 200 (eta >~
+# 8e4), where the recurrence's error bound refuses every trial point; the
+# small-beta corners short of it are checked in test_eta_far_above_one
 SWEEP = _fibonacci_lattice(24)
 
 
@@ -175,9 +233,12 @@ class TestFdAgreement:
             fd_lam = fd_disk_lambda(n, beta, 4001)
             assert kummer_lam == pytest.approx(fd_lam, rel=1e-6)
 
-    @pytest.mark.parametrize("n,beta", [(100, 50.0), (400, 100.0), (400, 200.0)])
+    @pytest.mark.parametrize("n,beta", [
+        (100, 50.0), (400, 100.0), (400, 200.0), (20, 0.5), (50, 0.5),
+        (100, 0.5), (300, 2.0), (400, 2.0), (400, 10.0)])
     def test_eta_far_above_one(self, n, beta):
         # the alternating Kummer series gave 6 305.0, 30 434.0 and 29 960.0
+        # at the first three; eta runs up to 8.2e4 at (400, 2)
         fd_lam = fd_disk_lambda(n, beta, 4001)
         assert lowest_eigenvalue(n, beta).lam == pytest.approx(fd_lam, rel=1e-8)
 
@@ -188,10 +249,7 @@ class TestFdAgreement:
 
     @pytest.mark.parametrize("n,beta", SWEEP)
     def test_domain_sweep_against_fd(self, n, beta):
-        # within 1e-6 of FD (absolute below lambda = 1), or a SolverError
-        try:
-            lam = lowest_eigenvalue(n, beta).lam
-        except SolverError:
-            return
+        # within 1e-6 of FD (absolute below lambda = 1); none is refused
+        lam = lowest_eigenvalue(n, beta).lam
         fd_lam = fd_disk_lambda(n, beta, 4001)
         assert abs(lam - fd_lam) <= 1e-6 * max(1.0, abs(fd_lam))
