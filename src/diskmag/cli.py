@@ -23,12 +23,13 @@ import json
 import sys
 from pathlib import Path
 
-from .config import DEFAULT_CONFIG, SolverConfig, load_config, with_overrides
+from .config import (DEFAULT_CONFIG, SolverConfig, load_config,
+                     parse_beta_grid, with_overrides)
 from .crossings import crossing_by_phi, crossings_range
 from .degennes import compute_constants, minimize_theta0
-from .derivatives import conjecture_scan, lambda_prime
+from .derivatives import conjecture_scan, one_sided_chain
 from .errors import SolverError
-from .richardson import HalfPowerSequence, gamma_sequence, r4_gamma, richardson_iterate
+from .richardson import gamma_sequence, r4_gamma
 from .spectrum import lowest_eigenvalue
 
 TABLE4_ROWS = list(range(11)) + [25, 50, 100, 200, 300, 400]
@@ -114,32 +115,15 @@ def cmd_constants(config: SolverConfig) -> int:
     return 0
 
 
-def _derivative_tables(config: SolverConfig):
+def cmd_derivatives(config: SolverConfig) -> int:
     rows_wanted = [n for n in TABLE4_ROWS if n <= config.n_max]
-    chain_bases = [n for n in rows_wanted if n >= 1 and 16 * n <= config.n_max]
-    needed = set(rows_wanted)
-    for base in chain_bases:
-        needed.update(base * 2 ** k for k in range(5))
-    points = {p.n: p for p in crossings_range(config.n_max, config)}
-
-    left, right = {}, {}
-    for n in sorted(needed):
-        p = points[n]
-        left[n] = lambda_prime(n, p.beta_n, config, cross_check=False).dlambda
-        right[n] = lambda_prime(n + 1, p.beta_n, config, cross_check=False).dlambda
-    r4_left = r4_right = {}
-    if chain_bases:
-        seq_l = HalfPowerSequence.from_pairs(sorted(left.items()))
-        seq_r = HalfPowerSequence.from_pairs(sorted(right.items()))
-        r4_left = richardson_iterate(seq_l, 4).as_dict()
-        r4_right = richardson_iterate(seq_r, 4).as_dict()
+    indices = set(rows_wanted) | {n * 2 ** k for n in rows_wanted for k in range(5)
+                                  if n >= 1 and 16 * n <= config.n_max}
+    left, right, r4_left, r4_right = (
+        seq.as_dict() for seq in one_sided_chain(indices, config.n_max, config))
+    points = crossings_range(config.n_max, config)
     rows = [[n, points[n].beta_n, left[n], right[n],
              r4_left.get(n), r4_right.get(n)] for n in rows_wanted]
-    return rows
-
-
-def cmd_derivatives(config: SolverConfig) -> int:
-    rows = _derivative_tables(config)
     _write_table(_out(config, "table4_derivatives"),
                  ["n", "beta", "dlambda_left", "dlambda_right",
                   "r4_left", "r4_right"],
@@ -161,9 +145,7 @@ def cmd_richardson(config: SolverConfig) -> int:
 
 def cmd_conjectures(config: SolverConfig) -> int:
     theta0 = minimize_theta0(config).theta0
-    crossings = crossings_range(config.n_max, config)
-    report = conjecture_scan(config.beta_grid(), config.n_max, theta0,
-                             config, crossings=crossings)
+    report = conjecture_scan(config.beta_grid(), config.n_max, theta0, config)
     payload = {
         "theta0": theta0,
         "all_passed": report.all_passed,
@@ -200,17 +182,9 @@ def build_parser() -> _Parser:
     parser.add_argument("--n-max", type=int, default=None)
     parser.add_argument("--output-dir", default=None)
     parser.add_argument("--format", choices=["csv", "json"], default=None)
-    parser.add_argument("--beta-grid", default=None, metavar="START:STOP:STEP")
+    parser.add_argument("--beta-grid", type=parse_beta_grid, default=None,
+                        metavar="START:STOP:STEP")
     return parser
-
-
-def _beta_spec(raw: str | None):
-    if raw is None:
-        return None
-    parts = raw.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"--beta-grid wants START:STOP:STEP, got {raw!r}")
-    return tuple(float(p) for p in parts)
 
 
 def main(argv=None) -> int:
@@ -223,7 +197,7 @@ def main(argv=None) -> int:
             n_max=args.n_max,
             output_dir=args.output_dir,
             format=args.format,
-            beta_grid_spec=_beta_spec(args.beta_grid),
+            beta_grid_spec=args.beta_grid,
         )
     except (ValueError, OSError) as exc:
         print(f"diskmag: bad arguments: {exc}", file=sys.stderr)

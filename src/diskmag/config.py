@@ -20,9 +20,6 @@ class SolverConfig:
     # quadrature (integral representation, eigenfunction norms)
     quad_rel_tol: float = 1e-12
 
-    # eigenvalue root finding
-    eig_rel_tol: float = 1e-13
-
     # crossing solvers
     cross_rel_tol: float = 1e-13
     newton_max_iter: int = 50
@@ -44,13 +41,14 @@ class SolverConfig:
     format: str = "csv"
 
     def __post_init__(self) -> None:
-        if min(self.series_rel_tol, self.quad_rel_tol, self.eig_rel_tol,
-               self.cross_rel_tol) <= 0:
+        if min(self.series_rel_tol, self.quad_rel_tol, self.cross_rel_tol) <= 0:
             raise ValueError("tolerances must be positive")
         if self.n_max < 0:
             raise ValueError("n_max must be >= 0")
-        if self.beta_grid_spec[2] <= 0:
-            raise ValueError("beta grid step must be positive")
+        start, stop, step = self.beta_grid_spec
+        if step <= 0 or stop < start:
+            raise ValueError(f"beta grid {start}:{stop}:{step} needs step > 0 "
+                             f"and stop >= start")
         if self.format not in ("csv", "json"):
             raise ValueError(f"unknown output format {self.format!r}")
 
@@ -71,12 +69,17 @@ DEFAULT_CONFIG = SolverConfig()
 _FIELD_TYPES = {f.name: f.type for f in fields(SolverConfig)}
 
 
+def parse_beta_grid(raw: str) -> tuple[float, float, float]:
+    """START:STOP:STEP (or START,STOP,STEP) as three floats."""
+    parts = raw.replace(":", ",").split(",")
+    if len(parts) != 3:
+        raise ValueError(f"beta grid wants START:STOP:STEP, got {raw!r}")
+    return tuple(float(p) for p in parts)
+
+
 def _parse_value(name: str, raw: str):
     if name == "beta_grid_spec":
-        parts = raw.replace(":", ",").split(",")
-        if len(parts) != 3:
-            raise ValueError(f"beta_grid_spec wants START:STOP:STEP, got {raw!r}")
-        return tuple(float(p) for p in parts)
+        return parse_beta_grid(raw)
     return {"int": int, "str": str}.get(_FIELD_TYPES[name], float)(raw)
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
@@ -204,22 +205,25 @@ def crossing_by_phi(n: int, config: SolverConfig = DEFAULT_CONFIG) -> CrossingPo
     return _make_point(n, _x_of_nu(n, nu), nu, "implicit_phi", config)
 
 
-def crossings_range(n_max: int, config: SolverConfig = DEFAULT_CONFIG) -> list[CrossingPoint]:
+@lru_cache(maxsize=None)
+def crossings_range(n_max: int,
+                    config: SolverConfig = DEFAULT_CONFIG) -> tuple[CrossingPoint, ...]:
     """Crossings for n = 0 .. n_max via the Kummer system, with each
-    solution seeding the next (linear extrapolation of eta_star)."""
+    solution seeding the next (linear extrapolation of eta_star).
+
+    Memoized per (n_max, config), so a process makes one pass; a tuple,
+    so no caller can change it.  Each crossing is seeded only by earlier
+    ones: crossings_range(m) == crossings_range(n)[:m + 1] for m <= n.
+    """
     points: list[CrossingPoint] = []
     for n in range(n_max + 1):
-        if len(points) >= 2:
-            eta_seed = 2.0 * points[-1].eta_star - points[-2].eta_star
-            x_seed = 0.5 * saint_james_beta(n, eta_seed)
-            seed = (x_seed, 0.5 * (1.0 - eta_seed))
-        elif points:
-            eta_seed = points[-1].eta_star
+        seed = None
+        if points:
+            eta_seed = (points[-1].eta_star if n == 1
+                        else 2.0 * points[-1].eta_star - points[-2].eta_star)
             seed = (0.5 * saint_james_beta(n, eta_seed), 0.5 * (1.0 - eta_seed))
-        else:
-            seed = None
         points.append(crossing_by_system(n, config, seed=seed))
-    return points
+    return tuple(points)
 
 
 def eta_prime(n: int, beta: float, config: SolverConfig = DEFAULT_CONFIG) -> float:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .config import DEFAULT_CONFIG, SolverConfig
 from .crossings import CrossingPoint, crossing_by_system, crossings_range
 from .degennes import DeGennesConstants
-from .errors import InsufficientData
+from .errors import InsufficientData, InvalidParams
 from .richardson import HalfPowerSequence, richardson_iterate
 from .spectrum import eigenfunction, ground_state, lowest_eigenvalue
 
@@ -99,8 +99,7 @@ class ConjectureReport:
 
 
 def conjecture_scan(beta_grid, n_max: int, theta0: float,
-                    config: SolverConfig = DEFAULT_CONFIG,
-                    crossings: list[CrossingPoint] | None = None) -> ConjectureReport:
+                    config: SolverConfig = DEFAULT_CONFIG) -> ConjectureReport:
     """Finite-range evidence for the three open conjectures.
 
     (a) eta(beta) < Theta0 on the grid; (b) the crossing ratios eta_n*
@@ -108,12 +107,14 @@ def conjecture_scan(beta_grid, n_max: int, theta0: float,
     (the only candidates for envelope non-monotonicity, since each
     branch is analytic between crossings); (d) the coarse finite
     difference of lambda(beta) on the grid is positive throughout.
+    (b) and (c) run over the memoized crossings_range(n_max).
     """
     betas = sorted(float(b) for b in beta_grid)
     if len(betas) < 2 or betas[0] <= 0.0:
         raise InsufficientData("beta grid needs >= 2 positive points")
-    if crossings is None:
-        crossings = crossings_range(n_max, config)
+    if n_max < 1:
+        raise InsufficientData(f"n_max = {n_max} leaves < 2 crossings to scan")
+    crossings = crossings_range(n_max, config)
 
     lams = []
     worst_eta, worst_eta_at = -math.inf, math.nan
@@ -146,6 +147,30 @@ def conjecture_scan(beta_grid, n_max: int, theta0: float,
     return ConjectureReport((item_a, item_b, item_c, item_d))
 
 
+def one_sided_chain(indices, n_max: int, config: SolverConfig = DEFAULT_CONFIG,
+                    ) -> tuple[HalfPowerSequence, ...]:
+    """(left, right, r4_left, r4_right): the HalfPowerSequences n ->
+    lambda'(n, beta_n) and n -> lambda'(n+1, beta_n) over ``indices``
+    (0 <= n <= n_max) at the memoized crossings_range(n_max), and their
+    R4, which is empty unless the set holds some n, 2n, ..., 16n, n >= 1.
+    Index 0 never changes an R4 entry: richardson_step consumes it.
+    """
+    indices = sorted(set(int(n) for n in indices))
+    if indices[0] < 0:
+        raise InvalidParams("derivative chain indices must be >= 0")
+    points = crossings_range(n_max, config)
+    pairs = [(n, one_sided_derivatives(n, config, crossing=points[n]))
+             for n in indices]
+    left = HalfPowerSequence.from_pairs((n, l) for n, (l, _) in pairs)
+    right = HalfPowerSequence.from_pairs((n, r) for n, (_, r) in pairs)
+    try:
+        r4_left = richardson_iterate(left, 4)
+        r4_right = richardson_iterate(right, 4)
+    except InsufficientData:
+        r4_left = r4_right = HalfPowerSequence(())
+    return left, right, r4_left, r4_right
+
+
 @dataclass(frozen=True)
 class DerivativeLimits:
     """R4 limits of the one-sided derivative sequences vs their targets."""
@@ -160,24 +185,15 @@ class DerivativeLimits:
 
 def derivative_limits_check(n_list, constants: DeGennesConstants,
                             config: SolverConfig = DEFAULT_CONFIG,
-                            crossings: list[CrossingPoint] | None = None,
                             ) -> DerivativeLimits:
     """Extrapolate lambda'(n, beta_n) and lambda'(n+1, beta_n) over n_list
-    and compare with Theta0 +- (3/2) C1 |xi0|."""
+    and compare with Theta0 +- (3/2) C1 |xi0|, at crossings_range(max(n_list))."""
     indices = sorted(set(int(n) for n in n_list))
     if len(indices) < 2 ** 4 + 1:
         raise InsufficientData(f"need >= 17 indices, got {len(indices)}")
-    by_n = {p.n: p for p in crossings} if crossings else {}
-    left_pairs, right_pairs = [], []
-    for n in indices:
-        if n < 1:
-            continue
-        crossing = by_n.get(n)
-        left, right = one_sided_derivatives(n, config, crossing=crossing)
-        left_pairs.append((n, left))
-        right_pairs.append((n, right))
-    r4_left = richardson_iterate(HalfPowerSequence.from_pairs(left_pairs), 4)
-    r4_right = richardson_iterate(HalfPowerSequence.from_pairs(right_pairs), 4)
+    _, _, r4_left, r4_right = one_sided_chain(indices, indices[-1], config)
+    if not r4_left.entries:
+        raise InsufficientData("no chain n, 2n, ..., 16n with n >= 1")
     spread = 1.5 * constants.c1 * abs(constants.xi0)
     return DerivativeLimits(
         r4_left=r4_left,

@@ -33,6 +33,7 @@ from .kummer import kummer_m, kummer_ratio_shift_b
 
 _BRENTQ_RTOL = 4.0 * np.finfo(float).eps
 _ETA_SCAN_STEP = 0.02  # first eta step of the bracket walk at beta <= 2n
+_TIE_REL = 1e-12  # ground_state: relative lambda margin that counts as a tie
 
 
 @dataclass(frozen=True)
@@ -251,7 +252,6 @@ def ground_state(beta: float,
     """
     if beta <= 0.0:
         raise InvalidParams("ground state scan needs beta > 0")
-    tie_rel = 10.0 * config.eig_rel_tol
 
     def lam(m: int) -> float:
         return lowest_eigenvalue(m, beta, config).lam
@@ -260,13 +260,13 @@ def ground_state(beta: float,
     here = lam(k)
     while k > 0:
         below = lam(k - 1)
-        if below < here * (1.0 - tie_rel):
+        if below < here * (1.0 - _TIE_REL):
             k, here = k - 1, below
         else:
             break
     while True:
         above = lam(k + 1)
-        if above < here * (1.0 - tie_rel):
+        if above < here * (1.0 - _TIE_REL):
             k, here = k + 1, above
         else:
             break

@@ -8,7 +8,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from diskmag.config import DEFAULT_CONFIG
 from diskmag.crossings import crossings_range
 from diskmag.degennes import compute_constants
-from diskmag.derivatives import lambda_prime
+from diskmag.derivatives import one_sided_chain
 
 
 @pytest.fixture(scope="session")
@@ -29,10 +29,5 @@ def crossings400(config):
 @pytest.fixture(scope="session")
 def envelope_derivatives(config, crossings400):
     """(left, right) = (lambda'(n, beta_n), lambda'(n+1, beta_n)) for all n."""
-    left, right = {}, {}
-    for point in crossings400:
-        left[point.n] = lambda_prime(point.n, point.beta_n, config,
-                                     cross_check=False).dlambda
-        right[point.n] = lambda_prime(point.n + 1, point.beta_n, config,
-                                      cross_check=False).dlambda
-    return left, right
+    left, right, _, _ = one_sided_chain(range(len(crossings400)), 400, config)
+    return left.as_dict(), right.as_dict()

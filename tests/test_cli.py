@@ -25,6 +25,7 @@ def test_unknown_command_exits_three():
 
 def test_malformed_beta_grid_exits_three():
     assert run_cli("curves", "--beta-grid", "1:2").returncode == 3
+    assert run_cli("curves", "--beta-grid", "3:1:1").returncode == 3
 
 
 def test_crossings_outputs(tmp_path: Path):
@@ -143,6 +144,15 @@ def test_conjectures_exit_code(tmp_path: Path):
         "right_derivative_positive", "lambda_slope_positive"}
 
 
+def test_conjectures_single_crossing_exits_one(tmp_path: Path):
+    # n_max = 0 leaves one crossing: too few for the eta_n* step scan
+    out = run_cli("conjectures", "--n-max", "0", "--output-dir", str(tmp_path),
+                  "--beta-grid", "1:3:1")
+    assert out.returncode == 1
+    assert "computation failed" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_conjecture_failure_exit_code(tmp_path: Path, monkeypatch):
     # a failing scan item must surface as exit code 2 for CI use
     from diskmag import cli
@@ -155,7 +165,6 @@ def test_conjecture_failure_exit_code(tmp_path: Path, monkeypatch):
     ))
     monkeypatch.setattr(cli, "conjecture_scan",
                         lambda *args, **kwargs: failing)
-    monkeypatch.setattr(cli, "crossings_range", lambda *args, **kwargs: [])
     config = SolverConfig(n_max=1, beta_grid_spec=(1.0, 3.0, 1.0),
                           output_dir=str(tmp_path))
     assert cli.cmd_conjectures(config) == 2
@@ -180,10 +189,35 @@ def test_bad_config_key_exits_three(tmp_path: Path):
     assert run_cli("crossings", "--config", str(cfg)).returncode == 3
 
 
-def test_removed_scan_step_key_exits_three(tmp_path: Path):
-    # eta_scan_step is no longer a config key: the scan step is fixed
+@pytest.mark.parametrize("key, value", [("eta_scan_step", "0.02"),
+                                        ("eig_rel_tol", "1e-13")],
+                         ids=["eta_scan_step", "eig_rel_tol"])
+def test_removed_scan_step_key_exits_three(tmp_path: Path, key, value):
+    # neither is a config key any more: the scan step is fixed, and the
+    # ground-state tie margin is a constant of spectrum.py
     cfg = tmp_path / "solver.cfg"
-    cfg.write_text("eta_scan_step = 0.02\n")
+    cfg.write_text(f"{key} = {value}\n")
     out = run_cli("crossings", "--config", str(cfg))
     assert out.returncode == 3
-    assert "eta_scan_step" in out.stderr
+    assert key in out.stderr
+
+
+def test_one_crossing_pass_per_process(tmp_path: Path, capsys, monkeypatch):
+    # every subcommand that reads the crossings shares one memoized pass:
+    # one cache miss, one Newton solve per crossing
+    from diskmag import cli, crossings
+
+    solves, solve = [], crossings.crossing_by_system
+
+    def counted(n, *args, **kwargs):
+        solves.append(n)
+        return solve(n, *args, **kwargs)
+
+    monkeypatch.setattr(crossings, "crossing_by_system", counted)
+    misses = crossings.crossings_range.cache_info().misses
+    for command in ("crossings", "richardson", "derivatives", "conjectures"):
+        code = cli.main([command, "--n-max", "40", "--beta-grid", "5:20:5",
+                         "--output-dir", str(tmp_path)])
+        assert code == 0, command
+    assert crossings.crossings_range.cache_info().misses == misses + 1
+    assert solves == list(range(41))

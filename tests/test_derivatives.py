@@ -5,8 +5,9 @@ import pytest
 
 from diskmag.crossings import eta_prime
 from diskmag.derivatives import (conjecture_scan, derivative_limits_check,
-                                 lambda_prime, one_sided_derivatives)
-from diskmag.errors import InsufficientData
+                                 lambda_prime, one_sided_chain,
+                                 one_sided_derivatives)
+from diskmag.errors import InsufficientData, InvalidParams
 
 from refdata import CROSSINGS, DERIVATIVES
 
@@ -68,9 +69,9 @@ class TestCurveShape:
 
 
 class TestConjectureScan:
-    def test_small_grid_passes(self, constants, crossings400):
+    def test_small_grid_passes(self, constants):
         report = conjecture_scan(np.arange(1.0, 30.0, 1.0), 400,
-                                 constants.theta0, crossings=crossings400)
+                                 constants.theta0)
         assert report.all_passed
         names = [item.name for item in report.items]
         assert names == ["eta_below_theta0", "eta_star_increasing",
@@ -82,14 +83,18 @@ class TestConjectureScan:
         point = crossings400[400]
         assert point.eta_star < constants.theta0
         report = conjecture_scan([point.beta_n, point.beta_n + 0.5], 400,
-                                 constants.theta0, crossings=crossings400)
+                                 constants.theta0)
         item = report.item("eta_below_theta0")
         assert item.extremal == pytest.approx(
             point.eta_star - constants.theta0, abs=1e-9)
 
-    def test_rejects_empty_grid(self, constants, crossings400):
+    def test_rejects_empty_grid(self, constants):
         with pytest.raises(InsufficientData):
-            conjecture_scan([], 400, constants.theta0, crossings=crossings400)
+            conjecture_scan([], 400, constants.theta0)
+
+    def test_rejects_single_crossing(self, constants):
+        with pytest.raises(InsufficientData):
+            conjecture_scan([1.0, 2.0], 0, constants.theta0)
 
     def test_envelope_ratio_bounded_by_first_crossing(self, crossings400):
         # below beta_0 the envelope is the increasing mode-0 curve, so
@@ -120,10 +125,14 @@ class TestLimits:
         with pytest.raises(InsufficientData):
             derivative_limits_check(range(10), constants)
 
-    def test_limits_against_constants(self, constants, crossings400):
+    def test_chain_rejects_negative_index(self):
+        # crossings_range(2)[-1] would silently pair n = -1 with beta_2
+        with pytest.raises(InvalidParams):
+            one_sided_chain([-1, 0, 1], 2)
+
+    def test_limits_against_constants(self, constants):
         chain = sorted({base * 2 ** k for base in (1, 3, 5, 7, 9, 25)
                         for k in range(5)} | {0, 2, 4, 6, 8, 10})
-        limits = derivative_limits_check(chain, constants,
-                                         crossings=crossings400)
+        limits = derivative_limits_check(chain, constants)
         assert limits.left_limit == pytest.approx(limits.left_target, abs=2e-3)
         assert limits.right_limit == pytest.approx(limits.right_target, abs=2e-3)
