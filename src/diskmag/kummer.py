@@ -11,6 +11,12 @@ Two independent evaluation routes are provided for cross-validation:
   representation (valid for 0 < a < b) by adaptive quadrature after an
   explicit substitution that removes the endpoint singularities.
 
+:func:`kummer_m_many` is the many-z kernel: for a >= 0 it sums the
+series at every z of an array as one numpy cumulative product per row,
+falling back to :func:`kummer_m` for any row that does not settle; the
+numpy path of the scalar series (100 < z <= 600) is its one-row call.
+Eigenfunction normalization takes all its Gauss nodes from one call.
+
 :func:`kummer_ratio_shift_b` returns M(a+1, b+1, z) / M(a, b, z) as an
 ordinary float; eigenvalue residuals are built from this ratio so they
 stay O(1) regardless of the raw Kummer magnitudes.
@@ -46,14 +52,35 @@ def _check_args(a: float, b: float, z: float) -> None:
         raise InvalidParams(f"z={z} must be >= 0")
 
 
+def _numpy_count(z: float) -> int:
+    """Terms of the numpy series at z: past the peak at k ~ z and its tail."""
+    return int(z + 14.0 * math.sqrt(z + 1.0) + 80.0)
+
+
+def _series_rows(a: float, b: float, z, count: int, rel_tol: float,
+                 head: float | None = None):
+    """1 + the first ``count`` terms of the positive-term series at one z
+    (a float) or at many (an (N, 1) column), as one numpy cumulative
+    product per row: (total, settled).  A row is settled when its total
+    is finite and its last three terms are within rel_tol of it."""
+    k = np.arange(count, dtype=float)
+    terms = (a + k) * z  # one (N, count) buffer: divided and multiplied in place
+    terms /= (b + k) * (k + 1.0)
+    if head is not None:
+        terms[..., :1] = head * z / b
+    np.cumprod(terms, axis=-1, out=terms)
+    total = 1.0 + terms.sum(axis=-1)
+    return total, (total < math.inf) & (terms[..., -3:].max(axis=-1) <= rel_tol * total)
+
+
 def _series(a: float, b: float, z: float, config: SolverConfig,
             head: float | None = None) -> tuple[float, int]:
     """Sum the positive-term ascending series; returns (mantissa, e).
 
     The value is mantissa * 2**e.  ``head`` replaces the factor a of the
     first term: with a in [-1, 0) and head = 1 every term stays positive
-    and the sum is 1 + S, S = (M(a, b, z) - 1)/a.  For 100 < z <= 600 one
-    numpy cumulative product of z + 14 sqrt(z+1) + 80 terms is tried first.
+    and the sum is 1 + S, S = (M(a, b, z) - 1)/a.  For 100 < z <= 600 the
+    one-row numpy product of z + 14 sqrt(z+1) + 80 terms is tried first.
     Truncation requires three consecutive terms below the relative
     tolerance *and* the index to be past the term-growth peak at k ~ z,
     so a small early term cannot stop the sum prematurely.
@@ -62,15 +89,10 @@ def _series(a: float, b: float, z: float, config: SolverConfig,
         "the ascending series is summed only over positive terms"
     rel_tol, budget = config.series_rel_tol, config.series_budget(z)
     if _NUMPY_MIN_Z < z <= _RAW_LOG_CAP:
-        count = min(budget, int(z + 14.0 * math.sqrt(z + 1.0) + 80.0))
-        k = np.arange(count, dtype=float)
-        factors = (a + k) * z / ((b + k) * (k + 1.0))
-        if head is not None:
-            factors[0] = head * z / b
-        terms = np.cumprod(factors)
-        total = 1.0 + float(terms.sum())
-        if total < math.inf and np.all(terms[-3:] <= rel_tol * total) and count >= z:
-            return total, 0
+        count = min(budget, _numpy_count(z))
+        total, settled = _series_rows(a, b, z, count, rel_tol, head)
+        if settled and count >= z:
+            return float(total), 0
     term = total = 1.0
     exp2 = small = start = 0
     if head is not None:
@@ -165,6 +187,35 @@ def kummer_m(a: float, b: float, z: float,
     if not abs(p) * err <= _MAX_REL_ERR * abs(q) < math.inf:
         raise NonConvergence(f"M({a}, {b}, {z}): recurrence error bound {err:.1e}")
     return ScaledReal(log_next - math.log(abs(q)), 1 if q > 0.0 else -1)
+
+
+def kummer_m_many(a: float, b: float, z,
+                  config: SolverConfig = DEFAULT_CONFIG) -> tuple[np.ndarray, np.ndarray]:
+    """(ln|M(a, b, z_i)|, sign of M(a, b, z_i)) at every z_i of a 1-D array.
+
+    For a >= 0 one numpy product sums the series at every z_i <= 600 at
+    once, with the term count of the largest of them; each row keeps the
+    scalar path's test (a finite total, its last three terms within
+    series_rel_tol of it, count >= z_i).  A row that fails it, and every
+    row for a < 0, comes from :func:`kummer_m`.
+    """
+    z = np.asarray(z, dtype=float)
+    log_m, sign = np.full_like(z, math.nan), np.ones_like(z)
+    if z.size:
+        _check_args(a, b, float(z.min()))
+    rows = np.flatnonzero(z <= _RAW_LOG_CAP) if a >= 0.0 else []
+    if len(rows):
+        z_rows = z[rows]
+        z_max = float(z_rows.max())
+        count = min(config.series_budget(z_max), _numpy_count(z_max))
+        total, settled = _series_rows(a, b, z_rows[:, None], count,
+                                      config.series_rel_tol)
+        settled &= z_rows <= count
+        log_m[rows[settled]] = np.log(total[settled])
+    for i in np.flatnonzero(np.isnan(log_m)):
+        m = kummer_m(a, b, float(z[i]), config)
+        log_m[i], sign[i] = m.log_mag, m.sign
+    return log_m, sign
 
 
 def kummer_ratio_shift_b(a: float, b: float, z: float,

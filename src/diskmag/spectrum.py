@@ -29,7 +29,7 @@ from scipy.special import jnp_zeros
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import BracketFailure, InvalidParams, NonConvergence
-from .kummer import kummer_m, kummer_ratio_shift_b
+from .kummer import kummer_m, kummer_m_many, kummer_ratio_shift_b
 
 _BRENTQ_RTOL = 4.0 * np.finfo(float).eps
 _ETA_SCAN_STEP = 0.02  # first eta step of the bracket walk at beta <= 2n
@@ -72,22 +72,19 @@ class EigenfunctionHandle:
     log_norm_integral: float
 
     def evaluate(self, r) -> np.ndarray:
-        """Normalized f(r) on 0 <= r <= 1 (vectorized)."""
+        """Normalized f(r) on 0 <= r <= 1 (vectorized); InvalidParams outside."""
         r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        nz = r > 0.0
+        if not np.all((r >= 0.0) & (r <= 1.0)):
+            raise InvalidParams("eigenfunction is defined on 0 <= r <= 1")
         point = self.point
-        nu = 0.5 * (1.0 - point.eta)
-        for idx in np.ndindex(r.shape):
-            if not nz[idx]:
-                out[idx] = 0.0 if point.n > 0 else math.exp(
-                    -0.5 * self.log_norm_integral)
-                continue
-            ri = float(r[idx])
-            m = kummer_m(nu, point.n + 1.0, 0.5 * point.beta * ri * ri)
-            log_f = (point.n * math.log(ri) - 0.25 * point.beta * ri * ri
-                     + m.log_mag - 0.5 * self.log_norm_integral)
-            out[idx] = m.sign * math.exp(log_f)
+        out = np.full(r.shape, 0.0 if point.n > 0 else
+                      math.exp(-0.5 * self.log_norm_integral))
+        nz = r > 0.0
+        rn = r[nz]
+        log_m, sign = kummer_m_many(0.5 * (1.0 - point.eta), point.n + 1.0,
+                                    0.5 * point.beta * rn * rn)
+        out[nz] = sign * np.exp(point.n * np.log(rn) - 0.25 * point.beta * rn * rn
+                                + log_m - 0.5 * self.log_norm_integral)
         return out
 
 
@@ -208,7 +205,10 @@ def eigenfunction(point: EigenPoint,
 
     The squared-norm integral is evaluated in log space on a mesh graded
     toward r = 1 (composite 8-point Gauss-Legendre), because the raw
-    integrand spans hundreds of orders of magnitude at large beta.
+    integrand spans hundreds of orders of magnitude at large beta.  ln M
+    at all Gauss nodes comes from one call of the many-z Kummer kernel
+    :func:`~diskmag.kummer.kummer_m_many`: one numpy product for nu >= 0,
+    per-node :func:`~diskmag.kummer.kummer_m` for nu < 0.
     """
     if point.beta <= 0.0:
         raise InvalidParams("eigenfunction normalization needs beta > 0")
@@ -216,20 +216,13 @@ def eigenfunction(point: EigenPoint,
     nu = 0.5 * (1.0 - eta)
 
     edges = _graded_mesh(beta)
-    log_vals = []
-    weights = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, rad = 0.5 * (a + b), 0.5 * (b - a)
-        for xg, wg in zip(_GL_NODES, _GL_WEIGHTS):
-            r = mid + rad * xg
-            if r <= 0.0:
-                continue
-            m = kummer_m(nu, n + 1.0, 0.5 * beta * r * r, config)
-            g = n * math.log(r) - 0.25 * beta * r * r + m.log_mag
-            log_vals.append(2.0 * g + math.log(r))
-            weights.append(rad * wg)
-    log_vals = np.array(log_vals)
-    weights = np.array(weights)
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    rad = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    r = (mid + rad * _GL_NODES).ravel()
+    weights = (rad * _GL_WEIGHTS).ravel()
+    log_m, _ = kummer_m_many(nu, n + 1.0, 0.5 * beta * r * r, config)
+    log_r = np.log(r)
+    log_vals = 2.0 * (n * log_r - 0.25 * beta * r * r + log_m) + log_r
     top = float(log_vals.max())
     log_norm = top + math.log(float(np.sum(weights * np.exp(log_vals - top))))
 

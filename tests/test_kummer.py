@@ -2,13 +2,15 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diskmag.config import SolverConfig
+import diskmag.kummer as kummer_mod
+from diskmag.config import DEFAULT_CONFIG, SolverConfig
 from diskmag.errors import InvalidParams, NonConvergence, SolverError
 from diskmag.kummer import (check_recurrences, kummer_m, kummer_m_integral,
-                            kummer_ratio_shift_b)
+                            kummer_m_many, kummer_ratio_shift_b)
 
 from oracles import kummer_series_rational
 from refdata import CROSSINGS
@@ -74,6 +76,70 @@ class TestSeries:
         tight = SolverConfig(max_terms=5)
         with pytest.raises(NonConvergence):
             kummer_m(0.5, 1.0, 50.0, tight)
+
+
+class TestManyZ:
+    """The many-z kernel: one numpy product per row, scalar fallback."""
+
+    def test_matches_scalar_path(self):
+        # |delta ln M| <= 1e-14 max(1, |ln M|): relative in ln M, and
+        # relative in M itself where ln M is near 0 (small z)
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            a, b = rng.uniform(0.0, 0.5), float(rng.integers(1, 403))
+            z = np.concatenate([[0.0, 99.9, 100.0, 100.1, 450.0],
+                                rng.uniform(0.0, 450.0, 30)])
+            log_m, sign = kummer_m_many(a, b, z)
+            scalar = np.array([kummer_m(a, b, float(x)).log_mag for x in z])
+            assert np.all(sign == 1.0)
+            assert np.all(np.abs(log_m - scalar)
+                          <= 1e-14 * np.maximum(1.0, np.abs(scalar)))
+
+    def test_unsettled_rows_fall_back(self, monkeypatch):
+        # 40 terms settle only the small-z rows; every other row must come
+        # from kummer_m, one call each, and still match it
+        a, b = 0.3, 11.0
+        z = np.array([0.1, 2.0, 5.0, 60.0, 150.0, 420.0])
+        scalar = [kummer_m(a, b, float(x)).log_mag for x in z]
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2])
+            return kummer_m(*args)
+
+        monkeypatch.setattr(kummer_mod, "_numpy_count", lambda z_max: 40)
+        monkeypatch.setattr(kummer_mod, "kummer_m", counted)
+        log_m, _ = kummer_mod.kummer_m_many(a, b, z)
+        assert calls == [60.0, 150.0, 420.0]
+        assert np.all(np.abs(log_m - scalar)
+                      <= 1e-14 * np.maximum(1.0, np.abs(scalar)))
+
+    def test_negative_a_is_per_node(self):
+        z = np.array([0.5, 3.0, 40.0])
+        log_m, sign = kummer_m_many(-0.5, 1.0, z)
+        for i, x in enumerate(z):
+            m = kummer_m(-0.5, 1.0, float(x))
+            assert (log_m[i], sign[i]) == (m.log_mag, m.sign)
+
+    @pytest.mark.parametrize("a,b,z", [(0.3, 101.0, 150.0), (0.05, 402.0, 449.5),
+                                       (0.5, 1.0, 100.5), (0.2, 7.0, 600.0)])
+    def test_one_row_is_the_scalar_numpy_path(self, a, b, z):
+        # the scalar path's numpy branch is the one-row call: bit-identical
+        # to the former 1-D cumprod/sum, and to the same row of a many-z call
+        total, exp2 = kummer_mod._series(a, b, z, DEFAULT_CONFIG)
+        count = kummer_mod._numpy_count(z)
+        k = np.arange(count, dtype=float)
+        terms = np.cumprod((a + k) * z / ((b + k) * (k + 1.0)))
+        assert (total, exp2) == (1.0 + float(terms.sum()), 0)
+        column = np.array([[z - 50.0], [z], [0.5 * z]])
+        rows, settled = kummer_mod._series_rows(a, b, column, count, 1e-16)
+        assert settled[1] and rows[1] == total
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(InvalidParams):
+            kummer_m_many(0.3, 2.0, np.array([1.0, -1.0]))
+        with pytest.raises(InvalidParams):
+            kummer_m_many(0.3, 0.0, np.array([1.0]))
 
 
 class TestIntegralRepresentation:

@@ -4,12 +4,15 @@ import time
 import mpmath
 import numpy as np
 import pytest
+from mpmath.calculus.quadrature import GaussLegendre
 from scipy.integrate import quad
 
+import diskmag.kummer as kummer_mod
 import diskmag.spectrum as spectrum
 from diskmag.config import DEFAULT_CONFIG, SolverConfig
 from diskmag.errors import BracketFailure, InvalidParams, NonConvergence
 from diskmag.fd import Grid1D, fd_disk_eigen, fd_disk_lambda
+from diskmag.kummer import kummer_m
 from diskmag.spectrum import (EigenPoint, bessel_jnp_first_zero,
                               boundary_residual, eigenfunction, ground_state,
                               lowest_eigenvalue)
@@ -150,7 +153,69 @@ class TestLowestEigenvalue:
                 assert 0.5 < deficit / model < 2.0
 
 
+def mp_boundary_trace(point, pieces=120, digits=30):
+    """f(1) / ||f|| for f(r) = r^n e^{-beta r^2/4} M(nu, n+1, beta r^2/2) at
+    the point's own eta, the norm by 12-point Gauss-Legendre on `pieces`
+    equal cells over the boundary layer [1 - 16/sqrt(beta), 1] (plus one
+    cell below it), all in `digits`-digit arithmetic."""
+    n = point.n
+    with mpmath.workdps(digits):
+        beta = mpmath.mpf(point.beta)
+        nu = (1 - mpmath.mpf(point.eta)) / 2
+
+        def f(r):
+            return (r ** n * mpmath.exp(-beta * r * r / 4)
+                    * mpmath.hyp1f1(nu, n + 1, beta * r * r / 2))
+        rule = GaussLegendre(mpmath.mp).calc_nodes(3, mpmath.mp.prec)
+        lo = max(mpmath.mpf(0), 1 - 16 / mpmath.sqrt(beta))
+        edges = [lo + (1 - lo) * k / pieces for k in range(pieces + 1)]
+        if lo > 0:
+            edges.insert(0, mpmath.mpf(0))
+        norm = mpmath.mpf(0)
+        for a, b in zip(edges[:-1], edges[1:]):
+            mid, rad = (a + b) / 2, (b - a) / 2
+            norm += rad * mpmath.fsum(w * (mid + rad * x) * f(mid + rad * x) ** 2
+                                      for x, w in rule)
+        return float(f(mpmath.mpf(1)) / mpmath.sqrt(norm))
+
+
 class TestEigenfunction:
+    @pytest.mark.parametrize("n", [0, 100, 400])
+    def test_boundary_trace_at_crossing_against_mpmath(self, n):
+        point = lowest_eigenvalue(n, CROSSINGS[n][0])
+        trace = eigenfunction(point).boundary_trace
+        assert abs(trace - mp_boundary_trace(point)) <= 1e-12 * trace
+
+    def test_one_scalar_kummer_call_per_normalization(self, monkeypatch):
+        # nu >= 0: every Gauss node comes from one many-z kernel call, so
+        # only the boundary value M(nu, n+1, beta/2) goes through kummer_m
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return kummer_m(*args, **kwargs)
+
+        monkeypatch.setattr(spectrum, "kummer_m", counted)
+        monkeypatch.setattr(kummer_mod, "kummer_m", counted)
+        point = lowest_eigenvalue(400, CROSSINGS[400][0])
+        assert point.eta < 1.0
+        eigenfunction(point)
+        assert len(calls) <= 1
+
+    @pytest.mark.parametrize("n,beta", [(7, 40.0), (6, 4.0)])
+    def test_evaluate_at_boundary_is_the_trace(self, n, beta):
+        # (6, 4.0) has eta > 1, nu < 0: the per-node kummer_m route
+        handle = eigenfunction(lowest_eigenvalue(n, beta))
+        assert handle.evaluate(1.0) == pytest.approx(handle.boundary_trace, rel=1e-13)
+
+    @pytest.mark.parametrize("r", [-1e-12, -0.5, 1.0 + 1e-12, 2.0, math.nan])
+    def test_evaluate_rejects_r_outside_unit_interval(self, r):
+        handle = eigenfunction(lowest_eigenvalue(3, 10.0))
+        with pytest.raises(InvalidParams):
+            handle.evaluate(r)
+        with pytest.raises(InvalidParams):
+            handle.evaluate(np.array([0.0, 0.5, r]))
+
     def test_constant_limit_at_small_field(self):
         point = lowest_eigenvalue(0, 1e-4)
         handle = eigenfunction(point)
