@@ -33,9 +33,10 @@ def _csv_cells(path: Path) -> dict[str, str]:
     header = rows[0] if rows else []
     cells = {}
     for i, row in enumerate(rows[1:], start=1):
+        key = f"row {i} ({header[0]}={row[0]})" if header and row else f"row {i}"
         for j, value in enumerate(row):
             column = header[j] if j < len(header) else str(j)
-            cells[f"row {i} {column}"] = value
+            cells[f"{key} {column}"] = value
     return cells
 
 
