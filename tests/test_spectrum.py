@@ -153,13 +153,13 @@ class TestLowestEigenvalue:
                 assert 0.5 < deficit / model < 2.0
 
 
-def mp_boundary_trace(point, pieces=120, digits=30):
+def mp_boundary_trace(point):
     """f(1) / ||f|| for f(r) = r^n e^{-beta r^2/4} M(nu, n+1, beta r^2/2) at
-    the point's own eta, the norm by 12-point Gauss-Legendre on `pieces`
-    equal cells over the boundary layer [1 - 16/sqrt(beta), 1] (plus one
-    cell below it), all in `digits`-digit arithmetic."""
-    n = point.n
-    with mpmath.workdps(digits):
+    the point's own eta, the norm by 12-point Gauss-Legendre on 120 equal
+    cells over the boundary layer [1 - 16/sqrt(beta), 1] (plus one cell
+    below it), all in 30-digit arithmetic."""
+    n, pieces = point.n, 120
+    with mpmath.workdps(30):
         beta = mpmath.mpf(point.beta)
         nu = (1 - mpmath.mpf(point.eta)) / 2
 
