@@ -22,7 +22,8 @@ Second-order perturbation theory in b^{-1/2} gives a quadratic-in-delta
 coefficient lambda2(delta); its vertex delta0 and offset C0 are computed
 here by solving the regularized-resolvent equation for the first
 corrector u1 on the finite-difference grid, with the orthogonality
-constraint handled by a bordered (arrowhead) linear solve.
+constraint imposed by a bordered system that one banded Cholesky solve
+and one 2x2 solve eliminate (:meth:`_GridSolve.solve_corrector`).
 
 Every quantity is read from one grid-pair solve at its xi and reported
 through the two-grid Richardson combination of :func:`fd.richardson`.
@@ -32,9 +33,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import solveh_banded
 from scipy.optimize import brentq
 
 from .config import DEFAULT_CONFIG, SolverConfig
@@ -107,19 +109,32 @@ class _GridSolve:
         pot = well ** 2 + 4.0 * t * shifted * well + 3.0 * t * t * shifted ** 2
         return t * _derivative(u, self.h) + pot * u
 
-    @cached_property
-    def bordered(self) -> _BorderedSolver:
-        kd = self.system.diag - self.lam0 * self.mass
-        return _BorderedSolver(kd, self.system.offdiag, self.mass * self.u0)
-
     def solve_corrector(self, rhs: np.ndarray) -> np.ndarray:
-        """u1 with (h0 - lam0) u1 = rhs, <u0, u1> = 0; residual-checked."""
-        mrhs = self.mass * rhs
-        u1, mu = self.bordered.solve(mrhs)
-        residual = (self.system.diag - self.lam0 * self.mass) * u1 \
-            + mu * self.mass * self.u0 - mrhs
-        residual[:-1] += self.system.offdiag * u1[1:]
-        residual[1:] += self.system.offdiag * u1[:-1]
+        """u1 with (h0 - lam0) u1 = rhs, <u0, u1> = 0; residual-checked.
+
+        [[K, c], [c^T, 0]] [u1; mu] = [M rhs; 0], K = A - lam0 M, c = M u0,
+        is eliminated through K without node 0 (h0 with a Dirichlet end at
+        t = h, positive definite for any rounding of lam0, while K without
+        its last node is singular to rounding): one banded Cholesky, one 2x2.
+        """
+        kd, ke = self.system.diag - self.lam0 * self.mass, self.system.offdiag
+        c, mrhs = self.mass * self.u0, self.mass * rhs
+        columns = np.column_stack([mrhs[1:], c[1:], np.zeros(len(kd) - 1)])
+        columns[0, 2] = ke[0]  # node 0's coupling to node 1
+        try:
+            a, q, p = solveh_banded(
+                np.vstack([np.append(0.0, ke[1:]), kd[1:]]), columns).T
+            # row 0 of K u1 + mu c = M rhs and c^T u1 = 0, u1[1:] = a - q mu - p u1[0]
+            u_first, mu = np.linalg.solve(
+                [[kd[0] - ke[0] * p[0], c[0] - ke[0] * q[0]],
+                 [c[0] - c[1:] @ p, -(c[1:] @ q)]],
+                [mrhs[0] - ke[0] * a[0], -(c[1:] @ a)])
+        except np.linalg.LinAlgError as exc:
+            raise IllConditioned(f"bordered corrector solve failed: {exc}") from exc
+        u1 = np.append(u_first, a - q * mu - p * u_first)
+        residual = kd * u1 + mu * c - mrhs
+        residual[:-1] += ke * u1[1:]
+        residual[1:] += ke * u1[:-1]
         rel = np.linalg.norm(residual) / max(np.linalg.norm(mrhs), 1e-300)
         if rel > 1e-8:
             raise IllConditioned(f"bordered corrector solve residual {rel:.2e}")
@@ -151,6 +166,7 @@ def lambda_dg(xi: float, config: SolverConfig = DEFAULT_CONFIG) -> float:
     return _combine(_solve_pair(xi, config), lambda s: s.lam0)
 
 
+@lru_cache(maxsize=None)  # constants and the theta0 references share one root
 def minimize_theta0(config: SolverConfig = DEFAULT_CONFIG) -> DeGennesConstants:
     """Root xi0 of the stationarity functional; fills theta0, xi0, u0(0),
     C1 and delta0.
@@ -207,68 +223,6 @@ def boundary_pairing_check(constants: DeGennesConstants,
     lhs = _combine(_solve_pair(constants.xi0, config),
                    lambda s: s.inner(_derivative(s.u0, s.h)))
     return lhs, -0.5 * constants.u0_trace ** 2
-
-
-class _BorderedSolver:
-    """O(N) solver for [[K, c], [c^T, 0]] [u; mu] = [f; 0], K tridiagonal.
-
-    K = A - lam0 M is singular exactly along the ground state, but its
-    leading principal minors are positive (strict Cauchy interlacing of
-    tridiagonal eigenvalues), so unpivoted elimination is stable through
-    column N-2; the near-singular corner is solved as a pivoted 2x2
-    block together with the border row.  This realizes the regularized
-    resolvent with the orthogonality constraint exactly.
-    """
-
-    def __init__(self, kd: np.ndarray, ke: np.ndarray, c: np.ndarray):
-        size = len(kd)
-        dhat = np.empty(size)
-        chat = np.empty(size)
-        mults = np.zeros(size)
-        dhat[0] = kd[0]
-        chat[0] = c[0]
-        for i in range(1, size):
-            m = ke[i - 1] / dhat[i - 1]
-            mults[i] = m
-            dhat[i] = kd[i] - m * ke[i - 1]
-            chat[i] = c[i] - m * chat[i - 1]
-        # eliminate the border row against pivots 0 .. N-2
-        bmults = np.empty(size - 1)
-        s = 0.0
-        b_cur = c[0]
-        for i in range(size - 1):
-            m = b_cur / dhat[i]
-            bmults[i] = m
-            s -= m * chat[i]
-            b_cur = c[i + 1] - m * ke[i]
-        self.ke = ke
-        self.dhat = dhat
-        self.chat = chat
-        self.mults = mults
-        self.bmults = bmults
-        self.corner = (dhat[-1], chat[-1], b_cur, s)
-
-    def solve(self, f: np.ndarray) -> tuple[np.ndarray, float]:
-        size = len(f)
-        fhat = np.empty(size)
-        fhat[0] = f[0]
-        mults = self.mults
-        for i in range(1, size):
-            fhat[i] = f[i] - mults[i] * fhat[i - 1]
-        g = -float(np.dot(self.bmults, fhat[:-1]))
-        # pivoted 2x2 in (u_{N-1}, mu)
-        a11, a12, a21, a22 = self.corner
-        det = a11 * a22 - a12 * a21
-        if det == 0.0:
-            raise IllConditioned("bordered system exactly singular")
-        u_last = (a22 * fhat[-1] - a12 * g) / det
-        mu = (a11 * g - a21 * fhat[-1]) / det
-        u = np.empty(size)
-        u[-1] = u_last
-        dhat, chat, ke = self.dhat, self.chat, self.ke
-        for i in range(size - 2, -1, -1):
-            u[i] = (fhat[i] - ke[i] * u[i + 1] - chat[i] * mu) / dhat[i]
-        return u, mu
 
 
 @dataclass(frozen=True)

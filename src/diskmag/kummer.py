@@ -229,7 +229,10 @@ def kummer_ratio_shift_b(a: float, b: float, z: float,
     if a >= 0.0:
         num, e_num = _series(a + 1.0, b + 1.0, z, config)
         den, e_den = _series(a, b, z, config)
-        return math.ldexp(num / den, e_num - e_den)
+        try:
+            return math.ldexp(num / den, e_num - e_den)
+        except OverflowError:
+            raise NonConvergence(f"ratio at ({a}, {b}, {z}) overflows") from None
     p, _, err = _descend(a, b, z, config)
     if not (-1.0 < p < math.inf and err <= _MAX_REL_ERR):
         raise NonConvergence(f"ratio at ({a}, {b}, {z}): M <= 0 or error {err:.1e}")

@@ -110,8 +110,10 @@ def boundary_residual(n: int, beta: float, eta_trial: float,
         raise InvalidParams("boundary residual needs beta > 0")
     x = 0.5 * beta
     nu = 0.5 * (1.0 - eta_trial)
-    ratio = kummer_ratio_shift_b(nu, n + 1.0, x, config)
     scale = max(1.0, x)
+    if nu == 0.0:  # brentq's eta = 1 end, where the ratio (e^x - 1)/x overflows
+        return (n - x) / scale
+    ratio = kummer_ratio_shift_b(nu, n + 1.0, x, config)
     return (n - x) / scale + 2.0 * nu * x * ratio / ((n + 1.0) * scale)
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,9 +9,15 @@ import pytest
 from refdata import CROSSINGS, THETA0
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def run_cli(*args: str) -> subprocess.CompletedProcess:
+    # the package runs from src/ without an install, as under pytest itself
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     cmd = [sys.executable, "-m", "diskmag", *args]
-    return subprocess.run(cmd, capture_output=True, text=True)
+    return subprocess.run(cmd, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def test_help_exits_cleanly():

@@ -8,7 +8,7 @@ from diskmag.degennes import (DeGennesConstants, boundary_pairing_check,
                               lambda1_check, lambda2_profile, lambda_dg,
                               minimize_theta0, stationarity_check)
 from diskmag.errors import BracketFailure, InvalidParams
-from diskmag.fd import fd_degennes_lambda
+from diskmag.fd import Grid1D, fd_degennes_lambda
 
 from oracles import shooting_halfline_eigenvalue
 from refdata import C1, C1_HP, THETA0, THETA0_HP, U00_HP, XI0, XI0_HP
@@ -55,6 +55,7 @@ class TestMinimization:
     def test_bracket_without_sign_change_raises(self, monkeypatch):
         # xi0 ~ -0.768 lies outside (-2, -1): stationarity is negative at both ends
         monkeypatch.setattr(degennes, "_XI_BRACKET", (-2.0, -1.0))
+        minimize_theta0.cache_clear()  # else the memoized root skips the bracket
         with pytest.raises(BracketFailure):
             minimize_theta0()
 
@@ -94,6 +95,36 @@ class TestFirstOrderCoefficient:
     def test_integration_by_parts_identity(self, constants):
         lhs, rhs = boundary_pairing_check(constants)
         assert lhs == pytest.approx(rhs, abs=1e-6)
+
+
+class TestCorrectorSolve:
+    @pytest.mark.parametrize("delta", [-1.0, 0.0, 0.7])
+    def test_matches_dense_bordered_solve(self, delta):
+        # on this grid h0 - lam0 without its last node is indefinite (a
+        # Cholesky of it fails at node 26); without node 0 it is not
+        solve = degennes._GridSolve(XI0_HP, Grid1D(0.0, 10.0, 40))
+        h1_u0 = solve.apply_h1(solve.u0, delta)
+        rhs = -(h1_u0 - solve.inner(h1_u0) * solve.u0)
+        u1 = solve.solve_corrector(rhs)
+        system, size = solve.system, len(solve.u0)
+        bordered = np.zeros((size + 1, size + 1))
+        bordered[:size, :size] = (np.diag(system.diag - solve.lam0 * solve.mass)
+                                  + np.diag(system.offdiag, 1)
+                                  + np.diag(system.offdiag, -1))
+        bordered[:size, size] = bordered[size, :size] = solve.mass * solve.u0
+        exact = np.linalg.solve(bordered, np.append(solve.mass * rhs, 0.0))
+        scale = np.max(np.abs(exact[:size]))
+        assert np.max(np.abs(u1 - exact[:size])) <= 1e-10 * scale
+        # the multiplier that u1 implies: M rhs - K u1 lies along M u0
+        k_u1 = bordered[:size, :size] @ u1
+        mu = solve.inner(solve.mass * rhs - k_u1) / solve.inner(solve.mass * solve.u0)
+        assert mu == pytest.approx(exact[size], abs=1e-10 * max(1.0, abs(exact[size])))
+
+    def test_orthogonal_to_ground_state_on_default_grids(self, constants, config):
+        for solve in degennes._solve_pair(constants.xi0, config):
+            h1_u0 = solve.apply_h1(solve.u0, 0.5)
+            u1 = solve.solve_corrector(-(h1_u0 - solve.inner(h1_u0) * solve.u0))
+            assert abs(solve.inner(u1)) <= 1e-12 * np.max(np.abs(u1))
 
 
 @pytest.fixture(scope="module")

@@ -191,6 +191,11 @@ class TestRatio:
         for z in [0.5, 5.0, 50.0, 300.0]:
             assert kummer_ratio_shift_b(0.31, 2.0, z) > 1.0
 
+    def test_ratio_beyond_float_range_raises(self):
+        # M(1, 2, z)/M(0, 1, z) = (e^z - 1)/z overflows a float at z = 725
+        with pytest.raises(NonConvergence):
+            kummer_ratio_shift_b(0.0, 1.0, 725.0)
+
 
 class TestNegativeA:
     """a < 0 (eta > 1): the downward recurrence in a, never the alternating

@@ -307,6 +307,14 @@ class TestFdAgreement:
         fd_lam = fd_disk_lambda(n, beta, 4001)
         assert lowest_eigenvalue(n, beta).lam == pytest.approx(fd_lam, rel=1e-8)
 
+    @pytest.mark.parametrize("n,beta", [
+        (0, 1450.0), (0, 1500.0), (0, 2000.0), (1, 1500.0), (3, 1500.0)])
+    def test_large_field_past_ratio_overflow(self, n, beta):
+        # x = beta/2 > 710: the Kummer ratio at brentq's eta = 1 end,
+        # (e^x - 1)/x for n = 0, overflows, so the residual there skips it
+        fd_lam = fd_disk_lambda(n, beta)
+        assert lowest_eigenvalue(n, beta).lam == pytest.approx(fd_lam, rel=1e-9)
+
     def test_sweep_covers_both_regimes(self):
         assert len(SWEEP) == 24
         assert sum(beta <= 2 * n for n, beta in SWEEP) >= 8
