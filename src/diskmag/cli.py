@@ -73,11 +73,11 @@ def cmd_curves(config: SolverConfig) -> int:
     for n in range(min(config.n_max, 20) + 1):
         rows = []
         for beta in betas:
-            point = lowest_eigenvalue(n, beta, config)
+            point = lowest_eigenvalue(n, beta)
             rows.append([beta, point.eta])
         _write_table(_out(config, f"curve_n{n:02d}"), ["beta", "eta"], rows,
                      config.format)
-    theta0 = minimize_theta0(config).theta0
+    theta0 = minimize_theta0().theta0
     _write_table(_out(config, "curve_references"), ["name", "value"],
                  [["one", 1.0], ["theta0", theta0]], config.format)
     print(f"wrote {min(config.n_max, 20) + 1} curve files to {config.output_dir}")
@@ -85,7 +85,7 @@ def cmd_curves(config: SolverConfig) -> int:
 
 
 def cmd_crossings(config: SolverConfig) -> int:
-    points = crossings_range(config.n_max, config)
+    points = crossings_range(config.n_max)
     rows1 = [[p.n, p.beta_n, p.eta_star, p.sj_residual,
               p.sys_residuals[0], p.sys_residuals[1], p.method]
              for p in points]
@@ -95,7 +95,7 @@ def cmd_crossings(config: SolverConfig) -> int:
                  rows1, config.format)
     rows3 = []
     for p in points:
-        alt = crossing_by_phi(p.n, config)
+        alt = crossing_by_phi(p.n)
         rows3.append([p.n, alt.beta_n, alt.eta_star,
                       abs(alt.eta_star - p.eta_star) / p.eta_star, alt.method])
     _write_table(_out(config, "table3_implicit"),
@@ -106,7 +106,7 @@ def cmd_crossings(config: SolverConfig) -> int:
 
 
 def cmd_constants(config: SolverConfig) -> int:
-    constants = compute_constants(config)
+    constants = compute_constants()
     path = Path(config.output_dir) / "constants.json"
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(dataclasses.asdict(constants), indent=1,
@@ -120,8 +120,8 @@ def cmd_derivatives(config: SolverConfig) -> int:
     indices = set(rows_wanted) | {n * 2 ** k for n in rows_wanted for k in range(5)
                                   if n >= 1 and 16 * n <= config.n_max}
     left, right, r4_left, r4_right = (
-        seq.as_dict() for seq in one_sided_chain(indices, config.n_max, config))
-    points = crossings_range(config.n_max, config)
+        seq.as_dict() for seq in one_sided_chain(indices, config.n_max))
+    points = crossings_range(config.n_max)
     rows = [[n, points[n].beta_n, left[n], right[n],
              r4_left.get(n), r4_right.get(n)] for n in rows_wanted]
     _write_table(_out(config, "table4_derivatives"),
@@ -133,7 +133,7 @@ def cmd_derivatives(config: SolverConfig) -> int:
 
 
 def cmd_richardson(config: SolverConfig) -> int:
-    points = crossings_range(config.n_max, config)
+    points = crossings_range(config.n_max)
     gammas = gamma_sequence(points).as_dict()
     r4 = r4_gamma(points).as_dict() if config.n_max >= 32 else {}
     rows = [[n, g, r4.get(n)] for n, g in sorted(gammas.items())]
@@ -144,8 +144,8 @@ def cmd_richardson(config: SolverConfig) -> int:
 
 
 def cmd_conjectures(config: SolverConfig) -> int:
-    theta0 = minimize_theta0(config).theta0
-    report = conjecture_scan(config.beta_grid(), config.n_max, theta0, config)
+    theta0 = minimize_theta0().theta0
+    report = conjecture_scan(config.beta_grid(), config.n_max, theta0)
     payload = {
         "theta0": theta0,
         "all_passed": report.all_passed,

@@ -1,8 +1,8 @@
-"""Solver configuration: tolerances, grids and output policy.
+"""Run options of the ``diskmag`` command: scan ranges and output policy.
 
-A single frozen dataclass is threaded through every module so that results
-are deterministic and cacheable.  The defaults reproduce the full
-acceptance suite unmodified.
+Only the command line reads a config.  The numerical settings
+(tolerances, grid sizes, term budgets) are constants of the modules that
+use them, so every memo keys on mathematical arguments alone.
 """
 
 from __future__ import annotations
@@ -13,36 +13,15 @@ from pathlib import Path
 
 @dataclass(frozen=True)
 class SolverConfig:
-    # Kummer series
-    series_rel_tol: float = 1e-16
-    max_terms: int = 0            # 0 = automatic budget 20*(z + 50)
-
-    # quadrature (integral representation, eigenfunction norms)
-    quad_rel_tol: float = 1e-12
-
-    # crossing solvers
-    cross_rel_tol: float = 1e-13
-    newton_max_iter: int = 50
-
-    # finite-difference oracles
-    fd_grid_count: int = 4001
-    degennes_grid_count: int = 8001
-    degennes_L: float = 15.0
-
     # scan ranges
     n_max: int = 400
     beta_grid_spec: tuple[float, float, float] = (0.5, 900.0, 0.5)
-
-    # cross-check tolerances
-    const_tol: float = 2e-3
 
     # reporting
     output_dir: str = "out"
     format: str = "csv"
 
     def __post_init__(self) -> None:
-        if min(self.series_rel_tol, self.quad_rel_tol, self.cross_rel_tol) <= 0:
-            raise ValueError("tolerances must be positive")
         if self.n_max < 0:
             raise ValueError("n_max must be >= 0")
         start, stop, step = self.beta_grid_spec
@@ -51,12 +30,6 @@ class SolverConfig:
                              f"and stop >= start")
         if self.format not in ("csv", "json"):
             raise ValueError(f"unknown output format {self.format!r}")
-
-    def series_budget(self, z: float) -> int:
-        """Term budget for the Kummer series at argument z."""
-        if self.max_terms > 0:
-            return self.max_terms
-        return int(20.0 * (z + 50.0))
 
     def beta_grid(self) -> list[float]:
         start, stop, step = self.beta_grid_spec
@@ -80,7 +53,7 @@ def parse_beta_grid(raw: str) -> tuple[float, float, float]:
 def _parse_value(name: str, raw: str):
     if name == "beta_grid_spec":
         return parse_beta_grid(raw)
-    return {"int": int, "str": str}.get(_FIELD_TYPES[name], float)(raw)
+    return int(raw) if _FIELD_TYPES[name] == "int" else raw
 
 
 def load_config(path: str | Path, **overrides) -> SolverConfig:

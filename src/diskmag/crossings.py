@@ -24,15 +24,14 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
 from scipy.optimize import brentq
 
-from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import BracketFailure, NewtonDivergence
 from .kummer import kummer_ratio_shift_b
-from .spectrum import eigenfunction, lowest_eigenvalue
+from .spectrum import _BRENTQ_RTOL, eigenfunction, lowest_eigenvalue
 
-_BRENTQ_RTOL = 4.0 * np.finfo(float).eps
+_NEWTON_MAX_ITER = 50
+_NEWTON_TOL = 1e-11  # a Newton stop above this residual norm falls back to the curves
 _XI0_NUMERIC = -0.768  # seed-quality value; solvers do not depend on its digits
 
 
@@ -67,12 +66,11 @@ def saint_james_beta(n: int, eta: float) -> float:
         (2.0 * eta + 1.0) ** 2 + 8.0 * n * eta)
 
 
-def _system_residuals(n: int, x: float, nu: float,
-                      config: SolverConfig) -> tuple[float, float]:
+def _system_residuals(n: int, x: float, nu: float) -> tuple[float, float]:
     """Scaled residuals of the two Neumann conditions at (x, nu)."""
     scale = max(1.0, x)
-    r1 = kummer_ratio_shift_b(nu, n + 1.0, x, config)
-    r2 = kummer_ratio_shift_b(nu, n + 2.0, x, config)
+    r1 = kummer_ratio_shift_b(nu, n + 1.0, x)
+    r2 = kummer_ratio_shift_b(nu, n + 2.0, x)
     f1 = (n - x) / scale + 2.0 * nu * x * r1 / ((n + 1.0) * scale)
     f2 = (n + 1.0 - x) / scale + 2.0 * nu * x * r2 / ((n + 2.0) * scale)
     return f1, f2
@@ -89,8 +87,7 @@ def _guess(n: int) -> tuple[float, float]:
     return 0.5 * beta, 0.5 * (1.0 - eta)
 
 
-def _make_point(n: int, x: float, nu: float, method: str,
-                config: SolverConfig) -> CrossingPoint:
+def _make_point(n: int, x: float, nu: float, method: str) -> CrossingPoint:
     beta = 2.0 * x
     eta = 1.0 - 2.0 * nu
     return CrossingPoint(
@@ -99,12 +96,12 @@ def _make_point(n: int, x: float, nu: float, method: str,
         eta_star=eta,
         lambda_star=beta * eta,
         sj_residual=abs(beta - saint_james_beta(n, eta)),
-        sys_residuals=_system_residuals(n, x, nu, config),
+        sys_residuals=_system_residuals(n, x, nu),
         method=method,
     )
 
 
-def crossing_by_system(n: int, config: SolverConfig = DEFAULT_CONFIG,
+def crossing_by_system(n: int,
                        seed: tuple[float, float] | None = None) -> CrossingPoint:
     """Damped Newton on the scaled two-equation system in (x, nu).
 
@@ -113,15 +110,15 @@ def crossing_by_system(n: int, config: SolverConfig = DEFAULT_CONFIG,
     the bracketed curve intersection if Newton diverges.
     """
     x, nu = seed if seed is not None else _guess(n)
-    f1, f2 = _system_residuals(n, x, nu, config)
+    f1, f2 = _system_residuals(n, x, nu)
     norm = max(abs(f1), abs(f2))
-    for _ in range(config.newton_max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         if norm < 1e-15:
             break
         hx = 1e-7 * max(1.0, x)
         hn = 1e-7 * max(0.05, abs(nu))
-        g1x, g2x = _system_residuals(n, x + hx, nu, config)
-        g1n, g2n = _system_residuals(n, x, nu + hn, config)
+        g1x, g2x = _system_residuals(n, x + hx, nu)
+        g1n, g2n = _system_residuals(n, x, nu + hn)
         j11, j21 = (g1x - f1) / hx, (g2x - f2) / hx
         j12, j22 = (g1n - f1) / hn, (g2n - f2) / hn
         det = j11 * j22 - j12 * j21
@@ -134,23 +131,23 @@ def crossing_by_system(n: int, config: SolverConfig = DEFAULT_CONFIG,
             x_new = x + step * dx
             nu_new = min(max(nu + step * dn, 1e-12), 0.5 - 1e-12)
             x_new = max(x_new, n + 1.0 + 1e-9)
-            t1, t2 = _system_residuals(n, x_new, nu_new, config)
+            t1, t2 = _system_residuals(n, x_new, nu_new)
             if max(abs(t1), abs(t2)) < norm:
                 x, nu, f1, f2 = x_new, nu_new, t1, t2
                 norm = max(abs(f1), abs(f2))
                 break
             step *= 0.5
         else:
-            if norm < max(1e-11, config.cross_rel_tol):
+            if norm < _NEWTON_TOL:
                 break  # stagnated at the residual's noise floor: done
-            return crossing_by_curves(n, config)
+            return crossing_by_curves(n)
     else:
-        if norm >= max(1e-11, config.cross_rel_tol):
-            return crossing_by_curves(n, config)
-    return _make_point(n, x, nu, "kummer_system", config)
+        if norm >= _NEWTON_TOL:
+            return crossing_by_curves(n)
+    return _make_point(n, x, nu, "kummer_system")
 
 
-def crossing_by_curves(n: int, config: SolverConfig = DEFAULT_CONFIG) -> CrossingPoint:
+def crossing_by_curves(n: int) -> CrossingPoint:
     """Bracketed root of beta -> lambda(n, beta) - lambda(n+1, beta).
 
     The bracket [2(n+1), SJ(n, 0.99) + 10] is guaranteed by the crossing
@@ -159,8 +156,7 @@ def crossing_by_curves(n: int, config: SolverConfig = DEFAULT_CONFIG) -> Crossin
     """
 
     def gap(beta: float) -> float:
-        return lowest_eigenvalue(n, beta, config).lam \
-            - lowest_eigenvalue(n + 1, beta, config).lam
+        return lowest_eigenvalue(n, beta).lam - lowest_eigenvalue(n + 1, beta).lam
 
     lo = 2.0 * (n + 1.0) + 1e-9
     hi = saint_james_beta(n, 0.99) + 10.0
@@ -169,9 +165,8 @@ def crossing_by_curves(n: int, config: SolverConfig = DEFAULT_CONFIG) -> Crossin
             f"crossing bracket sign pattern violated at n={n} "
             f"(gap({lo:.3f})={gap(lo):.3e}, gap({hi:.3f})={gap(hi):.3e})")
     beta = brentq(gap, lo, hi, xtol=1e-100, rtol=_BRENTQ_RTOL)
-    eta = lowest_eigenvalue(n, beta, config).eta
-    return _make_point(n, 0.5 * beta, 0.5 * (1.0 - eta),
-                       "curve_intersection", config)
+    eta = lowest_eigenvalue(n, beta).eta
+    return _make_point(n, 0.5 * beta, 0.5 * (1.0 - eta), "curve_intersection")
 
 
 def _x_of_nu(n: int, nu: float) -> float:
@@ -180,7 +175,7 @@ def _x_of_nu(n: int, nu: float) -> float:
         (3.0 - 4.0 * nu) ** 2 + 8.0 * (1.0 - 2.0 * nu) * n)
 
 
-def crossing_by_phi(n: int, config: SolverConfig = DEFAULT_CONFIG) -> CrossingPoint:
+def crossing_by_phi(n: int) -> CrossingPoint:
     """Root of the single implicit equation Phi(nu, n) = 0 in nu.
 
     Phi is the scaled first boundary equation with x eliminated through
@@ -189,7 +184,7 @@ def crossing_by_phi(n: int, config: SolverConfig = DEFAULT_CONFIG) -> CrossingPo
     """
 
     def phi(nu: float) -> float:
-        return _system_residuals(n, _x_of_nu(n, nu), nu, config)[0]
+        return _system_residuals(n, _x_of_nu(n, nu), nu)[0]
 
     _, nu_seed = _guess(n)
     width = 0.02
@@ -202,16 +197,15 @@ def crossing_by_phi(n: int, config: SolverConfig = DEFAULT_CONFIG) -> CrossingPo
         if width > 1.0:
             raise BracketFailure(f"no Phi sign change in (0, 1/2) for n={n}")
     nu = brentq(phi, lo, hi, xtol=1e-100, rtol=_BRENTQ_RTOL)
-    return _make_point(n, _x_of_nu(n, nu), nu, "implicit_phi", config)
+    return _make_point(n, _x_of_nu(n, nu), nu, "implicit_phi")
 
 
 @lru_cache(maxsize=None)
-def crossings_range(n_max: int,
-                    config: SolverConfig = DEFAULT_CONFIG) -> tuple[CrossingPoint, ...]:
+def crossings_range(n_max: int) -> tuple[CrossingPoint, ...]:
     """Crossings for n = 0 .. n_max via the Kummer system, with each
     solution seeding the next (linear extrapolation of eta_star).
 
-    Memoized per (n_max, config), so a process makes one pass; a tuple,
+    Memoized per n_max, so a process makes one pass; a tuple,
     so no caller can change it.  Each crossing is seeded only by earlier
     ones: crossings_range(m) == crossings_range(n)[:m + 1] for m <= n.
     """
@@ -222,22 +216,21 @@ def crossings_range(n_max: int,
             eta_seed = (points[-1].eta_star if n == 1
                         else 2.0 * points[-1].eta_star - points[-2].eta_star)
             seed = (0.5 * saint_james_beta(n, eta_seed), 0.5 * (1.0 - eta_seed))
-        points.append(crossing_by_system(n, config, seed=seed))
+        points.append(crossing_by_system(n, seed=seed))
     return tuple(points)
 
 
-def eta_prime(n: int, beta: float, config: SolverConfig = DEFAULT_CONFIG) -> float:
+def eta_prime(n: int, beta: float) -> float:
     """d eta / d beta from the boundary-trace (Dauge-Helffer) formula."""
-    point = lowest_eigenvalue(n, beta, config)
-    trace = eigenfunction(point, config).boundary_trace
+    point = lowest_eigenvalue(n, beta)
+    trace = eigenfunction(point).boundary_trace
     boundary_q = (n / math.sqrt(beta) - 0.5 * math.sqrt(beta)) ** 2
     return 0.5 * (trace ** 2 / beta) * (boundary_q - point.eta)
 
 
-def interlacing_check(n: int, config: SolverConfig = DEFAULT_CONFIG,
+def interlacing_check(n: int,
                       crossing: CrossingPoint | None = None) -> tuple[float, float]:
     """(eta'(n, beta_n), eta'(n+1, beta_n)): positive and negative at a
     crossing, which is what forces beta_min(n) < beta_n < beta_min(n+1)."""
-    point = crossing if crossing is not None else crossing_by_system(n, config)
-    return (eta_prime(n, point.beta_n, config),
-            eta_prime(n + 1, point.beta_n, config))
+    point = crossing if crossing is not None else crossing_by_system(n)
+    return eta_prime(n, point.beta_n), eta_prime(n + 1, point.beta_n)

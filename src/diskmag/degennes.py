@@ -39,11 +39,13 @@ import numpy as np
 from scipy.linalg import solveh_banded
 from scipy.optimize import brentq
 
-from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import BracketFailure, IllConditioned, InvalidParams
 from .fd import Grid1D, assemble_degennes_system, richardson, solve_smallest
 
 _XI_BRACKET = (-2.0, 0.0)  # Theta0 = xi0^2 in (0,1) forces xi0 in (-1, 0)
+_L = 15.0  # truncation point of the half line
+_GRID_COUNT = 8001  # coarse grid of each two-grid pair
+_CONST_TOL = 2e-3  # DeGennesConstants.validate: Theta0 - xi0^2 and the delta0 fit
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,7 @@ class DeGennesConstants:
     c0_fit: float = math.nan
     lambda1_check: float = math.nan
 
-    def validate(self, const_tol: float) -> None:
+    def validate(self, const_tol: float = _CONST_TOL) -> None:
         if not 0.0 < self.theta0 < 1.0 or not self.xi0 < 0.0:
             raise InvalidParams("constants out of theoretical range")
         if abs(self.theta0 - self.xi0 ** 2) > const_tol:
@@ -127,15 +129,16 @@ class _GridSolve:
             # row 0 of K u1 + mu c = M rhs and c^T u1 = 0, u1[1:] = a - q mu - p u1[0]
             u_first, mu = np.linalg.solve(
                 [[kd[0] - ke[0] * p[0], c[0] - ke[0] * q[0]],
-                 [c[0] - c[1:] @ p, -(c[1:] @ q)]],
-                [mrhs[0] - ke[0] * a[0], -(c[1:] @ a)])
+                 [c[0] - _dot(c[1:], p), -_dot(c[1:], q)]],
+                [mrhs[0] - ke[0] * a[0], -_dot(c[1:], a)])
         except np.linalg.LinAlgError as exc:
             raise IllConditioned(f"bordered corrector solve failed: {exc}") from exc
         u1 = np.append(u_first, a - q * mu - p * u_first)
         residual = kd * u1 + mu * c - mrhs
         residual[:-1] += ke * u1[1:]
         residual[1:] += ke * u1[:-1]
-        rel = np.linalg.norm(residual) / max(np.linalg.norm(mrhs), 1e-300)
+        rel = math.sqrt(_dot(residual, residual)) / max(math.sqrt(_dot(mrhs, mrhs)),
+                                                        1e-300)
         if rel > 1e-8:
             raise IllConditioned(f"bordered corrector solve residual {rel:.2e}")
         return u1
@@ -149,9 +152,9 @@ class _GridSolve:
 
 
 @lru_cache(maxsize=1)  # the checks and lambda2 profile at xi0 reuse the root
-def _solve_pair(xi: float, config: SolverConfig) -> tuple[_GridSolve, _GridSolve]:
+def _solve_pair(xi: float) -> tuple[_GridSolve, _GridSolve]:
     """(coarse, fine) ground states at xi: the one place the grids are solved."""
-    coarse = Grid1D(0.0, config.degennes_L, config.degennes_grid_count)
+    coarse = Grid1D(0.0, _L, _GRID_COUNT)
     return _GridSolve(xi, coarse), _GridSolve(xi, coarse.refined())
 
 
@@ -161,13 +164,13 @@ def _combine(pair: tuple[_GridSolve, _GridSolve], func):
     return richardson(func(fine), func(coarse))
 
 
-def lambda_dg(xi: float, config: SolverConfig = DEFAULT_CONFIG) -> float:
+def lambda_dg(xi: float) -> float:
     """Ground energy of the half-line Neumann oscillator at shift xi."""
-    return _combine(_solve_pair(xi, config), lambda s: s.lam0)
+    return _combine(_solve_pair(xi), lambda s: s.lam0)
 
 
 @lru_cache(maxsize=None)  # constants and the theta0 references share one root
-def minimize_theta0(config: SolverConfig = DEFAULT_CONFIG) -> DeGennesConstants:
+def minimize_theta0() -> DeGennesConstants:
     """Root xi0 of the stationarity functional; fills theta0, xi0, u0(0),
     C1 and delta0.
 
@@ -178,18 +181,25 @@ def minimize_theta0(config: SolverConfig = DEFAULT_CONFIG) -> DeGennesConstants:
     the functional has no sign change on the bracket.
     """
     try:
-        xi0 = float(brentq(lambda xi: _combine(_solve_pair(xi, config),
+        xi0 = float(brentq(lambda xi: _combine(_solve_pair(xi),
                                                _GridSolve.stationarity),
                            *_XI_BRACKET, xtol=1e-12))
     except ValueError as exc:  # brentq: f(a) and f(b) have the same sign
         raise BracketFailure(
             f"stationarity has no sign change on {_XI_BRACKET}") from exc
-    root = _solve_pair(xi0, config)
+    root = _solve_pair(xi0)
     theta0 = _combine(root, lambda s: s.lam0)
     u0_trace = float(_combine(root, lambda s: s.u0[0]))
     c1 = u0_trace ** 2 / 3.0
     return DeGennesConstants(theta0=theta0, xi0=xi0, c1=c1, u0_trace=u0_trace,
                              delta0_formula=0.5 * c1 / math.sqrt(theta0))
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> float:
+    """u . v without BLAS: with OpenBLAS's threads uncapped, its dot on the
+    16 001-node grid made compute_constants take 0.65 s against 0.29 s
+    (2 shared cores)."""
+    return float(np.einsum("i,i", u, v))
 
 
 def _derivative(u: np.ndarray, h: float) -> np.ndarray:
@@ -202,25 +212,21 @@ def _derivative(u: np.ndarray, h: float) -> np.ndarray:
 
 
 def stationarity_check(constants: DeGennesConstants,
-                       config: SolverConfig = DEFAULT_CONFIG,
                        xi: float | None = None) -> float:
     """<u0, (t+xi) u0>: vanishes at xi0 by first-order stationarity."""
     xi = constants.xi0 if xi is None else xi
-    return _combine(_solve_pair(xi, config), _GridSolve.stationarity)
+    return _combine(_solve_pair(xi), _GridSolve.stationarity)
 
 
-def lambda1_check(constants: DeGennesConstants,
-                  config: SolverConfig = DEFAULT_CONFIG,
-                  delta: float = 0.0) -> float:
+def lambda1_check(constants: DeGennesConstants, delta: float = 0.0) -> float:
     """<u0, h1 u0>; equals -C1, independently of delta (stationarity)."""
-    return _combine(_solve_pair(constants.xi0, config),
+    return _combine(_solve_pair(constants.xi0),
                     lambda s: s.inner(s.apply_h1(s.u0, delta)))
 
 
-def boundary_pairing_check(constants: DeGennesConstants,
-                           config: SolverConfig = DEFAULT_CONFIG) -> tuple[float, float]:
+def boundary_pairing_check(constants: DeGennesConstants) -> tuple[float, float]:
     """(<u0, u0'>, -u0(0)^2/2): equal by integration by parts."""
-    lhs = _combine(_solve_pair(constants.xi0, config),
+    lhs = _combine(_solve_pair(constants.xi0),
                    lambda s: s.inner(_derivative(s.u0, s.h)))
     return lhs, -0.5 * constants.u0_trace ** 2
 
@@ -237,8 +243,7 @@ class Lambda2Fit:
     values_coarse: tuple[float, ...]
 
 
-def lambda2_profile(delta_grid, constants: DeGennesConstants,
-                    config: SolverConfig = DEFAULT_CONFIG) -> Lambda2Fit:
+def lambda2_profile(delta_grid, constants: DeGennesConstants) -> Lambda2Fit:
     """Second-order coefficient lambda2(delta) on a delta grid, plus the fit.
 
     The corrector u1 is recomputed at every delta (its delta-dependence
@@ -248,7 +253,7 @@ def lambda2_profile(delta_grid, constants: DeGennesConstants,
     deltas = np.asarray(list(delta_grid), dtype=float)
     if len(deltas) < 5 or deltas.min() > -1.0 or deltas.max() < 1.0:
         raise InvalidParams("delta grid needs >= 5 points spanning [-1, 1]")
-    coarse, fine = _solve_pair(constants.xi0, config)
+    coarse, fine = _solve_pair(constants.xi0)
     vals_c = np.array([coarse.lambda2(d) for d in deltas])
     vals_f = np.array([fine.lambda2(d) for d in deltas])
     vals = richardson(vals_f, vals_c)
@@ -266,18 +271,17 @@ def lambda2_profile(delta_grid, constants: DeGennesConstants,
     )
 
 
-def compute_constants(config: SolverConfig = DEFAULT_CONFIG,
-                      delta_grid=None) -> DeGennesConstants:
+def compute_constants(delta_grid=None) -> DeGennesConstants:
     """Full constants record: minimization, lambda1 check and lambda2 fit."""
-    constants = minimize_theta0(config)
+    constants = minimize_theta0()
     fit = lambda2_profile(
         delta_grid if delta_grid is not None else np.linspace(-1.0, 1.0, 9),
-        constants, config)
+        constants)
     constants = replace(
         constants,
         delta0_fit=fit.delta0_fit,
         c0_fit=fit.c0_fit,
-        lambda1_check=float(lambda1_check(constants, config)),
+        lambda1_check=float(lambda1_check(constants)),
     )
-    constants.validate(config.const_tol)
+    constants.validate()
     return constants

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .config import DEFAULT_CONFIG, SolverConfig
 from .crossings import CrossingPoint, crossing_by_system, crossings_range
 from .degennes import DeGennesConstants
 from .errors import InsufficientData, InvalidParams
@@ -41,24 +40,22 @@ class DerivativeRecord:
     fh_vs_fd_gap: float
 
 
-def lambda_prime(n: int, beta: float, config: SolverConfig = DEFAULT_CONFIG,
-                 cross_check: bool = True) -> DerivativeRecord:
+def lambda_prime(n: int, beta: float, cross_check: bool = True) -> DerivativeRecord:
     """Feynman-Hellmann derivative of lambda(n, .) at beta."""
-    point = lowest_eigenvalue(n, beta, config)
-    trace_sq = eigenfunction(point, config).boundary_trace ** 2
+    point = lowest_eigenvalue(n, beta)
+    trace_sq = eigenfunction(point).boundary_trace ** 2
     dlam = point.lam / beta \
         - (point.lam - (n - 0.5 * beta) ** 2) * trace_sq / (2.0 * beta)
     gap = math.nan
     if cross_check:
         h = 1e-5 * max(1.0, beta)
-        fd = (lowest_eigenvalue(n, beta + h, config).lam
-              - lowest_eigenvalue(n, beta - h, config).lam) / (2.0 * h)
+        fd = (lowest_eigenvalue(n, beta + h).lam
+              - lowest_eigenvalue(n, beta - h).lam) / (2.0 * h)
         gap = abs(dlam - fd)
     return DerivativeRecord(n, beta, dlam, trace_sq, gap)
 
 
-def one_sided_derivatives(n: int, config: SolverConfig = DEFAULT_CONFIG,
-                          crossing: CrossingPoint | None = None,
+def one_sided_derivatives(n: int, crossing: CrossingPoint | None = None,
                           cross_check: bool = False) -> tuple[float, float]:
     """(lambda'_-, lambda'_+) of the ground-state envelope at beta_n.
 
@@ -67,9 +64,9 @@ def one_sided_derivatives(n: int, config: SolverConfig = DEFAULT_CONFIG,
     the envelope needs the right one positive.
     """
     if crossing is None:
-        crossing = crossing_by_system(n, config)
-    left = lambda_prime(n, crossing.beta_n, config, cross_check).dlambda
-    right = lambda_prime(n + 1, crossing.beta_n, config, cross_check).dlambda
+        crossing = crossing_by_system(n)
+    left = lambda_prime(n, crossing.beta_n, cross_check).dlambda
+    right = lambda_prime(n + 1, crossing.beta_n, cross_check).dlambda
     return left, right
 
 
@@ -98,8 +95,7 @@ class ConjectureReport:
         raise KeyError(name)
 
 
-def conjecture_scan(beta_grid, n_max: int, theta0: float,
-                    config: SolverConfig = DEFAULT_CONFIG) -> ConjectureReport:
+def conjecture_scan(beta_grid, n_max: int, theta0: float) -> ConjectureReport:
     """Finite-range evidence for the three open conjectures.
 
     (a) eta(beta) < Theta0 on the grid; (b) the crossing ratios eta_n*
@@ -114,12 +110,12 @@ def conjecture_scan(beta_grid, n_max: int, theta0: float,
         raise InsufficientData("beta grid needs >= 2 positive points")
     if n_max < 1:
         raise InsufficientData(f"n_max = {n_max} leaves < 2 crossings to scan")
-    crossings = crossings_range(n_max, config)
+    crossings = crossings_range(n_max)
 
     lams = []
     worst_eta, worst_eta_at = -math.inf, math.nan
     for beta in betas:
-        point, _ = ground_state(beta, config)
+        point, _ = ground_state(beta)
         lams.append(point.lam)
         gap = point.eta - theta0
         if gap > worst_eta:
@@ -131,8 +127,8 @@ def conjecture_scan(beta_grid, n_max: int, theta0: float,
     min_step, min_step_at = min(steps)
     item_b = ScanItem("eta_star_increasing", min_step > 0.0, min_step, min_step_at)
 
-    rights = [(lambda_prime(p.n + 1, p.beta_n, config, cross_check=False).dlambda,
-               p.n) for p in crossings]
+    rights = [(lambda_prime(p.n + 1, p.beta_n, cross_check=False).dlambda, p.n)
+              for p in crossings]
     min_right, min_right_at = min(rights)
     item_c = ScanItem("right_derivative_positive", min_right > 0.0,
                       min_right, min_right_at)
@@ -147,8 +143,7 @@ def conjecture_scan(beta_grid, n_max: int, theta0: float,
     return ConjectureReport((item_a, item_b, item_c, item_d))
 
 
-def one_sided_chain(indices, n_max: int, config: SolverConfig = DEFAULT_CONFIG,
-                    ) -> tuple[HalfPowerSequence, ...]:
+def one_sided_chain(indices, n_max: int) -> tuple[HalfPowerSequence, ...]:
     """(left, right, r4_left, r4_right): the HalfPowerSequences n ->
     lambda'(n, beta_n) and n -> lambda'(n+1, beta_n) over ``indices``
     (0 <= n <= n_max) at the memoized crossings_range(n_max), and their
@@ -158,8 +153,8 @@ def one_sided_chain(indices, n_max: int, config: SolverConfig = DEFAULT_CONFIG,
     indices = sorted(set(int(n) for n in indices))
     if indices[0] < 0:
         raise InvalidParams("derivative chain indices must be >= 0")
-    points = crossings_range(n_max, config)
-    pairs = [(n, one_sided_derivatives(n, config, crossing=points[n]))
+    points = crossings_range(n_max)
+    pairs = [(n, one_sided_derivatives(n, crossing=points[n]))
              for n in indices]
     left = HalfPowerSequence.from_pairs((n, l) for n, (l, _) in pairs)
     right = HalfPowerSequence.from_pairs((n, r) for n, (_, r) in pairs)
@@ -183,15 +178,13 @@ class DerivativeLimits:
     right_target: float
 
 
-def derivative_limits_check(n_list, constants: DeGennesConstants,
-                            config: SolverConfig = DEFAULT_CONFIG,
-                            ) -> DerivativeLimits:
+def derivative_limits_check(n_list, constants: DeGennesConstants) -> DerivativeLimits:
     """Extrapolate lambda'(n, beta_n) and lambda'(n+1, beta_n) over n_list
     and compare with Theta0 +- (3/2) C1 |xi0|, at crossings_range(max(n_list))."""
     indices = sorted(set(int(n) for n in n_list))
     if len(indices) < 2 ** 4 + 1:
         raise InsufficientData(f"need >= 17 indices, got {len(indices)}")
-    _, _, r4_left, r4_right = one_sided_chain(indices, indices[-1], config)
+    _, _, r4_left, r4_right = one_sided_chain(indices, indices[-1])
     if not r4_left.entries:
         raise InsufficientData("no chain n, 2n, ..., 16n with n >= 1")
     spread = 1.5 * constants.c1 * abs(constants.xi0)

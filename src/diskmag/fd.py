@@ -25,8 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import InvalidParams, NonConvergence, TruncationWarning
+
+_DISK_GRID_COUNT = 4001  # coarse grid of fd_disk_lambda's two-grid pair
 
 
 @dataclass(frozen=True)
@@ -155,11 +156,9 @@ def fd_disk_eigen(n: int, beta: float, grid: Grid1D) -> tuple[float, np.ndarray]
     return solve_smallest(assemble_disk_system(n, beta, grid))
 
 
-def fd_disk_lambda(n: int, beta: float, count: int | None = None,
-                   config: SolverConfig = DEFAULT_CONFIG) -> float:
+def fd_disk_lambda(n: int, beta: float, count: int = _DISK_GRID_COUNT) -> float:
     """Richardson-combined disk eigenvalue from grids (count, 2*count-1)."""
-    grid = Grid1D(0.0, 1.0, count if count is not None else config.fd_grid_count)
-    return two_grid(lambda g: fd_disk_eigen(n, beta, g)[0], grid)
+    return two_grid(lambda g: fd_disk_eigen(n, beta, g)[0], Grid1D(0.0, 1.0, count))
 
 
 def assemble_degennes_system(xi: float, grid: Grid1D) -> TridiagSystem:
@@ -199,9 +198,7 @@ def fd_degennes_eigen(xi: float, L: float, grid: Grid1D) -> tuple[float, np.ndar
     return lam, vec
 
 
-def fd_degennes_lambda(xi: float, L: float | None = None, count: int | None = None,
-                       config: SolverConfig = DEFAULT_CONFIG) -> float:
-    """Richardson-combined half-line eigenvalue from grids (count, 2*count-1)."""
-    L = L if L is not None else config.degennes_L
-    grid = Grid1D(0.0, L, count if count is not None else config.degennes_grid_count)
-    return two_grid(lambda g: fd_degennes_eigen(xi, L, g)[0], grid)
+def fd_degennes_lambda(xi: float, L: float = 15.0, count: int = 8001) -> float:
+    """Richardson-combined half-line eigenvalue from grids (count, 2*count-1);
+    the defaults are the grid pair of :func:`diskmag.degennes.lambda_dg`."""
+    return two_grid(lambda g: fd_degennes_eigen(xi, L, g)[0], Grid1D(0.0, L, count))

@@ -1,15 +1,11 @@
 """Confluent hypergeometric function M(a, b, z) in overflow-safe arithmetic.
 
-Two independent evaluation routes are provided for cross-validation:
-
-* :func:`kummer_m` sums the ascending series, whose terms are positive
-  for a >= 0, rescaled by powers of two so e^422 never overflows; for
-  a < 0 it recurs down in a from a + ceil(-a) (DLMF 13.3.1; Gil, Segura
-  & Temme, *Numerical Methods for Special Functions*, ch. 4) instead of
-  summing the alternating series;
-* :func:`kummer_m_integral` evaluates the Euler-type integral
-  representation (valid for 0 < a < b) by adaptive quadrature after an
-  explicit substitution that removes the endpoint singularities.
+:func:`kummer_m` sums the ascending series, whose terms are positive for
+a >= 0, rescaled by powers of two so e^422 never overflows; for a < 0 it
+recurs down in a from a + ceil(-a) (DLMF 13.3.1; Gil, Segura & Temme,
+*Numerical Methods for Special Functions*, ch. 4) instead of summing the
+alternating series.  The test suite checks it against an independent
+quadrature of the integral representation.
 
 :func:`kummer_m_many` is the many-z kernel: for a >= 0 it sums the
 series at every z of an array as one numpy cumulative product per row,
@@ -28,11 +24,9 @@ import math
 import sys
 
 import numpy as np
-from scipy.integrate import quad
 
-from .config import DEFAULT_CONFIG, SolverConfig
-from .errors import InvalidParams, NonConvergence, QuadratureFailure
-from .scaled import ScaledReal, signed_sum
+from .errors import InvalidParams, NonConvergence
+from .scaled import ScaledReal
 
 # the numpy path sums raw floats, safe while the sum stays below
 # exp(_RAW_LOG_CAP); the scalar loop rescales past _RESCALE_AT
@@ -42,6 +36,7 @@ _NUMPY_MIN_Z = 100.0
 _LN2 = math.log(2.0)
 _EPS = sys.float_info.epsilon
 _MAX_REL_ERR = 1e-12  # largest error bound of a recurrence result returned
+_SERIES_REL_TOL = 1e-16  # a series stops once three terms fall below this share
 
 
 def _check_args(a: float, b: float, z: float) -> None:
@@ -52,17 +47,21 @@ def _check_args(a: float, b: float, z: float) -> None:
         raise InvalidParams(f"z={z} must be >= 0")
 
 
+def _series_budget(z: float) -> int:
+    """Term budget of the scalar series at z."""
+    return int(20.0 * (z + 50.0))
+
+
 def _numpy_count(z: float) -> int:
     """Terms of the numpy series at z: past the peak at k ~ z and its tail."""
     return int(z + 14.0 * math.sqrt(z + 1.0) + 80.0)
 
 
-def _series_rows(a: float, b: float, z, count: int, rel_tol: float,
-                 head: float | None = None):
+def _series_rows(a: float, b: float, z, count: int, head: float | None = None):
     """1 + the first ``count`` terms of the positive-term series at one z
     (a float) or at many (an (N, 1) column), as one numpy cumulative
     product per row: (total, settled).  A row is settled when its total
-    is finite and its last three terms are within rel_tol of it."""
+    is finite and its last three terms are within _SERIES_REL_TOL of it."""
     k = np.arange(count, dtype=float)
     terms = (a + k) * z  # one (N, count) buffer: divided and multiplied in place
     terms /= (b + k) * (k + 1.0)
@@ -70,29 +69,30 @@ def _series_rows(a: float, b: float, z, count: int, rel_tol: float,
         terms[..., :1] = head * z / b
     np.cumprod(terms, axis=-1, out=terms)
     total = 1.0 + terms.sum(axis=-1)
-    return total, (total < math.inf) & (terms[..., -3:].max(axis=-1) <= rel_tol * total)
+    return total, ((total < math.inf)
+                   & (terms[..., -3:].max(axis=-1) <= _SERIES_REL_TOL * total))
 
 
-def _series(a: float, b: float, z: float, config: SolverConfig,
+def _series(a: float, b: float, z: float,
             head: float | None = None) -> tuple[float, int]:
     """Sum the positive-term ascending series; returns (mantissa, e).
 
     The value is mantissa * 2**e.  ``head`` replaces the factor a of the
     first term: with a in [-1, 0) and head = 1 every term stays positive
     and the sum is 1 + S, S = (M(a, b, z) - 1)/a.  For 100 < z <= 600 the
-    one-row numpy product of z + 14 sqrt(z+1) + 80 terms is tried first.
+    one-row numpy product of z + 14 sqrt(z+1) + 80 terms, fewer than the
+    scalar loop's budget, is tried first.
     Truncation requires three consecutive terms below the relative
     tolerance *and* the index to be past the term-growth peak at k ~ z,
     so a small early term cannot stop the sum prematurely.
     """
     assert a >= 0.0 or (head is not None and a >= -1.0), \
         "the ascending series is summed only over positive terms"
-    rel_tol, budget = config.series_rel_tol, config.series_budget(z)
     if _NUMPY_MIN_Z < z <= _RAW_LOG_CAP:
-        count = min(budget, _numpy_count(z))
-        total, settled = _series_rows(a, b, z, count, rel_tol, head)
-        if settled and count >= z:
+        total, settled = _series_rows(a, b, z, _numpy_count(z), head)
+        if settled:  # past the peak: _numpy_count(z) > z
             return float(total), 0
+    budget = _series_budget(z)
     term = total = 1.0
     exp2 = small = start = 0
     if head is not None:
@@ -101,7 +101,7 @@ def _series(a: float, b: float, z: float, config: SolverConfig,
     for k in range(start, budget):
         term *= (a + k) * z / ((b + k) * (k + 1.0))
         total += term
-        small = small + 1 if term <= rel_tol * total else 0
+        small = small + 1 if term <= _SERIES_REL_TOL * total else 0
         if small >= 3 and k + 1 >= z:
             return total, exp2
         if total > _RESCALE_AT:
@@ -112,8 +112,7 @@ def _series(a: float, b: float, z: float, config: SolverConfig,
         f"Kummer series for (a={a}, b={b}, z={z}) not converged in {budget} terms")
 
 
-def _descend(a: float, b: float, z: float,
-             config: SolverConfig) -> tuple[float, float, float]:
+def _descend(a: float, b: float, z: float) -> tuple[float, float, float]:
     """(p(a), ln M(a+1, b, z), relative error bound of p(a)) for a < 0 < z,
     where p(a) = M(a+1, b, z)/M(a, b, z) - 1.
 
@@ -133,16 +132,16 @@ def _descend(a: float, b: float, z: float,
     try:
         if b > 1.0:
             ap = a + steps
-            m0, e0 = _series(ap, b, z, config)
-            m1, e1 = _series(ap + 1.0, b + 1.0, z, config)
+            m0, e0 = _series(ap, b, z)
+            m1, e1 = _series(ap + 1.0, b + 1.0, z)
             p = math.ldexp(m1 / m0, e1 - e0) * z / b
             log_next = math.log(m0) + e0 * _LN2 + math.log1p(p)
         else:
             steps -= 1
             ap = a + steps
-            t, e_t = _series(ap, b, z, config, head=1.0)  # 1 + S
-            m0, e0 = _series(ap + 1.0, b, z, config)
-            m1, e1 = _series(ap + 1.0, b + 1.0, z, config)
+            t, e_t = _series(ap, b, z, head=1.0)  # 1 + S
+            m0, e0 = _series(ap + 1.0, b, z)
+            m1, e1 = _series(ap + 1.0, b + 1.0, z)
             lead = math.ldexp(1.0 - ap, -e_t)
             m_ap = lead + ap * t  # M(ap, b, z) / 2**e_t
             p = math.ldexp(m1 / m_ap, e1 - e_t) * z / b
@@ -171,8 +170,7 @@ def _descend(a: float, b: float, z: float,
     return p, log_next - math.log(prod), err * _EPS
 
 
-def kummer_m(a: float, b: float, z: float,
-             config: SolverConfig = DEFAULT_CONFIG) -> ScaledReal:
+def kummer_m(a: float, b: float, z: float) -> ScaledReal:
     """M(a, b, z) as a ScaledReal: the series for a >= 0, else the
     recurrence, M(a) = M(a+1) / (1 + p(a)), which may cross a zero of M
     only in its last step."""
@@ -180,23 +178,22 @@ def kummer_m(a: float, b: float, z: float,
     if z == 0.0:
         return ScaledReal(0.0, 1)
     if a >= 0.0:
-        total, exp2 = _series(a, b, z, config)
+        total, exp2 = _series(a, b, z)
         return ScaledReal(math.log(total) + exp2 * _LN2, 1)
-    p, log_next, err = _descend(a, b, z, config)
+    p, log_next, err = _descend(a, b, z)
     q = 1.0 + p
     if not abs(p) * err <= _MAX_REL_ERR * abs(q) < math.inf:
         raise NonConvergence(f"M({a}, {b}, {z}): recurrence error bound {err:.1e}")
     return ScaledReal(log_next - math.log(abs(q)), 1 if q > 0.0 else -1)
 
 
-def kummer_m_many(a: float, b: float, z,
-                  config: SolverConfig = DEFAULT_CONFIG) -> tuple[np.ndarray, np.ndarray]:
+def kummer_m_many(a: float, b: float, z) -> tuple[np.ndarray, np.ndarray]:
     """(ln|M(a, b, z_i)|, sign of M(a, b, z_i)) at every z_i of a 1-D array.
 
     For a >= 0 one numpy product sums the series at every z_i <= 600 at
     once, with the term count of the largest of them; each row keeps the
     scalar path's test (a finite total, its last three terms within
-    series_rel_tol of it, count >= z_i).  A row that fails it, and every
+    _SERIES_REL_TOL of it, and count > z_i).  A row that fails it, and every
     row for a < 0, comes from :func:`kummer_m`.
     """
     z = np.asarray(z, dtype=float)
@@ -206,20 +203,16 @@ def kummer_m_many(a: float, b: float, z,
     rows = np.flatnonzero(z <= _RAW_LOG_CAP) if a >= 0.0 else []
     if len(rows):
         z_rows = z[rows]
-        z_max = float(z_rows.max())
-        count = min(config.series_budget(z_max), _numpy_count(z_max))
-        total, settled = _series_rows(a, b, z_rows[:, None], count,
-                                      config.series_rel_tol)
-        settled &= z_rows <= count
+        total, settled = _series_rows(a, b, z_rows[:, None],
+                                      _numpy_count(float(z_rows.max())))
         log_m[rows[settled]] = np.log(total[settled])
     for i in np.flatnonzero(np.isnan(log_m)):
-        m = kummer_m(a, b, float(z[i]), config)
+        m = kummer_m(a, b, float(z[i]))
         log_m[i], sign[i] = m.log_mag, m.sign
     return log_m, sign
 
 
-def kummer_ratio_shift_b(a: float, b: float, z: float,
-                         config: SolverConfig = DEFAULT_CONFIG) -> float:
+def kummer_ratio_shift_b(a: float, b: float, z: float) -> float:
     """M(a+1, b+1, z) / M(a, b, z): for a >= 0 a quotient of positive-term
     sums, exact in the power-of-two exponent; for a < 0 (b/z) p(a) by DLMF
     13.3.4, refused unless M(a, b, z) > 0 and p(a) is within _MAX_REL_ERR."""
@@ -227,91 +220,13 @@ def kummer_ratio_shift_b(a: float, b: float, z: float,
     if z == 0.0:
         return 1.0
     if a >= 0.0:
-        num, e_num = _series(a + 1.0, b + 1.0, z, config)
-        den, e_den = _series(a, b, z, config)
+        num, e_num = _series(a + 1.0, b + 1.0, z)
+        den, e_den = _series(a, b, z)
         try:
             return math.ldexp(num / den, e_num - e_den)
         except OverflowError:
             raise NonConvergence(f"ratio at ({a}, {b}, {z}) overflows") from None
-    p, _, err = _descend(a, b, z, config)
+    p, _, err = _descend(a, b, z)
     if not (-1.0 < p < math.inf and err <= _MAX_REL_ERR):
         raise NonConvergence(f"ratio at ({a}, {b}, {z}): M <= 0 or error {err:.1e}")
     return (b / z) * p
-
-
-def _quad_piece(f, lo: float, hi: float, rel_tol: float) -> float:
-    out = quad(f, lo, hi, epsabs=0.0, epsrel=rel_tol, limit=300, full_output=1)
-    if len(out) > 3:
-        raise QuadratureFailure(f"adaptive quadrature failed: {out[3]}")
-    value, abserr = out[0], out[1]
-    if abserr > 100.0 * rel_tol * abs(value) + 1e-300:
-        raise QuadratureFailure(
-            f"quadrature error estimate {abserr:.2e} too large for value {value:.6e}")
-    return value
-
-
-def kummer_m_integral(a: float, b: float, z: float,
-                      config: SolverConfig = DEFAULT_CONFIG) -> ScaledReal:
-    """M(a, b, z) via the integral representation, for 0 < a < b.
-
-    The e^z factor is pulled out analytically, leaving
-    J = int_0^1 e^{-z s} s^{b-a-1} (1-s)^{a-1} ds, which is split at 1/2
-    and mapped by s = u^{1/(b-a)} (resp. 1-s = v^{1/a}) wherever the
-    endpoint exponent is below 1, so the quadrature only ever sees a
-    smooth integrand.  Serves as the independent oracle for the series.
-    """
-    if not (0.0 < a < b):
-        raise InvalidParams(f"integral representation needs 0 < a < b, got ({a}, {b})")
-    _check_args(a, b, z)
-    p = b - a
-    q = a
-    rel_tol = config.quad_rel_tol
-
-    if p < 1.0:
-        left = (1.0 / p) * _quad_piece(
-            lambda u: math.exp(-z * u ** (1.0 / p)) * (1.0 - u ** (1.0 / p)) ** (q - 1.0),
-            0.0, 0.5 ** p, rel_tol)
-    else:
-        left = _quad_piece(
-            lambda s: math.exp(-z * s) * s ** (p - 1.0) * (1.0 - s) ** (q - 1.0),
-            0.0, 0.5, rel_tol)
-    if q < 1.0:
-        right = (1.0 / q) * _quad_piece(
-            lambda v: math.exp(-z * (1.0 - v ** (1.0 / q))) * (1.0 - v ** (1.0 / q)) ** (p - 1.0),
-            0.0, 0.5 ** q, rel_tol)
-    else:
-        right = _quad_piece(
-            lambda s: math.exp(-z * s) * s ** (p - 1.0) * (1.0 - s) ** (q - 1.0),
-            0.5, 1.0, rel_tol)
-
-    log_val = (math.lgamma(b) - math.lgamma(p) - math.lgamma(q)
-               + z + math.log(left + right))
-    return ScaledReal(log_val, 1)
-
-
-def check_recurrences(a: float, b: float, z: float,
-                      config: SolverConfig = DEFAULT_CONFIG) -> tuple[float, float]:
-    """Relative residuals of the two contiguous recurrences used by the
-    crossing-system elimination:
-
-        z M(a+1,b+2,z) - (b+1) M(a+1,b+1,z) + (b+1) M(a,b+1,z) = 0
-        a M(a+1,b+1,z) - b M(a,b,z) - (a-b) M(a,b+1,z) = 0
-
-    Each residual is normalized by the largest participating term.
-    """
-    _check_args(a, b, z)
-    m_ab = kummer_m(a, b, z, config)
-    m_ab1 = kummer_m(a, b + 1.0, z, config)
-    m_a1b1 = kummer_m(a + 1.0, b + 1.0, z, config)
-    m_a1b2 = kummer_m(a + 1.0, b + 2.0, z, config)
-    r1 = signed_sum([
-        m_a1b2.scaled_by(z),
-        m_a1b1.scaled_by(-(b + 1.0)),
-        m_ab1.scaled_by(b + 1.0),
-    ])
-    r2 = signed_sum([
-        m_a1b1.scaled_by(a),
-        m_ab.scaled_by(-b),
-        m_ab1.scaled_by(-(a - b)),
-    ])
-    return r1, r2

@@ -70,15 +70,3 @@ class ScaledReal:
         """Multiply by an ordinary float."""
         return self * ScaledReal.from_float(factor)
 
-
-def signed_sum(terms: list[ScaledReal]) -> float:
-    """Sum of scaled terms, normalized by the largest magnitude.
-
-    Returns sum(t_i) / max_i |t_i| as a float, which is what residual
-    checks of identities between huge quantities need.
-    """
-    finite = [t for t in terms if t.sign != 0]
-    if not finite:
-        return 0.0
-    top = max(t.log_mag for t in finite)
-    return sum(t.sign * math.exp(t.log_mag - top) for t in finite)

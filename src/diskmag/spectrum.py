@@ -27,7 +27,6 @@ from numpy.polynomial.legendre import leggauss
 from scipy.optimize import brentq
 from scipy.special import jnp_zeros
 
-from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import BracketFailure, InvalidParams, NonConvergence
 from .kummer import kummer_m, kummer_m_many, kummer_ratio_shift_b
 
@@ -96,8 +95,7 @@ def bessel_jnp_first_zero(n: int) -> float:
     return float(jnp_zeros(n, 1)[0])
 
 
-def boundary_residual(n: int, beta: float, eta_trial: float,
-                      config: SolverConfig = DEFAULT_CONFIG) -> float:
+def boundary_residual(n: int, beta: float, eta_trial: float) -> float:
     """Scaled Neumann boundary residual at trial ratio eta.
 
     The raw condition is divided by (n+1) max(1, x) M(nu, n+1, x), which
@@ -113,7 +111,7 @@ def boundary_residual(n: int, beta: float, eta_trial: float,
     scale = max(1.0, x)
     if nu == 0.0:  # brentq's eta = 1 end, where the ratio (e^x - 1)/x overflows
         return (n - x) / scale
-    ratio = kummer_ratio_shift_b(nu, n + 1.0, x, config)
+    ratio = kummer_ratio_shift_b(nu, n + 1.0, x)
     return (n - x) / scale + 2.0 * nu * x * ratio / ((n + 1.0) * scale)
 
 
@@ -123,14 +121,13 @@ def _eta_scan_limit(n: int, beta: float) -> float:
 
 
 @lru_cache(maxsize=None)
-def _lowest_eigenvalue_cached(n: int, beta: float,
-                              config: SolverConfig) -> EigenPoint:
+def _lowest_eigenvalue_cached(n: int, beta: float) -> EigenPoint:
     if beta == 0.0:
         lam = 0.0 if n == 0 else bessel_jnp_first_zero(n) ** 2
         return EigenPoint(n, 0.0, lam, math.nan)
 
     def residual(eta: float) -> float:
-        return boundary_residual(n, beta, eta, config)
+        return boundary_residual(n, beta, eta)
 
     if beta > 2.0 * n:
         # residual(1) = (n - x)/max(1, x) < 0 while the first Dirichlet
@@ -165,8 +162,7 @@ def _lowest_eigenvalue_cached(n: int, beta: float,
     return EigenPoint(n, beta, beta * eta, eta)
 
 
-def lowest_eigenvalue(n: int, beta: float,
-                      config: SolverConfig = DEFAULT_CONFIG) -> EigenPoint:
+def lowest_eigenvalue(n: int, beta: float) -> EigenPoint:
     """Lowest eigenvalue of the fiber operator at angular mode n.
 
     For beta > 2n one brentq on eta in [0, 1].  For beta <= 2n a walk up
@@ -180,7 +176,7 @@ def lowest_eigenvalue(n: int, beta: float,
     last refusal, once the step falls below brentq's tolerance (seen at
     beta <= 1 with eta >~ 8e4: (200, 0.5), (350, 1)).  Results are memoized.
     """
-    return _lowest_eigenvalue_cached(int(n), float(beta), config)
+    return _lowest_eigenvalue_cached(int(n), float(beta))
 
 
 def _graded_mesh(beta: float) -> np.ndarray:
@@ -201,8 +197,7 @@ def _graded_mesh(beta: float) -> np.ndarray:
 _GL_NODES, _GL_WEIGHTS = leggauss(8)
 
 
-def eigenfunction(point: EigenPoint,
-                  config: SolverConfig = DEFAULT_CONFIG) -> EigenfunctionHandle:
+def eigenfunction(point: EigenPoint) -> EigenfunctionHandle:
     """Normalize the Kummer-form eigenfunction and take its boundary trace.
 
     The squared-norm integral is evaluated in log space on a mesh graded
@@ -222,13 +217,13 @@ def eigenfunction(point: EigenPoint,
     rad = 0.5 * (edges[1:] - edges[:-1])[:, None]
     r = (mid + rad * _GL_NODES).ravel()
     weights = (rad * _GL_WEIGHTS).ravel()
-    log_m, _ = kummer_m_many(nu, n + 1.0, 0.5 * beta * r * r, config)
+    log_m, _ = kummer_m_many(nu, n + 1.0, 0.5 * beta * r * r)
     log_r = np.log(r)
     log_vals = 2.0 * (n * log_r - 0.25 * beta * r * r + log_m) + log_r
     top = float(log_vals.max())
     log_norm = top + math.log(float(np.sum(weights * np.exp(log_vals - top))))
 
-    m1 = kummer_m(nu, n + 1.0, 0.5 * beta, config)
+    m1 = kummer_m(nu, n + 1.0, 0.5 * beta)
     trace = m1.sign * math.exp(-0.25 * beta + m1.log_mag - 0.5 * log_norm)
     return EigenfunctionHandle(
         point=point,
@@ -237,8 +232,7 @@ def eigenfunction(point: EigenPoint,
     )
 
 
-def ground_state(beta: float,
-                 config: SolverConfig = DEFAULT_CONFIG) -> tuple[EigenPoint, int]:
+def ground_state(beta: float) -> tuple[EigenPoint, int]:
     """Global ground state lambda(beta) = min_n lambda(n, beta) and its mode.
 
     For fixed beta the map n -> lambda(n, beta) decreases then increases,
@@ -249,7 +243,7 @@ def ground_state(beta: float,
         raise InvalidParams("ground state scan needs beta > 0")
 
     def lam(m: int) -> float:
-        return lowest_eigenvalue(m, beta, config).lam
+        return lowest_eigenvalue(m, beta).lam
 
     k = max(0, round(0.5 * beta - 0.768 * math.sqrt(beta)))
     here = lam(k)
@@ -265,4 +259,4 @@ def ground_state(beta: float,
             k, here = k + 1, above
         else:
             break
-    return lowest_eigenvalue(k, beta, config), k
+    return lowest_eigenvalue(k, beta), k

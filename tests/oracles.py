@@ -1,9 +1,10 @@
 """Independent brute-force oracles used by the test suite.
 
 Each of these deliberately avoids the code paths it checks: rational
-series summation for the Kummer series, an ascending-series bisection
-for Bessel derivative zeros, and an RK4 shooting integrator for the
-half-line eigenvalue.
+series summation and adaptive quadrature of the integral representation
+for the Kummer series, the contiguous recurrences as identities between
+Kummer values, an ascending-series bisection for Bessel derivative
+zeros, and an RK4 shooting integrator for the half-line eigenvalue.
 """
 
 from __future__ import annotations
@@ -11,6 +12,102 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from scipy.integrate import quad
+
+from diskmag.errors import InvalidParams, QuadratureFailure
+from diskmag.kummer import kummer_m
+from diskmag.scaled import ScaledReal
+
+_QUAD_REL_TOL = 1e-12  # relative tolerance of each adaptive quadrature piece
+
+
+def signed_sum(terms: list[ScaledReal]) -> float:
+    """Sum of scaled terms, normalized by the largest magnitude.
+
+    Returns sum(t_i) / max_i |t_i| as a float, which is what residual
+    checks of identities between huge quantities need.
+    """
+    finite = [t for t in terms if t.sign != 0]
+    if not finite:
+        return 0.0
+    top = max(t.log_mag for t in finite)
+    return sum(t.sign * math.exp(t.log_mag - top) for t in finite)
+
+
+def _quad_piece(f, lo: float, hi: float, rel_tol: float) -> float:
+    out = quad(f, lo, hi, epsabs=0.0, epsrel=rel_tol, limit=300, full_output=1)
+    if len(out) > 3:
+        raise QuadratureFailure(f"adaptive quadrature failed: {out[3]}")
+    value, abserr = out[0], out[1]
+    if abserr > 100.0 * rel_tol * abs(value) + 1e-300:
+        raise QuadratureFailure(
+            f"quadrature error estimate {abserr:.2e} too large for value {value:.6e}")
+    return value
+
+
+def kummer_m_integral(a: float, b: float, z: float) -> ScaledReal:
+    """M(a, b, z) via the integral representation, for 0 < a < b.
+
+    The e^z factor is pulled out analytically, leaving
+    J = int_0^1 e^{-z s} s^{b-a-1} (1-s)^{a-1} ds, which is split at 1/2
+    and mapped by s = u^{1/(b-a)} (resp. 1-s = v^{1/a}) wherever the
+    endpoint exponent is below 1, so the quadrature only ever sees a
+    smooth integrand.  Serves as the independent oracle for the series.
+    """
+    if not (0.0 < a < b):
+        raise InvalidParams(f"integral representation needs 0 < a < b, got ({a}, {b})")
+    if z < 0:
+        raise InvalidParams(f"z={z} must be >= 0")
+    p = b - a
+    q = a
+    rel_tol = _QUAD_REL_TOL
+
+    if p < 1.0:
+        left = (1.0 / p) * _quad_piece(
+            lambda u: math.exp(-z * u ** (1.0 / p)) * (1.0 - u ** (1.0 / p)) ** (q - 1.0),
+            0.0, 0.5 ** p, rel_tol)
+    else:
+        left = _quad_piece(
+            lambda s: math.exp(-z * s) * s ** (p - 1.0) * (1.0 - s) ** (q - 1.0),
+            0.0, 0.5, rel_tol)
+    if q < 1.0:
+        right = (1.0 / q) * _quad_piece(
+            lambda v: math.exp(-z * (1.0 - v ** (1.0 / q))) * (1.0 - v ** (1.0 / q)) ** (p - 1.0),
+            0.0, 0.5 ** q, rel_tol)
+    else:
+        right = _quad_piece(
+            lambda s: math.exp(-z * s) * s ** (p - 1.0) * (1.0 - s) ** (q - 1.0),
+            0.5, 1.0, rel_tol)
+
+    log_val = (math.lgamma(b) - math.lgamma(p) - math.lgamma(q)
+               + z + math.log(left + right))
+    return ScaledReal(log_val, 1)
+
+
+def check_recurrences(a: float, b: float, z: float) -> tuple[float, float]:
+    """Relative residuals of the two contiguous recurrences used by the
+    crossing-system elimination:
+
+        z M(a+1,b+2,z) - (b+1) M(a+1,b+1,z) + (b+1) M(a,b+1,z) = 0
+        a M(a+1,b+1,z) - b M(a,b,z) - (a-b) M(a,b+1,z) = 0
+
+    Each residual is normalized by the largest participating term.
+    """
+    m_ab = kummer_m(a, b, z)
+    m_ab1 = kummer_m(a, b + 1.0, z)
+    m_a1b1 = kummer_m(a + 1.0, b + 1.0, z)
+    m_a1b2 = kummer_m(a + 1.0, b + 2.0, z)
+    r1 = signed_sum([
+        m_a1b2.scaled_by(z),
+        m_a1b1.scaled_by(-(b + 1.0)),
+        m_ab1.scaled_by(b + 1.0),
+    ])
+    r2 = signed_sum([
+        m_a1b1.scaled_by(a),
+        m_ab.scaled_by(-b),
+        m_ab1.scaled_by(-(a - b)),
+    ])
+    return r1, r2
 
 
 def kummer_series_rational(a: Fraction, b: Fraction, z: Fraction,

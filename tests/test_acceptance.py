@@ -11,18 +11,18 @@ import time
 import numpy as np
 import pytest
 
-from diskmag.config import DEFAULT_CONFIG
 from diskmag.crossings import (crossing_by_curves, crossing_by_phi,
                                crossings_range)
 from diskmag.derivatives import conjecture_scan, lambda_prime
 from diskmag.fd import fd_disk_lambda
-from diskmag.kummer import check_recurrences, kummer_m, kummer_m_integral
+from diskmag.kummer import kummer_m
 from diskmag.richardson import (HalfPowerSequence, delta_at_crossings_check,
                                 eta_star_expansion_check, gamma_sequence,
                                 loglog_slope, r4_gamma, richardson_iterate)
 from diskmag.spectrum import lowest_eigenvalue
 
 import refdata
+from oracles import check_recurrences, kummer_m_integral
 
 
 def report(capsys, name: str, ok: bool, detail: str) -> bool:
@@ -46,7 +46,7 @@ def conjecture_report_full(constants):
 def test_crossing_table_reproduction(capsys):
     t0 = time.time()
     # a cold solve: the memo would turn the 120 s gate into a cache hit
-    points = {p.n: p for p in crossings_range.__wrapped__(400, DEFAULT_CONFIG)}
+    points = {p.n: p for p in crossings_range.__wrapped__(400)}
     elapsed = time.time() - t0
     worst = 0.0
     for n in TABLE1_ROWS:
@@ -163,7 +163,7 @@ def test_oracle_equivalence(capsys):
     worst_eig = 0.0
     for n, beta in ORACLE_GRID:
         kummer_lam = lowest_eigenvalue(n, beta).lam
-        fd_lam = fd_disk_lambda(n, beta, DEFAULT_CONFIG.fd_grid_count)
+        fd_lam = fd_disk_lambda(n, beta)
         worst_eig = max(worst_eig, abs(kummer_lam - fd_lam) / fd_lam)
     worst_fh = 0.0
     for n in range(0, 11):

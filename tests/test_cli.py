@@ -196,12 +196,20 @@ def test_bad_config_key_exits_three(tmp_path: Path):
     assert run_cli("crossings", "--config", str(cfg)).returncode == 3
 
 
-@pytest.mark.parametrize("key, value", [("eta_scan_step", "0.02"),
-                                        ("eig_rel_tol", "1e-13")],
-                         ids=["eta_scan_step", "eig_rel_tol"])
+REMOVED_KEYS = [("eta_scan_step", "0.02"), ("eig_rel_tol", "1e-13"),
+                ("series_rel_tol", "1e-16"), ("max_terms", "0"),
+                ("quad_rel_tol", "1e-12"), ("cross_rel_tol", "1e-13"),
+                ("newton_max_iter", "50"), ("fd_grid_count", "4001"),
+                ("degennes_grid_count", "8001"), ("degennes_L", "15.0"),
+                ("const_tol", "2e-3")]
+
+
+@pytest.mark.parametrize("key, value", REMOVED_KEYS,
+                         ids=[key for key, _ in REMOVED_KEYS])
 def test_removed_scan_step_key_exits_three(tmp_path: Path, key, value):
-    # neither is a config key any more: the scan step is fixed, and the
-    # ground-state tie margin is a constant of spectrum.py
+    # none is a config key any more: the scan step, the ground-state tie
+    # margin and every tolerance, budget and grid size are constants of
+    # the module that uses them
     cfg = tmp_path / "solver.cfg"
     cfg.write_text(f"{key} = {value}\n")
     out = run_cli("crossings", "--config", str(cfg))
@@ -210,8 +218,9 @@ def test_removed_scan_step_key_exits_three(tmp_path: Path, key, value):
 
 
 def test_one_crossing_pass_per_process(tmp_path: Path, capsys, monkeypatch):
-    # every subcommand that reads the crossings shares one memoized pass:
-    # one cache miss, one Newton solve per crossing
+    # every subcommand that reads the crossings shares one memoized pass,
+    # whatever its output directory and format: one cache miss, one
+    # Newton solve per crossing
     from diskmag import cli, crossings
 
     solves, solve = [], crossings.crossing_by_system
@@ -222,9 +231,13 @@ def test_one_crossing_pass_per_process(tmp_path: Path, capsys, monkeypatch):
 
     monkeypatch.setattr(crossings, "crossing_by_system", counted)
     misses = crossings.crossings_range.cache_info().misses
-    for command in ("crossings", "richardson", "derivatives", "conjectures"):
+    for command, out_dir, fmt in (("crossings", "a", "csv"),
+                                  ("richardson", "b", "json"),
+                                  ("derivatives", "a", "json"),
+                                  ("conjectures", "b", "csv")):
         code = cli.main([command, "--n-max", "40", "--beta-grid", "5:20:5",
-                         "--output-dir", str(tmp_path)])
+                         "--output-dir", str(tmp_path / out_dir),
+                         "--format", fmt])
         assert code == 0, command
     assert crossings.crossings_range.cache_info().misses == misses + 1
     assert solves == list(range(41))

@@ -134,8 +134,8 @@ class TestSweep:
             assert 0.0 < p.eta_star < 1.0
             assert p.sj_residual < 1e-10 * p.beta_n
 
-    def test_shorter_range_is_a_prefix(self, config, crossings400):
+    def test_shorter_range_is_a_prefix(self, crossings400):
         # each crossing is seeded only by earlier ones, so a shorter range
         # is exactly the head of a longer one
         from diskmag.crossings import crossings_range
-        assert crossings_range(160, config) == crossings400[:161]
+        assert crossings_range(160) == crossings400[:161]

@@ -120,8 +120,8 @@ class TestCorrectorSolve:
         mu = solve.inner(solve.mass * rhs - k_u1) / solve.inner(solve.mass * solve.u0)
         assert mu == pytest.approx(exact[size], abs=1e-10 * max(1.0, abs(exact[size])))
 
-    def test_orthogonal_to_ground_state_on_default_grids(self, constants, config):
-        for solve in degennes._solve_pair(constants.xi0, config):
+    def test_orthogonal_to_ground_state_on_default_grids(self, constants):
+        for solve in degennes._solve_pair(constants.xi0):
             h1_u0 = solve.apply_h1(solve.u0, 0.5)
             u1 = solve.solve_corrector(-(h1_u0 - solve.inner(h1_u0) * solve.u0))
             assert abs(solve.inner(u1)) <= 1e-12 * np.max(np.abs(u1))
@@ -161,8 +161,8 @@ class TestSecondOrderProfile:
 
 
 class TestFilledRecord:
-    def test_record_is_self_consistent(self, constants, config):
-        constants.validate(config.const_tol)
+    def test_record_is_self_consistent(self, constants):
+        constants.validate()
         assert constants.delta0_formula == pytest.approx(
             0.5 * constants.c1 / math.sqrt(constants.theta0), rel=1e-14)
         assert constants.c1 == pytest.approx(constants.u0_trace ** 2 / 3.0,

@@ -3,7 +3,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from diskmag.scaled import ScaledReal, signed_sum
+from diskmag.scaled import ScaledReal
+
+from oracles import signed_sum
 
 
 def test_zero_encoding():

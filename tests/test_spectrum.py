@@ -9,7 +9,6 @@ from scipy.integrate import quad
 
 import diskmag.kummer as kummer_mod
 import diskmag.spectrum as spectrum
-from diskmag.config import DEFAULT_CONFIG, SolverConfig
 from diskmag.errors import BracketFailure, InvalidParams, NonConvergence
 from diskmag.fd import Grid1D, fd_disk_eigen, fd_disk_lambda
 from diskmag.kummer import kummer_m
@@ -99,9 +98,8 @@ class TestLowestEigenvalue:
         # eta(5, 1) ~ 36; a ceiling of 1 cannot bracket it, and for
         # beta < 2n there is no root below 1 either
         monkeypatch.setattr(spectrum, "_eta_scan_limit", lambda n, beta: 1.0)
-        fresh = SolverConfig(output_dir="fresh")
         with pytest.raises(BracketFailure):
-            lowest_eigenvalue(5, 1.0, fresh)
+            spectrum._lowest_eigenvalue_cached.__wrapped__(5, 1.0)
 
     @pytest.mark.parametrize("n,beta", [(20, 0.5), (400, 10.0), (16, 32.0)])
     def test_bracket_walk_work_count(self, n, beta, monkeypatch):
@@ -115,7 +113,7 @@ class TestLowestEigenvalue:
             return residual(*args)
 
         monkeypatch.setattr(spectrum, "boundary_residual", counted)
-        spectrum._lowest_eigenvalue_cached.__wrapped__(n, beta, DEFAULT_CONFIG)
+        spectrum._lowest_eigenvalue_cached.__wrapped__(n, beta)
         assert 0 < len(calls) <= 40
 
     def test_refusal_raises_fast(self):
@@ -124,7 +122,7 @@ class TestLowestEigenvalue:
         # brentq's tolerance and reports the last refusal
         start = time.perf_counter()
         with pytest.raises(NonConvergence, match="error") as excinfo:
-            spectrum._lowest_eigenvalue_cached.__wrapped__(400, 1.0, DEFAULT_CONFIG)
+            spectrum._lowest_eigenvalue_cached.__wrapped__(400, 1.0)
         assert time.perf_counter() - start < 5.0
         assert isinstance(excinfo.value.__cause__, NonConvergence)
 
