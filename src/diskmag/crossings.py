@@ -24,11 +24,10 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from scipy.optimize import brentq
-
 from .errors import BracketFailure, NewtonDivergence
 from .kummer import kummer_ratio_shift_b
-from .spectrum import _BRENTQ_RTOL, eigenfunction, lowest_eigenvalue
+from .roots import brent_root
+from .spectrum import eigenfunction, lowest_eigenvalue
 
 _NEWTON_MAX_ITER = 50
 _NEWTON_TOL = 1e-11  # a Newton stop above this residual norm falls back to the curves
@@ -164,7 +163,7 @@ def crossing_by_curves(n: int) -> CrossingPoint:
         raise BracketFailure(
             f"crossing bracket sign pattern violated at n={n} "
             f"(gap({lo:.3f})={gap(lo):.3e}, gap({hi:.3f})={gap(hi):.3e})")
-    beta = brentq(gap, lo, hi, xtol=1e-100, rtol=_BRENTQ_RTOL)
+    beta = brent_root(gap, lo, hi, xtol=1e-100)
     eta = lowest_eigenvalue(n, beta).eta
     return _make_point(n, 0.5 * beta, 0.5 * (1.0 - eta), "curve_intersection")
 
@@ -196,7 +195,7 @@ def crossing_by_phi(n: int) -> CrossingPoint:
         hi = min(0.5 - 1e-12, nu_seed + width)
         if width > 1.0:
             raise BracketFailure(f"no Phi sign change in (0, 1/2) for n={n}")
-    nu = brentq(phi, lo, hi, xtol=1e-100, rtol=_BRENTQ_RTOL)
+    nu = brent_root(phi, lo, hi, xtol=1e-100)
     return _make_point(n, _x_of_nu(n, nu), nu, "implicit_phi")
 
 

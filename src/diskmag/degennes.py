@@ -37,10 +37,10 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import solveh_banded
-from scipy.optimize import brentq
 
 from .errors import BracketFailure, IllConditioned, InvalidParams
 from .fd import Grid1D, assemble_degennes_system, richardson, solve_smallest
+from .roots import brent_root
 
 _XI_BRACKET = (-2.0, 0.0)  # Theta0 = xi0^2 in (0,1) forces xi0 in (-1, 0)
 _L = 15.0  # truncation point of the half line
@@ -175,16 +175,17 @@ def minimize_theta0() -> DeGennesConstants:
     C1 and delta0.
 
     <u0, (t+xi) u0> = (1/2) d lambda_dg / d xi has an O(1) slope at xi0,
-    so one brentq over _XI_BRACKET pins xi0 to 1e-12, where minimizing
-    the flat lambda_dg itself only localizes it to ~1e-5.  Theta0 and
-    u0(0) come from one grid-pair solve at the root.  BracketFailure if
-    the functional has no sign change on the bracket.
+    so one Brent solve (:func:`~diskmag.roots.brent_root`) over
+    _XI_BRACKET pins xi0 to 1e-12, where minimizing the flat lambda_dg
+    itself only localizes it to ~1e-5.  Theta0 and u0(0) come from one
+    grid-pair solve at the root.  BracketFailure if the functional has no
+    sign change on the bracket.
     """
     try:
-        xi0 = float(brentq(lambda xi: _combine(_solve_pair(xi),
-                                               _GridSolve.stationarity),
-                           *_XI_BRACKET, xtol=1e-12))
-    except ValueError as exc:  # brentq: f(a) and f(b) have the same sign
+        xi0 = brent_root(lambda xi: _combine(_solve_pair(xi),
+                                             _GridSolve.stationarity),
+                         *_XI_BRACKET, xtol=1e-12)
+    except BracketFailure as exc:
         raise BracketFailure(
             f"stationarity has no sign change on {_XI_BRACKET}") from exc
     root = _solve_pair(xi0)

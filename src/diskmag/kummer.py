@@ -37,6 +37,7 @@ _LN2 = math.log(2.0)
 _EPS = sys.float_info.epsilon
 _MAX_REL_ERR = 1e-12  # largest error bound of a recurrence result returned
 _SERIES_REL_TOL = 1e-16  # a series stops once three terms fall below this share
+_SHIFT_ROWS = np.array([[1.0], [0.0]])  # rows (a+1, b+1) and (a, b) of the ratio
 
 
 def _check_args(a: float, b: float, z: float) -> None:
@@ -57,11 +58,12 @@ def _numpy_count(z: float) -> int:
     return int(z + 14.0 * math.sqrt(z + 1.0) + 80.0)
 
 
-def _series_rows(a: float, b: float, z, count: int, head: float | None = None):
-    """1 + the first ``count`` terms of the positive-term series at one z
-    (a float) or at many (an (N, 1) column), as one numpy cumulative
-    product per row: (total, settled).  A row is settled when its total
-    is finite and its last three terms are within _SERIES_REL_TOL of it."""
+def _series_rows(a, b, z, count: int, head: float | None = None):
+    """1 + the first ``count`` terms of the positive-term series, as one
+    numpy cumulative product per row: (total, settled).  Rows differ in z
+    (an (N, 1) column) or in a and b ((N, 1) columns); scalars give one
+    row.  A row is settled when its total is finite and its last three
+    terms are within _SERIES_REL_TOL of it."""
     k = np.arange(count, dtype=float)
     terms = (a + k) * z  # one (N, count) buffer: divided and multiplied in place
     terms /= (b + k) * (k + 1.0)
@@ -214,12 +216,19 @@ def kummer_m_many(a: float, b: float, z) -> tuple[np.ndarray, np.ndarray]:
 
 def kummer_ratio_shift_b(a: float, b: float, z: float) -> float:
     """M(a+1, b+1, z) / M(a, b, z): for a >= 0 a quotient of positive-term
-    sums, exact in the power-of-two exponent; for a < 0 (b/z) p(a) by DLMF
-    13.3.4, refused unless M(a, b, z) > 0 and p(a) is within _MAX_REL_ERR."""
+    sums, exact in the power-of-two exponent (at 100 < z <= 600 both from
+    one two-row numpy product, unless a row does not settle); for a < 0
+    (b/z) p(a) by DLMF 13.3.4, refused unless M(a, b, z) > 0 and p(a) is
+    within _MAX_REL_ERR."""
     _check_args(a, b, z)
     if z == 0.0:
         return 1.0
     if a >= 0.0:
+        if _NUMPY_MIN_Z < z <= _RAW_LOG_CAP:  # both series in one product
+            total, settled = _series_rows(_SHIFT_ROWS + a, _SHIFT_ROWS + b, z,
+                                          _numpy_count(z))
+            if settled.all():
+                return float(total[0] / total[1])
         num, e_num = _series(a + 1.0, b + 1.0, z)
         den, e_den = _series(a, b, z)
         try:

@@ -24,13 +24,12 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.optimize import brentq
 from scipy.special import jnp_zeros
 
 from .errors import BracketFailure, InvalidParams, NonConvergence
 from .kummer import kummer_m, kummer_m_many, kummer_ratio_shift_b
+from .roots import RTOL, brent_root
 
-_BRENTQ_RTOL = 4.0 * np.finfo(float).eps
 _ETA_SCAN_STEP = 0.02  # first eta step of the bracket walk at beta <= 2n
 _TIE_REL = 1e-12  # ground_state: relative lambda margin that counts as a tie
 
@@ -109,7 +108,7 @@ def boundary_residual(n: int, beta: float, eta_trial: float) -> float:
     x = 0.5 * beta
     nu = 0.5 * (1.0 - eta_trial)
     scale = max(1.0, x)
-    if nu == 0.0:  # brentq's eta = 1 end, where the ratio (e^x - 1)/x overflows
+    if nu == 0.0:  # the eta = 1 bracket end, where the ratio (e^x - 1)/x overflows
         return (n - x) / scale
     ratio = kummer_ratio_shift_b(nu, n + 1.0, x)
     return (n - x) / scale + 2.0 * nu * x * ratio / ((n + 1.0) * scale)
@@ -150,7 +149,7 @@ def _lowest_eigenvalue_cached(n: int, beta: float) -> EigenPoint:
             except NonConvergence as exc:
                 # bisect toward the lowest refused point from here on
                 step, grow = 0.5 * (hi - lo), 0.5
-                if step <= _BRENTQ_RTOL * hi:
+                if step <= RTOL * hi:
                     raise NonConvergence(
                         f"no residual sign change for n={n}, beta={beta}: "
                         f"every trial above eta={lo!r} refused ({exc})") from exc
@@ -158,14 +157,15 @@ def _lowest_eigenvalue_cached(n: int, beta: float) -> EigenPoint:
             if f_hi <= 0.0:
                 break
             lo, step = hi, grow * step
-    eta = brentq(residual, lo, hi, xtol=1e-100, rtol=_BRENTQ_RTOL)
+    eta = brent_root(residual, lo, hi, xtol=1e-100)
     return EigenPoint(n, beta, beta * eta, eta)
 
 
 def lowest_eigenvalue(n: int, beta: float) -> EigenPoint:
     """Lowest eigenvalue of the fiber operator at angular mode n.
 
-    For beta > 2n one brentq on eta in [0, 1].  For beta <= 2n a walk up
+    For beta > 2n one Brent solve (:func:`~diskmag.roots.brent_root`,
+    tolerance 4 eps relative) on eta in [0, 1].  For beta <= 2n a walk up
     from the potential minimum (n - beta/2)^2 / beta brackets the root:
     its step starts at 0.02 and doubles while the residual is positive,
     and once a trial point is refused (past the first Dirichlet pole, or
@@ -173,7 +173,7 @@ def lowest_eigenvalue(n: int, beta: float) -> EigenPoint:
     refused point, so the first accepted residual <= 0 closes a bracket
     holding one root and no pole.  Raises BracketFailure past the cap
     1.05 j'_{n,1}^2 / beta + 5, and NonConvergence, chained from the
-    last refusal, once the step falls below brentq's tolerance (seen at
+    last refusal, once the step falls below that tolerance (seen at
     beta <= 1 with eta >~ 8e4: (200, 0.5), (350, 1)).  Results are memoized.
     """
     return _lowest_eigenvalue_cached(int(n), float(beta))

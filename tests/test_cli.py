@@ -12,12 +12,24 @@ from refdata import CROSSINGS, THETA0
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
+def run_python(*args: str) -> subprocess.CompletedProcess:
     # the package runs from src/ without an install, as under pytest itself
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
-    cmd = [sys.executable, "-m", "diskmag", *args]
-    return subprocess.run(cmd, capture_output=True, text=True,
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    return run_python("-m", "diskmag", *args)
+
+
+def test_import_skips_scipy_optimize_and_integrate():
+    # scipy.optimize alone took ~0.2 s of every CLI start-up
+    out = run_python("-c", "import sys, diskmag.cli; print(sorted(m for m in "
+                     "sys.modules if m.split('.')[:2] in (['scipy', 'optimize'], "
+                     "['scipy', 'integrate'])))")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_help_exits_cleanly():

@@ -56,7 +56,7 @@ class TestMinimization:
         # xi0 ~ -0.768 lies outside (-2, -1): stationarity is negative at both ends
         monkeypatch.setattr(degennes, "_XI_BRACKET", (-2.0, -1.0))
         minimize_theta0.cache_clear()  # else the memoized root skips the bracket
-        with pytest.raises(BracketFailure):
+        with pytest.raises(BracketFailure, match="stationarity"):
             minimize_theta0()
 
     def test_validate_rejects_inconsistent_record(self):

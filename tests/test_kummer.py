@@ -189,6 +189,33 @@ class TestRatio:
         for z in [0.5, 5.0, 50.0, 300.0]:
             assert kummer_ratio_shift_b(0.31, 2.0, z) > 1.0
 
+    @pytest.mark.parametrize("a,b,z", [(0.3, 101.0, 150.0), (0.05, 402.0, 449.5),
+                                       (0.5, 1.0, 100.5), (0.2, 7.0, 600.0)])
+    def test_two_row_product_is_the_two_series(self, a, b, z):
+        # at 100 < z <= 600 both sums come from one two-row product, bit
+        # for bit the quotient of the two separate _series calls
+        num, e_num = kummer_mod._series(a + 1.0, b + 1.0, z)
+        den, e_den = kummer_mod._series(a, b, z)
+        assert kummer_ratio_shift_b(a, b, z) == math.ldexp(num / den, e_num - e_den)
+
+    def test_unsettled_two_row_product_falls_back(self, monkeypatch):
+        # 40 terms settle neither row at z = 150, so the ratio comes from
+        # two _series calls, which then sum with the scalar loop
+        expected = kummer_ratio_shift_b(0.3, 101.0, 150.0)
+        series, calls = kummer_mod._series, []
+
+        def counted(a, b, z, head=None):
+            calls.append((a, b, z))
+            return series(a, b, z, head)
+
+        monkeypatch.setattr(kummer_mod, "_numpy_count", lambda z: 40)
+        monkeypatch.setattr(kummer_mod, "_series", counted)
+        ratio = kummer_ratio_shift_b(0.3, 101.0, 150.0)
+        assert len(calls) == 2
+        (num, e_num), (den, e_den) = (series(*args) for args in calls)
+        assert ratio == math.ldexp(num / den, e_num - e_den)
+        assert ratio == pytest.approx(expected, rel=1e-14)
+
     def test_ratio_beyond_float_range_raises(self):
         # M(1, 2, z)/M(0, 1, z) = (e^z - 1)/z overflows a float at z = 725
         with pytest.raises(NonConvergence):

@@ -119,7 +119,7 @@ class TestLowestEigenvalue:
     def test_refusal_raises_fast(self):
         # at eta ~ 1.6e5 the recurrence's error bound refuses every trial
         # point near the root; the walk gives up once its step falls below
-        # brentq's tolerance and reports the last refusal
+        # the root finder's tolerance and reports the last refusal
         start = time.perf_counter()
         with pytest.raises(NonConvergence, match="error") as excinfo:
             spectrum._lowest_eigenvalue_cached.__wrapped__(400, 1.0)
