@@ -88,7 +88,7 @@ class _GridSolve:
         self.xi = xi
         self.system = assemble_degennes_system(xi, grid)
         self.mass = self.system.mass
-        self.lam0, self.u0 = solve_smallest(self.system)
+        self.lam0, self.u0 = solve_smallest(self.system, vectors=True)
         self.t = grid.nodes()[:-1]
         self.h = grid.spacing
 

@@ -10,11 +10,18 @@ the Kummer route so they can serve as brute-force cross-checks:
   Neumann at 0, Dirichlet at the truncation point L.
 
 Both reduce to a symmetric generalized tridiagonal eigenproblem
-A v = lambda M v with diagonal positive mass M; the smallest eigenvalue
-is extracted by LAPACK's bisection + inverse iteration through
-scipy.linalg.eigh_tridiagonal after the exact diagonal symmetrization.
-Eigenvalues are reported through a two-grid Richardson combination
-assuming the second-order truncation error of the scheme.
+A v = lambda M v with diagonal positive mass M, symmetrized exactly by
+the diagonal scaling M^{-1/2}.  The smallest eigenvalue comes from
+LAPACK's Sturm-count bisection (dstebz) run on a value bracket: each
+assembled system carries the same operator on its grid coarsened 16x,
+whose smallest eigenvalue +- 5 % is the bracket.  The bracket is used
+only when a Sturm count shows no eigenvalue below it and at least one in
+it, so the value returned is always the smallest; otherwise, and on
+grids that do not coarsen, dstebz bisects for the first eigenvalue by
+index.  Inverse iteration (dstein) computes the eigenvector only for the
+callers that read it.  Eigenvalues are reported through a two-grid
+Richardson combination assuming the second-order truncation error of
+the scheme.
 """
 
 from __future__ import annotations
@@ -23,11 +30,13 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstebz, dstein
 
 from .errors import InvalidParams, NonConvergence, TruncationWarning
 
 _DISK_GRID_COUNT = 4001  # coarse grid of fd_disk_lambda's two-grid pair
+_BRACKET_COARSENING = 16  # bracketing grid: every 16th node, ~1/16 of the solve
+_BRACKET_WIDENING = 0.05  # bracket = lambda0 on the coarsened grid +- 5 %
 
 
 @dataclass(frozen=True)
@@ -55,14 +64,28 @@ class Grid1D:
         """Grid with halved spacing sharing every node of this one."""
         return Grid1D(self.left, self.right, 2 * self.count - 1)
 
+    def coarsened(self) -> "Grid1D | None":
+        """Grid of every _BRACKET_COARSENING-th node, or None when the
+        cells do not divide evenly or fewer than 16 nodes would be left."""
+        cells, rest = divmod(self.count - 1, _BRACKET_COARSENING)
+        if rest or cells < 15:
+            return None
+        return Grid1D(self.left, self.right, cells + 1)
+
 
 @dataclass(frozen=True)
 class TridiagSystem:
-    """Symmetric generalized eigenproblem A v = lambda M v, M = diag(mass)."""
+    """Symmetric generalized eigenproblem A v = lambda M v, M = diag(mass).
+
+    bracketing, when set, is the same operator assembled on
+    :meth:`Grid1D.coarsened`; :func:`solve_smallest` widens its smallest
+    eigenvalue into the bracket for this system's.
+    """
 
     diag: np.ndarray
     offdiag: np.ndarray
     mass: np.ndarray
+    bracketing: "TridiagSystem | None" = None
 
     def __post_init__(self) -> None:
         if len(self.offdiag) != len(self.diag) - 1:
@@ -71,31 +94,92 @@ class TridiagSystem:
             raise InvalidParams("mass weights must be positive")
 
 
-# LAPACK stebz: ABSTOL at twice the underflow threshold gives the most
+# LAPACK dstebz: ABSTOL at twice the underflow threshold gives the most
 # accurate eigenvalues; the default eps*|T|_1 leaves ~1e-9 noise at our
-# grid sizes, which would dominate the minimization of the ground energy
+# grid sizes, which would dominate the minimization of the ground energy.
+# The bracketed and the by-index bisection both run to this tolerance.
 _EIG_ABSTOL = 2.0 * np.finfo(float).tiny
+_BY_VALUE, _BY_INDEX = 1, 2  # dstebz RANGE: eigenvalues in (vl, vu], or il..iu
 
 
-def solve_smallest(system: TridiagSystem) -> tuple[float, np.ndarray]:
-    """Smallest eigenpair of A v = lambda M v.
+def solve_smallest(system: TridiagSystem, *,
+                   vectors: bool = False) -> tuple[float, np.ndarray | None]:
+    """Smallest eigenpair of A v = lambda M v; the eigenvector is None
+    unless vectors is set.
 
-    The eigenvector comes back sign-fixed positive and normalized to
-    sum(v^2 * mass) = 1, i.e. unit norm in the lumped weighted L2.
+    lambda0 comes from one dstebz bisection on (lo, hi], the bracketing
+    system's smallest eigenvalue widened by _BRACKET_WIDENING, when a
+    Sturm count finds no eigenvalue between a Gershgorin lower bound and
+    lo and dstebz finds at least one in (lo, hi]; otherwise (and without
+    a bracketing system) from dstebz by index.  Either way it is the
+    smallest eigenvalue, and a given system always takes the same path,
+    with or without vectors.  The eigenvector, from dstein, comes back
+    sign-fixed positive and normalized to sum(v^2 * mass) = 1, i.e. unit
+    norm in the lumped weighted L2.  NonConvergence if LAPACK fails.
     """
-    root_m = np.sqrt(system.mass)
-    d = system.diag / system.mass
-    e = system.offdiag / (root_m[:-1] * root_m[1:])
-    try:
-        vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, 0),
-                                      tol=_EIG_ABSTOL)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NonConvergence(f"tridiagonal eigensolve failed: {exc}") from exc
-    v = vecs[:, 0] / root_m
+    d, e, root_m = _symmetrized(system)
+    w, iblock, isplit = _lowest(system, d, e)
+    if not vectors:
+        return float(w[0]), None
+    z, info = dstein(d, e, w[:1], iblock, isplit)
+    if info != 0:
+        raise NonConvergence(f"tridiagonal eigenvector (dstein) failed: info = {info}")
+    v = z[:, 0] / root_m
     v = v / np.sqrt(np.sum(v * v * system.mass))
     if v[np.argmax(np.abs(v))] < 0.0:
         v = -v
-    return float(vals[0]), v
+    return float(w[0]), v
+
+
+def _symmetrized(system: TridiagSystem):
+    """(diagonal, off-diagonal) of M^{-1/2} A M^{-1/2}, and M^{1/2}."""
+    root_m = np.sqrt(system.mass)
+    return (system.diag / system.mass,
+            system.offdiag / (root_m[:-1] * root_m[1:]), root_m)
+
+
+def _lowest(system: TridiagSystem, d: np.ndarray, e: np.ndarray):
+    """dstebz's (w, iblock, isplit) for the symmetrized system, w[0] = lambda0."""
+    if system.bracketing is not None:
+        guess = _lowest(system.bracketing,
+                        *_symmetrized(system.bracketing)[:2])[0][0]
+        found = _in_bracket(d, e, guess)
+        if found is not None:
+            return found
+    found = _stebz(d, e, _BY_INDEX, 0.0, 0.0, _EIG_ABSTOL)
+    if len(found[0]) == 0:
+        raise NonConvergence("tridiagonal eigensolve (dstebz) found no eigenvalue")
+    return found
+
+
+def _in_bracket(d: np.ndarray, e: np.ndarray, guess: float):
+    """dstebz on guess +- _BRACKET_WIDENING, or None unless that bracket
+    holds an eigenvalue and none lies below it."""
+    lo = guess - _BRACKET_WIDENING * abs(guess)
+    hi = guess + _BRACKET_WIDENING * abs(guess)
+    if not lo < hi:
+        return None
+    # Gershgorin lower bound, lowered by dstebz's own rounding allowance;
+    # only how many eigenvalues lie in (lower, lo] is read, so a tolerance
+    # of lo - lower lets dstebz stop right after its Sturm counts
+    radius = np.abs(np.append(e, 0.0)) + np.abs(np.append(0.0, e))
+    lower = np.min(d - radius)
+    lower -= 2.1 * len(d) * np.finfo(float).eps * max(abs(lower),
+                                                      np.max(d + radius))
+    if lower < lo and len(_stebz(d, e, _BY_VALUE, lower, lo, lo - lower)[0]):
+        return None
+    found = _stebz(d, e, _BY_VALUE, lo, hi, _EIG_ABSTOL)
+    return found if len(found[0]) else None
+
+
+def _stebz(d: np.ndarray, e: np.ndarray, select: int, vl: float, vu: float,
+           tol: float):
+    """(w, iblock, isplit) of dstebz for the first eigenvalue by index or
+    every eigenvalue in (vl, vu], w ascending; NonConvergence on info != 0."""
+    m, w, iblock, isplit, info = dstebz(d, e, select, vl, vu, 1, 1, tol, "E")
+    if info != 0:
+        raise NonConvergence(f"tridiagonal eigensolve (dstebz) failed: info = {info}")
+    return w[:m], iblock, isplit
 
 
 def richardson(fine, coarse):
@@ -144,7 +228,9 @@ def assemble_disk_system(n: int, beta: float, grid: Grid1D) -> TridiagSystem:
         diag[-1] = half[-1] / h
         diag += q * mass
         offdiag = -half / h
-    return TridiagSystem(diag, offdiag, mass)
+    coarse = grid.coarsened()
+    return TridiagSystem(diag, offdiag, mass, bracketing=None if coarse is None
+                         else assemble_disk_system(n, beta, coarse))
 
 
 def fd_disk_eigen(n: int, beta: float, grid: Grid1D) -> tuple[float, np.ndarray]:
@@ -153,12 +239,13 @@ def fd_disk_eigen(n: int, beta: float, grid: Grid1D) -> tuple[float, np.ndarray]
     For n > 0 the eigenvector lives on the nodes r_1 .. r_N (Dirichlet
     node dropped); for n = 0 on all nodes.  Last entry is the r = 1 trace.
     """
-    return solve_smallest(assemble_disk_system(n, beta, grid))
+    return solve_smallest(assemble_disk_system(n, beta, grid), vectors=True)
 
 
 def fd_disk_lambda(n: int, beta: float, count: int = _DISK_GRID_COUNT) -> float:
     """Richardson-combined disk eigenvalue from grids (count, 2*count-1)."""
-    return two_grid(lambda g: fd_disk_eigen(n, beta, g)[0], Grid1D(0.0, 1.0, count))
+    return two_grid(lambda g: solve_smallest(assemble_disk_system(n, beta, g))[0],
+                    Grid1D(0.0, 1.0, count))
 
 
 def assemble_degennes_system(xi: float, grid: Grid1D) -> TridiagSystem:
@@ -178,7 +265,9 @@ def assemble_degennes_system(xi: float, grid: Grid1D) -> TridiagSystem:
     diag[0] = 1.0 / h
     diag += q * mass
     offdiag = np.full(len(t) - 1, -1.0 / h)
-    return TridiagSystem(diag, offdiag, mass)
+    coarse = grid.coarsened()
+    return TridiagSystem(diag, offdiag, mass, bracketing=None if coarse is None
+                         else assemble_degennes_system(xi, coarse))
 
 
 def fd_degennes_eigen(xi: float, L: float, grid: Grid1D) -> tuple[float, np.ndarray]:
@@ -190,15 +279,10 @@ def fd_degennes_eigen(xi: float, L: float, grid: Grid1D) -> tuple[float, np.ndar
     """
     if grid.right != L:
         raise InvalidParams(f"grid right endpoint {grid.right} != L = {L}")
-    lam, vec = solve_smallest(assemble_degennes_system(xi, grid))
+    lam, vec = solve_smallest(assemble_degennes_system(xi, grid), vectors=True)
     if abs(vec[-1]) > 1e-8:
         warnings.warn(
             f"eigenfunction magnitude {abs(vec[-1]):.2e} at L - h; "
             f"increase L for xi = {xi}", TruncationWarning, stacklevel=2)
     return lam, vec
 
-
-def fd_degennes_lambda(xi: float, L: float = 15.0, count: int = 8001) -> float:
-    """Richardson-combined half-line eigenvalue from grids (count, 2*count-1);
-    the defaults are the grid pair of :func:`diskmag.degennes.lambda_dg`."""
-    return two_grid(lambda g: fd_degennes_eigen(xi, L, g)[0], Grid1D(0.0, L, count))

@@ -5,6 +5,8 @@ series summation and adaptive quadrature of the integral representation
 for the Kummer series, the contiguous recurrences as identities between
 Kummer values, an ascending-series bisection for Bessel derivative
 zeros, and an RK4 shooting integrator for the half-line eigenvalue.
+fd_degennes_lambda takes the half-line FD eigenvalue through
+fd_degennes_eigen, a path apart from the one degennes.lambda_dg takes.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ from fractions import Fraction
 
 from scipy.integrate import quad
 
+from diskmag import degennes
 from diskmag.errors import InvalidParams, QuadratureFailure
+from diskmag.fd import Grid1D, fd_degennes_eigen, two_grid
 from diskmag.kummer import kummer_m
 from diskmag.scaled import ScaledReal
 
@@ -197,3 +201,11 @@ def shooting_halfline_eigenvalue(xi: float, L: float = 15.0,
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def fd_degennes_lambda(xi: float, L: float = degennes._L,
+                       count: int = degennes._GRID_COUNT) -> float:
+    """Richardson-combined half-line FD eigenvalue from grids
+    (count, 2*count-1); the defaults are the grid pair of
+    :func:`diskmag.degennes.lambda_dg`."""
+    return two_grid(lambda g: fd_degennes_eigen(xi, L, g)[0], Grid1D(0.0, L, count))

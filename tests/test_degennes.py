@@ -8,9 +8,9 @@ from diskmag.degennes import (DeGennesConstants, boundary_pairing_check,
                               lambda1_check, lambda2_profile, lambda_dg,
                               minimize_theta0, stationarity_check)
 from diskmag.errors import BracketFailure, InvalidParams
-from diskmag.fd import Grid1D, fd_degennes_lambda
+from diskmag.fd import Grid1D
 
-from oracles import shooting_halfline_eigenvalue
+from oracles import fd_degennes_lambda, shooting_halfline_eigenvalue
 from refdata import C1, C1_HP, THETA0, THETA0_HP, U00_HP, XI0, XI0_HP
 
 

@@ -1,14 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
-from diskmag.errors import InvalidParams, TruncationWarning
+from diskmag import fd
+from diskmag.errors import InvalidParams, NonConvergence, TruncationWarning
 from diskmag.fd import (Grid1D, TridiagSystem, assemble_degennes_system,
                         assemble_disk_system, fd_degennes_eigen,
-                        fd_degennes_lambda, fd_disk_eigen, fd_disk_lambda,
-                        solve_smallest)
+                        fd_disk_eigen, fd_disk_lambda, solve_smallest)
 from diskmag.spectrum import bessel_jnp_first_zero
 
-from oracles import shooting_halfline_eigenvalue
+from oracles import fd_degennes_lambda, shooting_halfline_eigenvalue
 from refdata import CROSSINGS, THETA0, XI0, XI0_HP
 
 
@@ -23,6 +26,25 @@ class TestGrid:
         fine = grid.refined()
         assert fine.count == 201
         assert np.allclose(fine.nodes()[::2], grid.nodes())
+
+    def test_coarsening_keeps_every_16th_node(self):
+        grid = Grid1D(0.0, 15.0, 8001)
+        coarse = grid.coarsened()
+        assert coarse.count == 501
+        assert np.array_equal(grid.nodes()[::16], coarse.nodes())
+        assert Grid1D(0.0, 1.0, 1001).coarsened() is None  # 1000 cells
+        assert Grid1D(0.0, 1.0, 225).coarsened() is None  # 15 nodes left
+        assert Grid1D(0.0, 1.0, 241).coarsened().count == 16
+
+    def test_assembled_systems_carry_the_coarsened_operator(self):
+        grid = Grid1D(0.0, 1.0, 4001)
+        system = assemble_disk_system(3, 20.0, grid)
+        coarse = assemble_disk_system(3, 20.0, grid.coarsened())
+        assert np.array_equal(system.bracketing.diag, coarse.diag)
+        assert system.bracketing.bracketing is None  # 250 cells do not coarsen
+        assert assemble_disk_system(3, 20.0, Grid1D(0.0, 1.0, 1001)).bracketing is None
+        halfline = assemble_degennes_system(XI0, Grid1D(0.0, 15.0, 8001))
+        assert len(halfline.bracketing.diag) == 500
 
     def test_mass_positivity_enforced(self):
         with pytest.raises(InvalidParams):
@@ -117,13 +139,126 @@ class TestHalfLine:
 class TestSolver:
     def test_normalization_in_weighted_l2(self):
         system = assemble_disk_system(2, 10.0, Grid1D(0.0, 1.0, 1001))
-        _, vec = solve_smallest(system)
+        _, vec = solve_smallest(system, vectors=True)
         assert np.sum(vec * vec * system.mass) == pytest.approx(1.0, rel=1e-12)
 
     def test_halfline_normalization_is_unweighted_l2(self):
         grid = Grid1D(0.0, 15.0, 2001)
         system = assemble_degennes_system(XI0, grid)
-        _, vec = solve_smallest(system)
+        _, vec = solve_smallest(system, vectors=True)
         h = grid.spacing
         trapz = h * (0.5 * vec[0] ** 2 + np.sum(vec[1:] ** 2))
         assert trapz == pytest.approx(1.0, rel=1e-12)
+
+    def test_vectors_only_on_request(self):
+        system = assemble_disk_system(2, 10.0, Grid1D(0.0, 1.0, 4001))
+        lam, vec = solve_smallest(system)
+        assert vec is None
+        assert solve_smallest(system, vectors=True)[0] == lam
+
+
+def _symmetrized(system):
+    root_m = np.sqrt(system.mass)
+    return (system.diag / system.mass,
+            system.offdiag / (root_m[:-1] * root_m[1:]), root_m)
+
+
+def _index_mode_reference(system):
+    """Smallest eigenpair by scipy's bisection by index, with the
+    eigenvector scaled and sign-fixed as solve_smallest documents."""
+    d, e, root_m = _symmetrized(system)
+    vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, 0),
+                                  tol=fd._EIG_ABSTOL)
+    v = vecs[:, 0] / root_m
+    v = v / np.sqrt(np.sum(v * v * system.mass))
+    if v[np.argmax(np.abs(v))] < 0.0:
+        v = -v
+    return vals[0], v
+
+
+def _assert_same_as_index_mode(system):
+    lam, vec = solve_smallest(system, vectors=True)
+    ref_lam, ref_vec = _index_mode_reference(system)
+    assert abs(lam - ref_lam) <= 4.0 * np.spacing(max(abs(lam), abs(ref_lam)))
+    assert np.max(np.abs(vec - ref_vec)) <= 1e-12
+
+
+class TestBracketedSolve:
+    """The value-range bisection on a coarse-grid bracket returns what the
+    bisection by index returns: lambda0 to 4 ulp, the same eigenvector."""
+
+    @pytest.mark.parametrize("count", [4001, 8001])
+    @pytest.mark.parametrize("n, beta", [(0, 0.0), (0, 1e-4), (1, 0.0),
+                                         (20, 900.0), (400, 1.0),
+                                         (400, 400.5), (0, 900.0)])
+    def test_disk(self, n, beta, count):
+        _assert_same_as_index_mode(
+            assemble_disk_system(n, beta, Grid1D(0.0, 1.0, count)))
+
+    @pytest.mark.parametrize("count", [8001, 16001])
+    @pytest.mark.parametrize("xi", [-2.0, XI0_HP, 0.0])
+    def test_half_line(self, xi, count):
+        _assert_same_as_index_mode(
+            assemble_degennes_system(xi, Grid1D(0.0, 15.0, count)))
+
+    def test_bad_brackets_fall_back_to_the_index_mode(self):
+        system = assemble_disk_system(400, 1.0, Grid1D(0.0, 1.0, 4001))
+        d, e, _ = _symmetrized(system)
+        lam0, lam1, lam2 = eigh_tridiagonal(
+            d, e, eigvals_only=True, select="i", select_range=(0, 2),
+            tol=fd._EIG_ABSTOL)
+        between = 0.5 * (lam1 + lam2)
+        # lambda1 and lambda2 inside between +- 5 %, lambda0 below it
+        assert lam0 < 0.95 * between < lam1 < lam2 <= 1.05 * between
+        ref_lam, ref_vec = _index_mode_reference(system)
+        for guess in (0.5 * lam0, between, 10.0 * lam0, 0.0):  # 0: empty bracket
+            # a bracketing system whose every eigenvalue is the guess
+            forced = replace(system, bracketing=TridiagSystem(
+                np.full(16, guess), np.zeros(15), np.ones(16)))
+            assert solve_smallest(forced)[0] == ref_lam
+            lam, vec = solve_smallest(forced, vectors=True)
+            assert lam == ref_lam
+            assert np.max(np.abs(vec - ref_vec)) <= 1e-12
+
+
+class TestLapackFailure:
+    """A LAPACK info != 0, or no eigenvalue by index, raises NonConvergence."""
+
+    def test_stebz_info_by_index(self, monkeypatch):
+        system = assemble_disk_system(2, 10.0, Grid1D(0.0, 1.0, 1001))
+
+        def failing(d, e, *args):
+            return 1, np.zeros(len(d)), np.ones(len(d), np.int32), \
+                np.full(len(d), len(d), np.int32), 1
+        monkeypatch.setattr(fd, "dstebz", failing)
+        with pytest.raises(NonConvergence, match="dstebz"):
+            solve_smallest(system)
+
+    def test_no_eigenvalue_by_index(self, monkeypatch):
+        system = assemble_disk_system(2, 10.0, Grid1D(0.0, 1.0, 1001))
+
+        def empty(d, e, *args):
+            return 0, np.zeros(len(d)), np.zeros(len(d), np.int32), \
+                np.zeros(len(d), np.int32), 0
+        monkeypatch.setattr(fd, "dstebz", empty)
+        with pytest.raises(NonConvergence, match="no eigenvalue"):
+            solve_smallest(system)
+
+    def test_stebz_info_by_value(self, monkeypatch):
+        system = assemble_disk_system(2, 10.0, Grid1D(0.0, 1.0, 4001))
+        real = fd.dstebz
+
+        def failing_by_value(d, e, select, *args):
+            m, w, iblock, isplit, info = real(d, e, select, *args)
+            return m, w, iblock, isplit, 3 if select == 1 else info
+        monkeypatch.setattr(fd, "dstebz", failing_by_value)
+        with pytest.raises(NonConvergence, match="info = 3"):
+            solve_smallest(system)
+
+    def test_stein_info(self, monkeypatch):
+        system = assemble_disk_system(2, 10.0, Grid1D(0.0, 1.0, 4001))
+        monkeypatch.setattr(fd, "dstein",
+                            lambda d, e, w, *args: (np.zeros((len(d), len(w))), 1))
+        assert solve_smallest(system)[1] is None  # dstein not called
+        with pytest.raises(NonConvergence, match="dstein"):
+            solve_smallest(system, vectors=True)
