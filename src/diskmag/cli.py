@@ -51,16 +51,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _write_json(path: Path, payload) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+
+
 def _write_table(path: Path, header: list[str], rows: list[list],
                  fmt: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "json":
-        records = [dict(zip(header, row)) for row in rows]
-        path.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
-    else:
-        lines = [",".join(header)]
-        lines += [",".join(_fmt(cell) for cell in row) for row in rows]
-        path.write_text("\n".join(lines) + "\n")
+        _write_json(path, [dict(zip(header, row)) for row in rows])
+        return
+    path.parent.mkdir(parents=True, exist_ok=True)
+    lines = [",".join(header)]
+    lines += [",".join(_fmt(cell) for cell in row) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
 
 
 def _out(config: SolverConfig, stem: str) -> Path:
@@ -108,9 +112,7 @@ def cmd_crossings(config: SolverConfig) -> int:
 def cmd_constants(config: SolverConfig) -> int:
     constants = compute_constants()
     path = Path(config.output_dir) / "constants.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(dataclasses.asdict(constants), indent=1,
-                               sort_keys=True) + "\n")
+    _write_json(path, dataclasses.asdict(constants))
     print(f"wrote {path}")
     return 0
 
@@ -151,9 +153,7 @@ def cmd_conjectures(config: SolverConfig) -> int:
         "all_passed": report.all_passed,
         "items": [dataclasses.asdict(item) for item in report.items],
     }
-    path = Path(config.output_dir) / "conjectures.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    _write_json(Path(config.output_dir) / "conjectures.json", payload)
     for item in report.items:
         status = "pass" if item.passed else "FAIL"
         print(f"{status}  {item.name}: extremal {item.extremal:.6g} "

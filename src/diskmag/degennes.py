@@ -67,14 +67,14 @@ class DeGennesConstants:
     c0_fit: float = math.nan
     lambda1_check: float = math.nan
 
-    def validate(self, const_tol: float = _CONST_TOL) -> None:
+    def validate(self) -> None:
         if not 0.0 < self.theta0 < 1.0 or not self.xi0 < 0.0:
             raise InvalidParams("constants out of theoretical range")
-        if abs(self.theta0 - self.xi0 ** 2) > const_tol:
+        if abs(self.theta0 - self.xi0 ** 2) > _CONST_TOL:
             raise InvalidParams(
                 f"Theta0 - xi0^2 = {self.theta0 - self.xi0**2:.2e} beyond tolerance")
         if math.isfinite(self.delta0_fit) \
-                and abs(self.delta0_fit - self.delta0_formula) > const_tol:
+                and abs(self.delta0_fit - self.delta0_formula) > _CONST_TOL:
             raise InvalidParams(
                 f"delta0 fit {self.delta0_fit:.6f} vs formula "
                 f"{self.delta0_formula:.6f} disagree")

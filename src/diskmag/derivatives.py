@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .crossings import CrossingPoint, crossing_by_system, crossings_range
+from .crossings import CrossingPoint, crossings_range
 from .degennes import DeGennesConstants
 from .errors import InsufficientData, InvalidParams
 from .richardson import HalfPowerSequence, richardson_iterate
@@ -55,18 +55,15 @@ def lambda_prime(n: int, beta: float, cross_check: bool = True) -> DerivativeRec
     return DerivativeRecord(n, beta, dlam, trace_sq, gap)
 
 
-def one_sided_derivatives(n: int, crossing: CrossingPoint | None = None,
-                          cross_check: bool = False) -> tuple[float, float]:
+def one_sided_derivatives(n: int, crossing: CrossingPoint) -> tuple[float, float]:
     """(lambda'_-, lambda'_+) of the ground-state envelope at beta_n.
 
     The left derivative is the outgoing branch lambda'(n, beta_n), the
     right one the incoming branch lambda'(n+1, beta_n); monotonicity of
     the envelope needs the right one positive.
     """
-    if crossing is None:
-        crossing = crossing_by_system(n)
-    left = lambda_prime(n, crossing.beta_n, cross_check).dlambda
-    right = lambda_prime(n + 1, crossing.beta_n, cross_check).dlambda
+    left = lambda_prime(n, crossing.beta_n, cross_check=False).dlambda
+    right = lambda_prime(n + 1, crossing.beta_n, cross_check=False).dlambda
     return left, right
 
 

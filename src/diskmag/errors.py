@@ -13,10 +13,6 @@ class NonConvergence(SolverError):
     """Series summation exceeded its term budget, or an eigensolve failed."""
 
 
-class QuadratureFailure(SolverError):
-    """Adaptive quadrature did not reach the requested tolerance."""
-
-
 class BracketFailure(SolverError):
     """No sign change found on the search interval."""
 

@@ -1,5 +1,9 @@
 """Confluent hypergeometric function M(a, b, z) in overflow-safe arithmetic.
 
+Values of M leave this module as (ln|M|, sign) pairs, since M(nu, n+1,
+beta/2) reaches ~e^422 at the largest crossing points, and ratios of M
+as ordinary floats.
+
 :func:`kummer_m` sums the ascending series, whose terms are positive for
 a >= 0, rescaled by powers of two so e^422 never overflows; for a < 0 it
 recurs down in a from a + ceil(-a) (DLMF 13.3.1; Gil, Segura & Temme,
@@ -26,7 +30,6 @@ import sys
 import numpy as np
 
 from .errors import InvalidParams, NonConvergence
-from .scaled import ScaledReal
 
 # the numpy path sums raw floats, safe while the sum stays below
 # exp(_RAW_LOG_CAP); the scalar loop rescales past _RESCALE_AT
@@ -172,21 +175,21 @@ def _descend(a: float, b: float, z: float) -> tuple[float, float, float]:
     return p, log_next - math.log(prod), err * _EPS
 
 
-def kummer_m(a: float, b: float, z: float) -> ScaledReal:
-    """M(a, b, z) as a ScaledReal: the series for a >= 0, else the
-    recurrence, M(a) = M(a+1) / (1 + p(a)), which may cross a zero of M
-    only in its last step."""
+def kummer_m(a: float, b: float, z: float) -> tuple[float, int]:
+    """(ln|M(a, b, z)|, sign of M(a, b, z)): the series for a >= 0, else
+    the recurrence, M(a) = M(a+1) / (1 + p(a)), which may cross a zero of
+    M only in its last step."""
     _check_args(a, b, z)
     if z == 0.0:
-        return ScaledReal(0.0, 1)
+        return 0.0, 1
     if a >= 0.0:
         total, exp2 = _series(a, b, z)
-        return ScaledReal(math.log(total) + exp2 * _LN2, 1)
+        return math.log(total) + exp2 * _LN2, 1
     p, log_next, err = _descend(a, b, z)
     q = 1.0 + p
     if not abs(p) * err <= _MAX_REL_ERR * abs(q) < math.inf:
         raise NonConvergence(f"M({a}, {b}, {z}): recurrence error bound {err:.1e}")
-    return ScaledReal(log_next - math.log(abs(q)), 1 if q > 0.0 else -1)
+    return log_next - math.log(abs(q)), 1 if q > 0.0 else -1
 
 
 def kummer_m_many(a: float, b: float, z) -> tuple[np.ndarray, np.ndarray]:
@@ -209,8 +212,7 @@ def kummer_m_many(a: float, b: float, z) -> tuple[np.ndarray, np.ndarray]:
                                       _numpy_count(float(z_rows.max())))
         log_m[rows[settled]] = np.log(total[settled])
     for i in np.flatnonzero(np.isnan(log_m)):
-        m = kummer_m(a, b, float(z[i]))
-        log_m[i], sign[i] = m.log_mag, m.sign
+        log_m[i], sign[i] = kummer_m(a, b, float(z[i]))
     return log_m, sign
 
 

@@ -7,7 +7,9 @@ boundary condition written through Kummer functions,
     (n+1)(n - x) M(nu, n+1, x) + 2 x nu M(nu+1, n+2, x) = 0,
     nu = (1 - eta)/2,  x = beta/2,
 
-whose residual is evaluated here in the O(1), overflow-free scaled form.
+whose residual :func:`neumann_residual` evaluates in the O(1),
+overflow-free scaled form; the crossing system of
+:mod:`diskmag.crossings` is the same residual at n and n+1.
 Between Dirichlet poles (zeros of M(nu, n+1, x) in eta) the residual
 strictly decreases in eta, and the Kummer ratio refuses every eta past
 the first pole, so a walk that uses only accepted values brackets the
@@ -94,8 +96,8 @@ def bessel_jnp_first_zero(n: int) -> float:
     return float(jnp_zeros(n, 1)[0])
 
 
-def boundary_residual(n: int, beta: float, eta_trial: float) -> float:
-    """Scaled Neumann boundary residual at trial ratio eta.
+def neumann_residual(n: int, x: float, nu: float) -> float:
+    """Scaled Neumann boundary residual of mode n at (x, nu).
 
     The raw condition is divided by (n+1) max(1, x) M(nu, n+1, x), which
     keeps the value O(1) and sign-accurate: below the first Dirichlet
@@ -103,15 +105,18 @@ def boundary_residual(n: int, beta: float, eta_trial: float) -> float:
     so the first sign change in eta is the ground state.  Past it the
     Kummer ratio raises NonConvergence.
     """
-    if beta <= 0.0:
-        raise InvalidParams("boundary residual needs beta > 0")
-    x = 0.5 * beta
-    nu = 0.5 * (1.0 - eta_trial)
     scale = max(1.0, x)
     if nu == 0.0:  # the eta = 1 bracket end, where the ratio (e^x - 1)/x overflows
         return (n - x) / scale
     ratio = kummer_ratio_shift_b(nu, n + 1.0, x)
     return (n - x) / scale + 2.0 * nu * x * ratio / ((n + 1.0) * scale)
+
+
+def boundary_residual(n: int, beta: float, eta_trial: float) -> float:
+    """:func:`neumann_residual` at x = beta/2, nu = (1 - eta)/2, beta > 0."""
+    if beta <= 0.0:
+        raise InvalidParams("boundary residual needs beta > 0")
+    return neumann_residual(n, 0.5 * beta, 0.5 * (1.0 - eta_trial))
 
 
 def _eta_scan_limit(n: int, beta: float) -> float:
@@ -223,8 +228,8 @@ def eigenfunction(point: EigenPoint) -> EigenfunctionHandle:
     top = float(log_vals.max())
     log_norm = top + math.log(float(np.sum(weights * np.exp(log_vals - top))))
 
-    m1 = kummer_m(nu, n + 1.0, 0.5 * beta)
-    trace = m1.sign * math.exp(-0.25 * beta + m1.log_mag - 0.5 * log_norm)
+    log_m1, sign1 = kummer_m(nu, n + 1.0, 0.5 * beta)
+    trace = sign1 * math.exp(-0.25 * beta + log_m1 - 0.5 * log_norm)
     return EigenfunctionHandle(
         point=point,
         boundary_trace=trace,

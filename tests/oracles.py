@@ -7,22 +7,92 @@ Kummer values, an ascending-series bisection for Bessel derivative
 zeros, and an RK4 shooting integrator for the half-line eigenvalue.
 fd_degennes_lambda takes the half-line FD eigenvalue through
 fd_degennes_eigen, a path apart from the one degennes.lambda_dg takes.
+ScaledReal is the log-magnitude arithmetic these oracles compute in;
+eta_prime restates lambda_prime for the field-normalized ratio eta.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from scipy.integrate import quad
 
 from diskmag import degennes
-from diskmag.errors import InvalidParams, QuadratureFailure
+from diskmag.derivatives import lambda_prime
+from diskmag.errors import InvalidParams, SolverError
 from diskmag.fd import Grid1D, fd_degennes_eigen, two_grid
 from diskmag.kummer import kummer_m
-from diskmag.scaled import ScaledReal
+from diskmag.spectrum import lowest_eigenvalue
 
 _QUAD_REL_TOL = 1e-12  # relative tolerance of each adaptive quadrature piece
+
+
+class QuadratureFailure(SolverError):
+    """Adaptive quadrature did not reach the requested tolerance."""
+
+
+@dataclass(frozen=True)
+class ScaledReal:
+    """A real number as (natural log of magnitude, sign).
+
+    Kummer values like M(nu, n+1, beta/2) reach magnitudes around e^422,
+    so raw doubles are one curve away from overflow; products, quotients
+    and ratios stay exact in the exponent for |log|x|| up to well beyond
+    1e6.  ``sign == 0`` iff ``log_mag == -inf`` (the encoding of zero).
+    """
+
+    log_mag: float
+    sign: int
+
+    def __post_init__(self) -> None:
+        if self.sign not in (-1, 0, 1):
+            raise ValueError(f"sign must be -1, 0 or 1, got {self.sign}")
+        if (self.sign == 0) != (self.log_mag == -math.inf):
+            raise ValueError("sign 0 must pair with log_mag -inf and vice versa")
+
+    @classmethod
+    def from_float(cls, x: float) -> "ScaledReal":
+        if x == 0.0:
+            return cls(-math.inf, 0)
+        return cls(math.log(abs(x)), 1 if x > 0 else -1)
+
+    @classmethod
+    def zero(cls) -> "ScaledReal":
+        return cls(-math.inf, 0)
+
+    def value(self) -> float:
+        """Back to an ordinary float; may overflow to inf by design."""
+        if self.sign == 0:
+            return 0.0
+        try:
+            return self.sign * math.exp(self.log_mag)
+        except OverflowError:
+            return self.sign * math.inf
+
+    def __mul__(self, other: "ScaledReal") -> "ScaledReal":
+        if self.sign == 0 or other.sign == 0:
+            return ScaledReal.zero()
+        return ScaledReal(self.log_mag + other.log_mag, self.sign * other.sign)
+
+    def __truediv__(self, other: "ScaledReal") -> "ScaledReal":
+        if other.sign == 0:
+            raise ZeroDivisionError("ScaledReal division by zero")
+        if self.sign == 0:
+            return ScaledReal.zero()
+        return ScaledReal(self.log_mag - other.log_mag, self.sign * other.sign)
+
+    def __neg__(self) -> "ScaledReal":
+        return ScaledReal(self.log_mag, -self.sign)
+
+    def ratio(self, other: "ScaledReal") -> float:
+        """self/other as an ordinary float (the safe way to leave log space)."""
+        return (self / other).value()
+
+    def scaled_by(self, factor: float) -> "ScaledReal":
+        """Multiply by an ordinary float."""
+        return self * ScaledReal.from_float(factor)
 
 
 def signed_sum(terms: list[ScaledReal]) -> float:
@@ -97,10 +167,10 @@ def check_recurrences(a: float, b: float, z: float) -> tuple[float, float]:
 
     Each residual is normalized by the largest participating term.
     """
-    m_ab = kummer_m(a, b, z)
-    m_ab1 = kummer_m(a, b + 1.0, z)
-    m_a1b1 = kummer_m(a + 1.0, b + 1.0, z)
-    m_a1b2 = kummer_m(a + 1.0, b + 2.0, z)
+    m_ab = ScaledReal(*kummer_m(a, b, z))
+    m_ab1 = ScaledReal(*kummer_m(a, b + 1.0, z))
+    m_a1b1 = ScaledReal(*kummer_m(a + 1.0, b + 1.0, z))
+    m_a1b2 = ScaledReal(*kummer_m(a + 1.0, b + 2.0, z))
     r1 = signed_sum([
         m_a1b2.scaled_by(z),
         m_a1b1.scaled_by(-(b + 1.0)),
@@ -112,6 +182,12 @@ def check_recurrences(a: float, b: float, z: float) -> tuple[float, float]:
         m_ab1.scaled_by(-(a - b)),
     ])
     return r1, r2
+
+
+def eta_prime(n: int, beta: float) -> float:
+    """d eta / d beta = (lambda'(n, beta) - eta) / beta, as lambda = beta eta."""
+    return (lambda_prime(n, beta, cross_check=False).dlambda
+            - lowest_eigenvalue(n, beta).eta) / beta
 
 
 def kummer_series_rational(a: Fraction, b: Fraction, z: Fraction,

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.optimize import minimize_scalar
 
-from diskmag.crossings import (crossing_by_curves, crossing_by_phi,
-                               crossing_by_system, eta_prime,
-                               interlacing_check, saint_james_beta)
-from diskmag.spectrum import lowest_eigenvalue
+from diskmag.crossings import (_system_residuals, crossing_by_curves,
+                               crossing_by_phi, crossing_by_system,
+                               saint_james_beta)
+from diskmag.spectrum import boundary_residual, lowest_eigenvalue
 
+from oracles import eta_prime
 from refdata import CROSSINGS
 
 
@@ -70,6 +71,18 @@ class TestKummerSystem:
         assert point.lambda_star == pytest.approx(
             point.beta_n * point.eta_star, rel=1e-15)
 
+    def test_system_is_the_eigenvalue_residual_at_n_and_n_plus_1(self):
+        # nu = (1 - eta)/2 and x = beta/2 are exact at these points, so the
+        # crossing system and the eigenvalue solve must agree bit for bit;
+        # (5, x = 2, nu = -0.25) is a beta <= 2n point with eta > 1
+        cases = [(n, x, nu, eta) for nu, eta in ((0.25, 0.5), (0.125, 0.75))
+                 for n in (0, 3, 20) for x in (1.5, 7.0, 40.0)]
+        cases.append((5, 2.0, -0.25, 1.5))
+        for n, x, nu, eta in cases:
+            assert _system_residuals(n, x, nu) == (
+                boundary_residual(n, 2.0 * x, eta),
+                boundary_residual(n + 1, 2.0 * x, eta))
+
 
 class TestImplicitEquation:
     def test_mode_two_ratio(self):
@@ -89,13 +102,16 @@ class TestImplicitEquation:
 
 class TestInterlacing:
     def test_derivative_signs_at_first_crossing(self):
-        left, right = interlacing_check(0)
+        # eta'(n, beta_n) > 0 > eta'(n+1, beta_n) forces
+        # beta_min(n) < beta_n < beta_min(n+1)
+        beta = crossing_by_system(0).beta_n
+        left, right = eta_prime(0, beta), eta_prime(1, beta)
         assert left > 0.0 > right
 
     def test_signs_follow_the_closed_form(self):
         point = crossing_by_system(6)
         x_star = 0.5 * point.beta_n
-        left, right = interlacing_check(6, crossing=point)
+        left, right = eta_prime(6, point.beta_n), eta_prime(7, point.beta_n)
         assert math.copysign(1.0, left) == math.copysign(1.0, x_star - 6.0)
         assert math.copysign(1.0, right) == math.copysign(1.0, 7.0 - x_star)
 

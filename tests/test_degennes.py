@@ -63,7 +63,7 @@ class TestMinimization:
         bad = DeGennesConstants(theta0=0.6, xi0=-0.7, c1=0.25, u0_trace=0.87,
                                 delta0_formula=0.16)
         with pytest.raises(InvalidParams):
-            bad.validate(1e-5)
+            bad.validate()
 
 
 class TestStationarity:

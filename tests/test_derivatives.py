@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from diskmag.crossings import eta_prime
 from diskmag.derivatives import (conjecture_scan, derivative_limits_check,
                                  lambda_prime, one_sided_chain,
                                  one_sided_derivatives)
 from diskmag.errors import InsufficientData, InvalidParams
 
+from oracles import eta_prime
 from refdata import CROSSINGS, DERIVATIVES
 
 

@@ -9,7 +9,7 @@ from diskmag.errors import InvalidParams, NonConvergence, TruncationWarning
 from diskmag.fd import (Grid1D, TridiagSystem, assemble_degennes_system,
                         assemble_disk_system, fd_degennes_eigen,
                         fd_disk_eigen, fd_disk_lambda, solve_smallest)
-from diskmag.spectrum import bessel_jnp_first_zero
+from diskmag.spectrum import bessel_jnp_first_zero, lowest_eigenvalue
 
 from oracles import fd_degennes_lambda, shooting_halfline_eigenvalue
 from refdata import CROSSINGS, THETA0, XI0, XI0_HP
@@ -89,6 +89,13 @@ class TestDisk:
     def test_grid_must_span_unit_interval(self):
         with pytest.raises(InvalidParams):
             assemble_disk_system(1, 1.0, Grid1D(0.0, 2.0, 64))
+
+    def test_small_field_error_is_absolute(self):
+        # lambda(0, beta) ~ beta^2/8, but the FD error stays ~5e-9 absolute
+        # (3e-9 at beta = 1e-3, a 2.4 % relative error there)
+        for beta in (1e-3, 1e-2, 0.1, 1.0):
+            exact = lowest_eigenvalue(0, beta).lam
+            assert abs(fd_disk_lambda(0, beta) - exact) <= 1e-8
 
 
 class TestHalfLine:

