@@ -1,6 +1,5 @@
 """Spectral toolkit for the magnetic Neumann Laplacian on the unit disk."""
 
-from .config import DEFAULT_CONFIG, SolverConfig, load_config
 from .crossings import (CrossingPoint, crossing_by_curves, crossing_by_phi,
                         crossing_by_system, crossings_range, saint_james_beta)
 from .degennes import DeGennesConstants, compute_constants
@@ -8,7 +7,6 @@ from .derivatives import conjecture_scan, lambda_prime, one_sided_derivatives
 from .spectrum import EigenPoint, ground_state, lowest_eigenvalue
 
 __all__ = [
-    "DEFAULT_CONFIG", "SolverConfig", "load_config",
     "CrossingPoint", "crossing_by_curves", "crossing_by_phi",
     "crossing_by_system", "crossings_range", "saint_james_beta",
     "DeGennesConstants", "compute_constants",

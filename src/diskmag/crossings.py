@@ -135,12 +135,9 @@ def crossing_by_system(n: int,
                 break
             step *= 0.5
         else:
-            if norm < _NEWTON_TOL:
-                break  # stagnated at the residual's noise floor: done
-            return crossing_by_curves(n)
-    else:
-        if norm >= _NEWTON_TOL:
-            return crossing_by_curves(n)
+            break  # no step lowers the norm: stagnated or diverging
+    if norm >= _NEWTON_TOL:
+        return crossing_by_curves(n)
     return _make_point(n, x, nu, "kummer_system")
 
 

@@ -126,6 +126,10 @@ def _eta_scan_limit(n: int, beta: float) -> float:
 
 @lru_cache(maxsize=None)
 def _lowest_eigenvalue_cached(n: int, beta: float) -> EigenPoint:
+    if n < 0:
+        raise InvalidParams(f"angular mode n={n} must be >= 0")
+    if not 0.0 <= beta < math.inf:
+        raise InvalidParams(f"beta={beta} must be finite and >= 0")
     if beta == 0.0:
         lam = 0.0 if n == 0 else bessel_jnp_first_zero(n) ** 2
         return EigenPoint(n, 0.0, lam, math.nan)
@@ -179,7 +183,8 @@ def lowest_eigenvalue(n: int, beta: float) -> EigenPoint:
     holding one root and no pole.  Raises BracketFailure past the cap
     1.05 j'_{n,1}^2 / beta + 5, and NonConvergence, chained from the
     last refusal, once the step falls below that tolerance (seen at
-    beta <= 1 with eta >~ 8e4: (200, 0.5), (350, 1)).  Results are memoized.
+    beta <= 1 with eta >~ 8e4: (200, 0.5), (350, 1)).  Raises InvalidParams
+    for n < 0 and for beta < 0 or not finite.  Results are memoized.
     """
     return _lowest_eigenvalue_cached(int(n), float(beta))
 

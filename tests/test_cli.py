@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from diskmag import cli
+
 from refdata import CROSSINGS, THETA0
 
 
@@ -21,6 +23,15 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
     return run_python("-m", "diskmag", *args)
+
+
+def usage_error(capsys, *args: str) -> str:
+    """Run ``cli.main`` in process on arguments it must refuse with exit
+    code 3; return what it wrote to stderr."""
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(list(args))
+    assert exit_info.value.code == 3
+    return capsys.readouterr().err
 
 
 def test_import_skips_scipy_optimize_and_integrate():
@@ -42,9 +53,23 @@ def test_unknown_command_exits_three():
     assert run_cli("frobnicate").returncode == 3
 
 
-def test_malformed_beta_grid_exits_three():
-    assert run_cli("curves", "--beta-grid", "1:2").returncode == 3
-    assert run_cli("curves", "--beta-grid", "3:1:1").returncode == 3
+def test_malformed_beta_grid_exits_three(capsys):
+    for spec in ("1:2", "3:1:1", "nan:1:1", "0.5:inf:1", "-5:10:5"):
+        err = usage_error(capsys, "curves", f"--beta-grid={spec}")
+        assert "--beta-grid" in err and "Traceback" not in err, spec
+
+
+@pytest.mark.parametrize("spec, count, last", [
+    ("0.5:60:0.5", 120, 60.0), ("5:900:5", 180, 900.0),
+    ("0.5:900:0.5", 1800, 900.0), ("0.1:0.7:0.2", 4, 0.1 + 3 * 0.2),
+    ("0.5:1:0.3", 2, 0.8), ("60.5:900:20", 42, 880.5)])
+def test_beta_grid_stops_at_stop(spec, count, last):
+    # START + i STEP for every i that does not pass STOP by more than
+    # rounding: 60.5:900:20 once ran on to 900.5 and 0.5:1:0.3 to 1.1
+    betas = cli.build_parser().parse_args(["curves", "--beta-grid", spec]).beta_grid
+    start, _, step = (float(p) for p in spec.split(":"))
+    assert betas == [start + i * step for i in range(count)]
+    assert betas[-1] == last
 
 
 def test_crossings_outputs(tmp_path: Path):
@@ -174,8 +199,6 @@ def test_conjectures_single_crossing_exits_one(tmp_path: Path):
 
 def test_conjecture_failure_exit_code(tmp_path: Path, monkeypatch):
     # a failing scan item must surface as exit code 2 for CI use
-    from diskmag import cli
-    from diskmag.config import SolverConfig
     from diskmag.derivatives import ConjectureReport, ScanItem
 
     failing = ConjectureReport((
@@ -184,28 +207,30 @@ def test_conjecture_failure_exit_code(tmp_path: Path, monkeypatch):
     ))
     monkeypatch.setattr(cli, "conjecture_scan",
                         lambda *args, **kwargs: failing)
-    config = SolverConfig(n_max=1, beta_grid_spec=(1.0, 3.0, 1.0),
-                          output_dir=str(tmp_path))
-    assert cli.cmd_conjectures(config) == 2
+    assert cli.main(["conjectures", "--n-max", "1", "--beta-grid", "1:3:1",
+                     "--output-dir", str(tmp_path)]) == 2
     payload = json.loads((tmp_path / "conjectures.json").read_text())
     assert payload["all_passed"] is False
 
 
 def test_config_file_with_flag_override(tmp_path: Path):
-    cfg = tmp_path / "solver.cfg"
-    cfg.write_text("n_max = 2\noutput_dir = IGNORED\n# comment\n")
+    opts = tmp_path / "opts.txt"
+    opts.write_text(f"--n-max 2\n\n--output-dir {tmp_path / 'IGNORED'}\n")
     out_dir = tmp_path / "out"
-    out = run_cli("crossings", "--config", str(cfg),
-                  "--output-dir", str(out_dir))
-    assert out.returncode == 0, out.stderr
+    assert cli.main(["crossings", f"@{opts}", "--output-dir", str(out_dir)]) == 0
     lines = (out_dir / "table1_crossings.csv").read_text().splitlines()
     assert len(lines) == 4  # n_max from file, output dir from flag
+    assert not (tmp_path / "IGNORED").exists()
 
 
-def test_bad_config_key_exits_three(tmp_path: Path):
-    cfg = tmp_path / "solver.cfg"
-    cfg.write_text("no_such_knob = 3\n")
-    assert run_cli("crossings", "--config", str(cfg)).returncode == 3
+def test_bad_config_key_exits_three(tmp_path: Path, capsys):
+    opts = tmp_path / "opts.txt"
+    opts.write_text("--no-such-knob=3\n")
+    assert "--no-such-knob" in usage_error(capsys, "crossings", f"@{opts}")
+
+
+def test_missing_option_file_exits_three(tmp_path: Path, capsys):
+    assert "gone.txt" in usage_error(capsys, "crossings", f"@{tmp_path / 'gone.txt'}")
 
 
 REMOVED_KEYS = [("eta_scan_step", "0.02"), ("eig_rel_tol", "1e-13"),
@@ -218,15 +243,22 @@ REMOVED_KEYS = [("eta_scan_step", "0.02"), ("eig_rel_tol", "1e-13"),
 
 @pytest.mark.parametrize("key, value", REMOVED_KEYS,
                          ids=[key for key, _ in REMOVED_KEYS])
-def test_removed_scan_step_key_exits_three(tmp_path: Path, key, value):
-    # none is a config key any more: the scan step, the ground-state tie
-    # margin and every tolerance, budget and grid size are constants of
-    # the module that uses them
-    cfg = tmp_path / "solver.cfg"
-    cfg.write_text(f"{key} = {value}\n")
-    out = run_cli("crossings", "--config", str(cfg))
+def test_removed_scan_step_key_exits_three(tmp_path: Path, capsys, key, value):
+    # none is a run option: the scan step, the ground-state tie margin
+    # and every tolerance, budget and grid size are constants of the
+    # module that uses them
+    flag = "--" + key.replace("_", "-")
+    opts = tmp_path / "opts.txt"
+    opts.write_text(f"{flag} {value}\n")
+    assert flag in usage_error(capsys, "crossings", f"@{opts}")
+
+
+def test_option_file_exit_code_in_a_process(tmp_path: Path):
+    opts = tmp_path / "opts.txt"
+    opts.write_text("--n-max 2\n--eta-scan-step 0.02\n")
+    out = run_cli("crossings", f"@{opts}", "--output-dir", str(tmp_path))
     assert out.returncode == 3
-    assert key in out.stderr
+    assert "--eta-scan-step" in out.stderr
 
 
 def test_one_crossing_pass_per_process(tmp_path: Path, capsys, monkeypatch):

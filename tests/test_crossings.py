@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.optimize import minimize_scalar
 
+import diskmag.crossings as crossings
 from diskmag.crossings import (_system_residuals, crossing_by_curves,
                                crossing_by_phi, crossing_by_system,
                                saint_james_beta)
@@ -70,6 +71,23 @@ class TestKummerSystem:
         point = crossing_by_system(4)
         assert point.lambda_star == pytest.approx(
             point.beta_n * point.eta_star, rel=1e-15)
+
+    def test_capped_iteration_falls_back_to_curves(self, monkeypatch):
+        monkeypatch.setattr(crossings, "_NEWTON_MAX_ITER", 0)
+        point = crossing_by_system(3)
+        assert point.method == "curve_intersection"
+        assert point.beta_n == crossing_by_curves(3).beta_n
+
+    def test_failed_step_halving_falls_back_to_curves(self, monkeypatch):
+        # every Newton step raises the norm |x - x0| + |nu - nu0| + 1
+        x0, nu0 = 4.0, 0.3
+        monkeypatch.setattr(crossings, "_system_residuals", lambda n, x, nu: (
+            1.0 + abs(x - x0), 1.0 + abs(nu - nu0)))
+        curves_calls = []
+        monkeypatch.setattr(crossings, "crossing_by_curves",
+                            lambda n: curves_calls.append(n) or "curves")
+        assert crossing_by_system(3, seed=(x0, nu0)) == "curves"
+        assert curves_calls == [3]
 
     def test_system_is_the_eigenvalue_residual_at_n_and_n_plus_1(self):
         # nu = (1 - eta)/2 and x = beta/2 are exact at these points, so the

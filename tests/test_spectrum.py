@@ -94,6 +94,13 @@ class TestLowestEigenvalue:
         with pytest.raises(InvalidParams):
             EigenPoint(-1, 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("n, beta, name", [
+        (0, -5.0, "beta"), (0, math.nan, "beta"), (-1, 5.0, "n"),
+        (3, math.nan, "beta"), (3, math.inf, "beta"), (0, math.inf, "beta")])
+    def test_rejects_bad_arguments_by_name(self, n, beta, name):
+        with pytest.raises(InvalidParams, match=rf"\b{name}="):
+            lowest_eigenvalue(n, beta)
+
     def test_bracket_failure_when_scan_range_exhausted(self, monkeypatch):
         # eta(5, 1) ~ 36; a ceiling of 1 cannot bracket it, and for
         # beta < 2n there is no root below 1 either
