@@ -159,8 +159,8 @@ def crossing_by_curves(n: int) -> CrossingPoint:
             f"crossing bracket sign pattern violated at n={n} "
             f"(gap({lo:.3f})={gap(lo):.3e}, gap({hi:.3f})={gap(hi):.3e})")
     beta = brent_root(gap, lo, hi, xtol=1e-100)
-    eta = lowest_eigenvalue(n, beta).eta
-    return _make_point(n, 0.5 * beta, 0.5 * (1.0 - eta), "curve_intersection")
+    return _make_point(n, 0.5 * beta, lowest_eigenvalue(n, beta).nu,
+                       "curve_intersection")
 
 
 def _x_of_nu(n: int, nu: float) -> float:

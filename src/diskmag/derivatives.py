@@ -41,7 +41,10 @@ class DerivativeRecord:
 
 
 def lambda_prime(n: int, beta: float, cross_check: bool = True) -> DerivativeRecord:
-    """Feynman-Hellmann derivative of lambda(n, .) at beta."""
+    """Feynman-Hellmann derivative of lambda(n, .) at beta.
+
+    The trace is the eigenfunction's at the point's own nu, which at
+    beta > 2n lies below the resolution of 1 - eta (3.8e-42 at (0, 200))."""
     point = lowest_eigenvalue(n, beta)
     trace_sq = eigenfunction(point).boundary_trace ** 2
     dlam = point.lam / beta \

@@ -7,6 +7,11 @@ Kummer values, an ascending-series bisection for Bessel derivative
 zeros, and an RK4 shooting integrator for the half-line eigenvalue.
 fd_degennes_lambda takes the half-line FD eigenvalue through
 fd_degennes_eigen, a path apart from the one degennes.lambda_dg takes.
+For beta > 2n, nu_root_mp roots the Neumann condition in mpmath with M
+in the 2F2 form, which stays right at the tiny nu where mpmath's hyp1f1
+does not; boundary_trace_quadrature normalizes the eigenfunction at a
+given nu on a uniform mesh, and fd_boundary_trace takes the trace from
+the two-grid FD eigenvector.
 ScaledReal is the log-magnitude arithmetic these oracles compute in;
 eta_prime restates lambda_prime for the field-normalized ratio eta.
 """
@@ -16,13 +21,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
+import mpmath
+import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
 from diskmag import degennes
 from diskmag.derivatives import lambda_prime
 from diskmag.errors import InvalidParams, SolverError
-from diskmag.fd import Grid1D, fd_degennes_eigen, two_grid
+from diskmag.fd import Grid1D, fd_degennes_eigen, fd_disk_eigen, two_grid
 from diskmag.kummer import kummer_m
 from diskmag.spectrum import lowest_eigenvalue
 
@@ -285,3 +294,74 @@ def fd_degennes_lambda(xi: float, L: float = degennes._L,
     (count, 2*count-1); the defaults are the grid pair of
     :func:`diskmag.degennes.lambda_dg`."""
     return two_grid(lambda g: fd_degennes_eigen(xi, L, g)[0], Grid1D(0.0, L, count))
+
+
+def kummer_m_2f2(a, b, z):
+    """M(a, b, z) = 1 + a (z/b) 2F2(a+1, 1; b+1, 2; z) in mpmath.
+
+    mpmath's hyp1f1(a, b, z) is wrong at tiny |a| and large z (its root
+    of the Neumann condition equals the frozen-ratio seed at beta >= 500);
+    this form carries the a-dependence as a factor."""
+    return 1 + a * (z / b) * mpmath.hyp2f2(a + 1, 1, b + 1, 2, z)
+
+
+@lru_cache(maxsize=None)
+def nu_root_mp(n: int, beta: float, dps: int = 50):
+    """nu* of the Neumann condition at beta > 2n to ``dps`` digits (mpf).
+
+    Roots 1 - (x - n)(n+1) M(nu, n+1, x) / (2 x nu M(nu+1, n+2, x)), which
+    rises with t = ln nu, by Anderson-Bjorck in t on a bracket around the
+    root with both M frozen at nu = 0, checked by sign, and requires the
+    residual at the root below 10^(10 - dps)."""
+    with mpmath.workdps(dps):
+        x = mpmath.mpf(beta) / 2
+
+        def rho(t):
+            nu = mpmath.exp(t)
+            return 1 + (n + 1) * (n - x) * kummer_m_2f2(nu, n + 1, x) / (
+                2 * x * nu * mpmath.hyp1f1(nu + 1, n + 2, x))
+
+        t1 = mpmath.log((x - n) * (n + 1) / (2 * x * mpmath.hyp1f1(1, n + 2, x)))
+        lo, hi = t1 - 1, t1 + 2
+        if not rho(lo) < 0 < rho(hi):
+            raise AssertionError(f"no sign change of the Neumann residual "
+                                 f"around nu = {mpmath.exp(t1)} at {(n, beta)}")
+        t = mpmath.findroot(rho, (lo, hi), solver="anderson", verify=False)
+        if not abs(rho(t)) < mpmath.mpf(10) ** (10 - dps):
+            raise AssertionError(f"nu root at {(n, beta)} not converged")
+        return mpmath.exp(t)
+
+
+def boundary_trace_quadrature(n: int, beta: float, nu: float,
+                              cells: int = 200) -> float:
+    """f(1) / ||f|| for f(r) = r^n e^{-beta r^2/4} M(nu, n+1, beta r^2/2).
+
+    M takes the 2F2 form, 1 + nu (z/b) F with F = 2F2(nu+1, 1; b+1, 2; z)
+    summed in float64 at every node as one positive-term series (z <= 700),
+    and the norm integral ||f||^2 = int f^2 r dr is 12-point Gauss-Legendre
+    on ``cells`` equal cells of [0, 1], in log space."""
+    b = n + 1.0
+    nodes, weights = leggauss(12)
+    edges = np.linspace(0.0, 1.0, cells + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    rad = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    r = np.append((mid + rad * nodes).ravel(), 1.0)
+    z = 0.5 * beta * r * r
+    term, total = np.ones_like(z), np.ones_like(z)
+    for k in range(int(z.max() + 20.0 * math.sqrt(z.max()) + 100.0)):
+        term *= (nu + 1.0 + k) * z / ((b + 1.0 + k) * (k + 2.0))
+        total += term
+    log_m = np.log1p(nu * z / b * total)
+    log_f = n * np.log(r) - 0.25 * beta * r * r + log_m
+    log_sq = 2.0 * log_f[:-1] + np.log(r[:-1])
+    top = log_sq.max()
+    log_norm = top + math.log(float(np.sum((rad * weights).ravel()
+                                           * np.exp(log_sq - top))))
+    return math.exp(log_f[-1] - 0.5 * log_norm)
+
+
+def fd_boundary_trace(n: int, beta: float, count: int = 4001) -> float:
+    """r = 1 entry of the FD eigenvector, Richardson-combined over the grids
+    (count, 2 count - 1): normalized and sign-fixed by fd_disk_eigen."""
+    return float(two_grid(lambda g: fd_disk_eigen(n, beta, g)[1][-1],
+                          Grid1D(0.0, 1.0, count)))

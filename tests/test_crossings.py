@@ -97,9 +97,10 @@ class TestKummerSystem:
                  for n in (0, 3, 20) for x in (1.5, 7.0, 40.0)]
         cases.append((5, 2.0, -0.25, 1.5))
         for n, x, nu, eta in cases:
+            assert nu == 0.5 * (1.0 - eta)
             assert _system_residuals(n, x, nu) == (
-                boundary_residual(n, 2.0 * x, eta),
-                boundary_residual(n + 1, 2.0 * x, eta))
+                boundary_residual(n, 2.0 * x, nu),
+                boundary_residual(n + 1, 2.0 * x, nu))
 
 
 class TestImplicitEquation:

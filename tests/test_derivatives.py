@@ -39,6 +39,16 @@ class TestLambdaPrime:
         assert record.boundary_trace_sq > 0.0
         assert math.isnan(record.fh_vs_fd_gap)
 
+    @pytest.mark.parametrize("n,beta", [
+        (0, 150.0), (0, 200.0), (10, 200.0), (20, 400.0), (30, 300.0),
+        (0, 900.0)])
+    def test_matches_central_difference_past_double_mode(self, n, beta):
+        # nu* = 2e-31 .. 2e-193 here; with nu taken from 1 - eta (~2e-16)
+        # the trace was ~14 at (0, 200) and lambda' 4 801
+        record = lambda_prime(n, beta)
+        assert record.fh_vs_fd_gap <= 1e-6
+        assert record.boundary_trace_sq < 1e-20
+
 
 class TestOneSided:
     def test_reference_values(self, crossings400):

@@ -58,10 +58,16 @@ def recorded(monkeypatch):
 class TestMatchesBrentq:
     @pytest.mark.parametrize("n,beta", [(5, 40.0), (20, 0.5), (400, 10.0)])
     def test_eta_residual(self, n, beta, recorded):
+        # beta <= 2n solves in eta; beta > 2n, as at (5, 40), in u = ln nu
         point = spectrum._lowest_eigenvalue_cached.__wrapped__(n, beta)
         [(f, a, b, xtol, root)] = recorded
         assert xtol == 1e-100
-        assert assert_same_as_brentq(f, a, b, xtol) == root == point.eta
+        assert assert_same_as_brentq(f, a, b, xtol) == root
+        if beta > 2 * n:
+            assert point.nu == math.exp(root)
+            assert point.eta == 1.0 - 2.0 * point.nu
+        else:
+            assert root == point.eta
 
     @pytest.mark.parametrize("n", [3, 50])
     def test_crossing_gap_and_phi(self, n, recorded):

@@ -16,23 +16,30 @@ from diskmag.spectrum import (EigenPoint, bessel_jnp_first_zero,
                               boundary_residual, eigenfunction, ground_state,
                               lowest_eigenvalue)
 
-from oracles import bessel_jnp_first_zero_bisect
+from oracles import (bessel_jnp_first_zero_bisect, boundary_trace_quadrature,
+                     fd_boundary_trace, nu_root_mp)
 from refdata import CROSSINGS
+
+_EPS = np.finfo(float).eps
 
 
 class TestBoundaryResidual:
     def test_vanishes_on_reference_rows(self):
         for n in (0, 1):
             beta, eta = CROSSINGS[n]
-            assert abs(boundary_residual(n, beta, eta)) < 1e-10
+            assert abs(boundary_residual(n, beta, 0.5 * (1.0 - eta))) < 1e-10
 
     def test_sign_pattern_around_ground_state(self):
         # characteristic test: the finite-difference eigenvalue splits the
         # eta axis into residual-positive below and residual-negative above
         eta_fd = fd_disk_lambda(0, 1.0, 2001) / 1.0
-        assert boundary_residual(0, 1.0, 0.01) > 0.0
-        assert boundary_residual(0, 1.0, eta_fd - 0.05) > 0.0
-        assert boundary_residual(0, 1.0, eta_fd + 0.05) < 0.0
+
+        def residual(eta):
+            return boundary_residual(0, 1.0, 0.5 * (1.0 - eta))
+
+        assert residual(0.01) > 0.0
+        assert residual(eta_fd - 0.05) > 0.0
+        assert residual(eta_fd + 0.05) < 0.0
 
     def test_requires_positive_beta(self):
         with pytest.raises(InvalidParams):
@@ -55,7 +62,7 @@ class TestBoundaryResidual:
         assert d2 == pytest.approx(d2_guess, rel=1e-4)
         for eta in np.linspace(d1, d1 + 4.0 * (d2 - d1), 302)[1:-1]:
             with pytest.raises(NonConvergence):
-                boundary_residual(n, beta, float(eta))
+                boundary_residual(n, beta, 0.5 * (1.0 - float(eta)))
 
 
 class TestLowestEigenvalue:
@@ -112,6 +119,27 @@ class TestLowestEigenvalue:
     def test_bracket_walk_work_count(self, n, beta, monkeypatch):
         # the fixed 0.02 scan took 9 375 and 24 053 residual evaluations
         # at (20, 0.5) and (400, 10)
+        assert 0 < len(self._residual_calls(n, beta, monkeypatch)) <= 40
+
+    @pytest.mark.parametrize("n,beta", [
+        *((n, beta) for n in (0, 10, 20) for beta in (45.0, 80.0, 200.0,
+                                                       500.0, 900.0)),
+        *((n, 2.0 * n + 1e-9) for n in (0, 10, 20, 400))])
+    def test_log_nu_solve_work_count(self, n, beta, monkeypatch):
+        # the eta solve on [0, 1] took 53 residual evaluations wherever nu*
+        # is below eta's resolution (from beta ~ 80 at n = 0)
+        assert len(self._residual_calls(n, beta, monkeypatch)) <= 15
+
+    @pytest.mark.parametrize("n", [0, 100, 400])
+    def test_log_nu_solve_work_count_at_crossing(self, n, monkeypatch):
+        # (n+1, beta_n): the incoming branch, nu* ~ 0.2, where the eta
+        # solve on [0, 1] took 8-9, and the ln nu solve must cost no more
+        calls = self._residual_calls(n + 1, CROSSINGS[n][0], monkeypatch)
+        assert len(calls) <= 10
+
+    @staticmethod
+    def _residual_calls(n, beta, monkeypatch):
+        """Arguments of every boundary_residual call of one uncached solve."""
         calls = []
         residual = spectrum.boundary_residual
 
@@ -121,7 +149,24 @@ class TestLowestEigenvalue:
 
         monkeypatch.setattr(spectrum, "boundary_residual", counted)
         spectrum._lowest_eigenvalue_cached.__wrapped__(n, beta)
-        assert 0 < len(calls) <= 40
+        return calls
+
+    # nu* from 1.9e-2 down to 1.7e-193
+    @pytest.mark.parametrize("n,beta", [
+        (0, 12.0), (2, 30.0), (5, 40.0), (0, 40.0), (3, 60.0), (0, 80.0),
+        (10, 200.0), (0, 200.0), (0, 500.0), (20, 900.0), (0, 900.0)])
+    def test_log_nu_solve_against_50_digit_root(self, n, beta):
+        point = lowest_eigenvalue(n, beta)
+        nu = nu_root_mp(n, beta)
+        with mpmath.workdps(50):
+            eta = 1 - 2 * nu
+            assert abs(point.eta - eta) <= 4 * _EPS
+            if nu < mpmath.mpf("1e-17"):
+                assert point.eta == float(eta)  # correctly rounded
+            # brent_root's tolerance 4 eps |u| in u = ln nu
+            assert abs(point.nu - nu) <= 4 * _EPS * (1 - mpmath.log(nu)) * nu
+        assert point.eta == 1.0 - 2.0 * point.nu
+        assert point.lam == beta * point.eta
 
     def test_refusal_raises_fast(self):
         # at eta ~ 1.6e5 the recurrence's error bound refuses every trial
@@ -166,7 +211,7 @@ def mp_boundary_trace(point):
     n, pieces = point.n, 120
     with mpmath.workdps(30):
         beta = mpmath.mpf(point.beta)
-        nu = (1 - mpmath.mpf(point.eta)) / 2
+        nu = mpmath.mpf(point.nu)
 
         def f(r):
             return (r ** n * mpmath.exp(-beta * r * r / 4)
@@ -249,10 +294,34 @@ class TestEigenfunction:
         _, vec = fd_disk_eigen(5, beta, Grid1D(0.0, 1.0, 8001))
         assert trace == pytest.approx(vec[-1], rel=1e-4)
 
+    # (n, beta) past beta = 2n, nu* from 0.2 down to 1.7e-193 (traces 2 .. 1e-96)
+    @pytest.mark.parametrize("n,beta", [
+        (10, 30.0), (5, 40.0), (0, 40.0), (3, 60.0), (0, 80.0), (0, 150.0),
+        (0, 200.0), (10, 200.0), (30, 300.0), (20, 400.0), (0, 500.0),
+        (0, 900.0)])
+    def test_boundary_trace_past_double_mode_against_quadrature(self, n, beta):
+        # nu from the 50-digit root, the norm on a uniform mesh; the graded
+        # mesh once left the bulk of (0, 500) on a few coarse cells (5e-7)
+        trace = eigenfunction(lowest_eigenvalue(n, beta)).boundary_trace
+        oracle = boundary_trace_quadrature(n, beta, float(nu_root_mp(n, beta)))
+        assert trace == pytest.approx(oracle, rel=1e-12)
+
+    @pytest.mark.parametrize("n,beta,rel", [
+        (10, 30.0, 1e-9), (5, 40.0, 1e-9), (0, 40.0, 1e-9), (3, 60.0, 1e-9),
+        (0, 80.0, 1e-9), (0, 150.0, 1e-7), (0, 200.0, 1e-7), (10, 200.0, 1e-7),
+        (30, 300.0, 1e-7), (20, 400.0, 2e-6)])
+    def test_boundary_trace_past_double_mode_against_fd(self, n, beta, rel):
+        # the two-grid FD trace's error grows as the trace falls toward the
+        # FD vector's ~1e-40 absolute noise: 2e-10 relative at traces down to
+        # 4e-8, 4e-8 at 5e-21 (0, 200), 8e-7 at 1e-28 (20, 400); at (0, 500)
+        # and (0, 900), traces 2e-53 and 1e-96, FD says nothing
+        trace = eigenfunction(lowest_eigenvalue(n, beta)).boundary_trace
+        assert trace == pytest.approx(fd_boundary_trace(n, beta), rel=rel)
+
     def test_neumann_condition_residual(self):
         beta = 12.5
         point = lowest_eigenvalue(4, beta)
-        assert abs(boundary_residual(4, beta, point.eta)) < 1e-11
+        assert abs(boundary_residual(4, beta, point.nu)) < 1e-11
 
 
 class TestGroundState:
