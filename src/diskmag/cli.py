@@ -151,8 +151,7 @@ def cmd_derivatives(args: argparse.Namespace) -> int:
     rows_wanted = [n for n in TABLE4_ROWS if n <= args.n_max]
     indices = set(rows_wanted) | {n * 2 ** k for n in rows_wanted for k in range(5)
                                   if n >= 1 and 16 * n <= args.n_max}
-    left, right, r4_left, r4_right = (
-        seq.as_dict() for seq in one_sided_chain(indices, args.n_max))
+    left, right, r4_left, r4_right = one_sided_chain(indices, args.n_max)
     points = crossings_range(args.n_max)
     rows = [[n, points[n].beta_n, left[n], right[n],
              r4_left.get(n), r4_right.get(n)] for n in rows_wanted]
@@ -166,8 +165,8 @@ def cmd_derivatives(args: argparse.Namespace) -> int:
 
 def cmd_richardson(args: argparse.Namespace) -> int:
     points = crossings_range(args.n_max)
-    gammas = gamma_sequence(points).as_dict()
-    r4 = r4_gamma(points).as_dict() if args.n_max >= 32 else {}
+    gammas = gamma_sequence(points)
+    r4 = r4_gamma(points)
     rows = [[n, g, r4.get(n)] for n, g in sorted(gammas.items())]
     _write_table(_out(args, "table2_gaps"), ["n", "gamma", "r4_gamma"],
                  rows, args.format)

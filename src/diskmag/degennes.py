@@ -169,6 +169,12 @@ def lambda_dg(xi: float) -> float:
     return _combine(_solve_pair(xi), lambda s: s.lam0)
 
 
+def stationarity(xi: float) -> float:
+    """<u0, (t+xi) u0> = (1/2) d lambda_dg / d xi at shift xi: the
+    functional whose root is xi0."""
+    return _combine(_solve_pair(xi), _GridSolve.stationarity)
+
+
 @lru_cache(maxsize=None)  # constants and the theta0 references share one root
 def minimize_theta0() -> DeGennesConstants:
     """Root xi0 of the stationarity functional; fills theta0, xi0, u0(0),
@@ -182,9 +188,7 @@ def minimize_theta0() -> DeGennesConstants:
     sign change on the bracket.
     """
     try:
-        xi0 = brent_root(lambda xi: _combine(_solve_pair(xi),
-                                             _GridSolve.stationarity),
-                         *_XI_BRACKET, xtol=1e-12)
+        xi0 = brent_root(stationarity, *_XI_BRACKET, xtol=1e-12)
     except BracketFailure as exc:
         raise BracketFailure(
             f"stationarity has no sign change on {_XI_BRACKET}") from exc
@@ -210,13 +214,6 @@ def _derivative(u: np.ndarray, h: float) -> np.ndarray:
     du[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * h)
     du[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h)
     return du
-
-
-def stationarity_check(constants: DeGennesConstants,
-                       xi: float | None = None) -> float:
-    """<u0, (t+xi) u0>: vanishes at xi0 by first-order stationarity."""
-    xi = constants.xi0 if xi is None else xi
-    return _combine(_solve_pair(xi), _GridSolve.stationarity)
 
 
 def lambda1_check(constants: DeGennesConstants, delta: float = 0.0) -> float:

@@ -19,9 +19,8 @@ import math
 from dataclasses import dataclass
 
 from .crossings import CrossingPoint, crossings_range
-from .degennes import DeGennesConstants
 from .errors import InsufficientData, InvalidParams
-from .richardson import HalfPowerSequence, richardson_iterate
+from .richardson import r4
 from .spectrum import eigenfunction, ground_state, lowest_eigenvalue
 
 
@@ -143,56 +142,18 @@ def conjecture_scan(beta_grid, n_max: int, theta0: float) -> ConjectureReport:
     return ConjectureReport((item_a, item_b, item_c, item_d))
 
 
-def one_sided_chain(indices, n_max: int) -> tuple[HalfPowerSequence, ...]:
-    """(left, right, r4_left, r4_right): the HalfPowerSequences n ->
-    lambda'(n, beta_n) and n -> lambda'(n+1, beta_n) over ``indices``
-    (0 <= n <= n_max) at the memoized crossings_range(n_max), and their
-    R4, which is empty unless the set holds some n, 2n, ..., 16n, n >= 1.
+def one_sided_chain(indices, n_max: int) -> tuple[dict[int, float], ...]:
+    """(left, right, r4_left, r4_right): the sequences n -> lambda'(n, beta_n)
+    and n -> lambda'(n+1, beta_n) over ``indices`` (0 <= n <= n_max) at the
+    memoized crossings_range(n_max), and their :func:`~diskmag.richardson.r4`,
+    which is empty unless the set holds some n, 2n, ..., 16n, n >= 1.
     Index 0 never changes an R4 entry: richardson_step consumes it.
     """
     indices = sorted(set(int(n) for n in indices))
     if indices[0] < 0:
         raise InvalidParams("derivative chain indices must be >= 0")
     points = crossings_range(n_max)
-    pairs = [(n, one_sided_derivatives(n, crossing=points[n]))
-             for n in indices]
-    left = HalfPowerSequence.from_pairs((n, l) for n, (l, _) in pairs)
-    right = HalfPowerSequence.from_pairs((n, r) for n, (_, r) in pairs)
-    try:
-        r4_left = richardson_iterate(left, 4)
-        r4_right = richardson_iterate(right, 4)
-    except InsufficientData:
-        r4_left = r4_right = HalfPowerSequence(())
-    return left, right, r4_left, r4_right
-
-
-@dataclass(frozen=True)
-class DerivativeLimits:
-    """R4 limits of the one-sided derivative sequences vs their targets."""
-
-    r4_left: HalfPowerSequence
-    r4_right: HalfPowerSequence
-    left_limit: float
-    right_limit: float
-    left_target: float
-    right_target: float
-
-
-def derivative_limits_check(n_list, constants: DeGennesConstants) -> DerivativeLimits:
-    """Extrapolate lambda'(n, beta_n) and lambda'(n+1, beta_n) over n_list
-    and compare with Theta0 +- (3/2) C1 |xi0|, at crossings_range(max(n_list))."""
-    indices = sorted(set(int(n) for n in n_list))
-    if len(indices) < 2 ** 4 + 1:
-        raise InsufficientData(f"need >= 17 indices, got {len(indices)}")
-    _, _, r4_left, r4_right = one_sided_chain(indices, indices[-1])
-    if not r4_left.entries:
-        raise InsufficientData("no chain n, 2n, ..., 16n with n >= 1")
-    spread = 1.5 * constants.c1 * abs(constants.xi0)
-    return DerivativeLimits(
-        r4_left=r4_left,
-        r4_right=r4_right,
-        left_limit=r4_left.last()[1],
-        right_limit=r4_right.last()[1],
-        left_target=constants.theta0 + spread,
-        right_target=constants.theta0 - spread,
-    )
+    pairs = {n: one_sided_derivatives(n, crossing=points[n]) for n in indices}
+    left = {n: lr[0] for n, lr in pairs.items()}
+    right = {n: lr[1] for n, lr in pairs.items()}
+    return left, right, r4(left), r4(right)

@@ -1,54 +1,21 @@
-"""Richardson extrapolation in powers of n^{-1/2}, and the checks of the
-explicitly known asymptotic coefficients of the crossing sequence.
+"""Richardson extrapolation in powers of n^{-1/2}.
 
 A sequence y_n = L + c n^{-k/2} + O(n^{-(k+1)/2}) turns into
 z_n = (2^{k/2} y_{2n} - y_n) / (2^{k/2} - 1) = L + O(n^{-(k+1)/2});
 applying the step for k = 1..4 leaves an O(n^{-5/2}) remainder at the
-cost of consuming indices without a partner at 2n.
-
-The expansion checks exercise every leading coefficient with a known
-closed form: beta_n = 2n + xi1 sqrt(n) + kappa0 + ..., the eta_star
-deficit (Theta0 - eta_n*) ~ C1 / sqrt(beta_n), and the centered mode
-offset delta(n, beta_n) -> delta0 - 1/2.
+cost of consuming indices without a partner at 2n.  A sequence is a
+plain dict {n: y_n}.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
 
 from .crossings import CrossingPoint
-from .degennes import DeGennesConstants
 from .errors import InsufficientData, InvalidParams
 
 
-@dataclass(frozen=True)
-class HalfPowerSequence:
-    """Indexed sequence whose error expands in powers of n^{-1/2}."""
-
-    entries: tuple[tuple[int, float], ...]
-
-    def __post_init__(self) -> None:
-        idx = [n for n, _ in self.entries]
-        if any(b <= a for a, b in zip(idx, idx[1:])):
-            raise InvalidParams("indices must be strictly increasing")
-        if any(not math.isfinite(v) for _, v in self.entries):
-            raise InvalidParams("sequence values must be finite")
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "HalfPowerSequence":
-        return cls(tuple((int(n), float(v)) for n, v in pairs))
-
-    def as_dict(self) -> dict[int, float]:
-        return dict(self.entries)
-
-    def last(self) -> tuple[int, float]:
-        return self.entries[-1]
-
-
-def richardson_step(seq: HalfPowerSequence, k: int) -> HalfPowerSequence:
+def richardson_step(seq: dict[int, float], k: int) -> dict[int, float]:
     """One extrapolation step eliminating the n^{-k/2} error term.
 
     Index 0 never has a distinct partner at 2n and carries no n^{-1/2}
@@ -56,136 +23,42 @@ def richardson_step(seq: HalfPowerSequence, k: int) -> HalfPowerSequence:
     """
     if k < 1:
         raise InvalidParams("power index k must be >= 1")
-    values = seq.as_dict()
+    if not all(math.isfinite(v) for v in seq.values()):
+        raise InvalidParams("sequence values must be finite")
     factor = 2.0 ** (0.5 * k)
-    out = [(n, (factor * values[2 * n] - y) / (factor - 1.0))
-           for n, y in seq.entries if n >= 1 and 2 * n in values]
+    out = {n: (factor * seq[2 * n] - y) / (factor - 1.0)
+           for n, y in seq.items() if n >= 1 and 2 * n in seq}
     if not out:
         raise InsufficientData("no index n >= 1 with 2n present")
-    return HalfPowerSequence.from_pairs(out)
+    return out
 
 
-def richardson_iterate(seq: HalfPowerSequence, depth: int = 4) -> HalfPowerSequence:
+def richardson_iterate(seq: dict[int, float], depth: int = 4) -> dict[int, float]:
     """Successive steps k = 1 .. depth."""
     for k in range(1, depth + 1):
         seq = richardson_step(seq, k)
     return seq
 
 
-def gamma_sequence(crossings: list[CrossingPoint]) -> HalfPowerSequence:
+def r4(seq: dict[int, float]) -> dict[int, float]:
+    """Four-fold extrapolation: an entry at each n >= 1 whose whole chain
+    n, 2n, ..., 16n lies in seq, and {} where no n has one.  The tables
+    leave an R4 cell blank exactly where this has no entry."""
+    try:
+        return richardson_iterate(seq, 4)
+    except InsufficientData:
+        return {}
+
+
+def gamma_sequence(crossings: list[CrossingPoint]) -> dict[int, float]:
     """gamma_n = beta_{n+1} - beta_n over consecutive crossings."""
     for expected, point in enumerate(crossings):
         if point.n != expected:
             raise InvalidParams("crossings must be consecutive from n = 0")
-    return HalfPowerSequence.from_pairs(
-        (p.n, q.beta_n - p.beta_n) for p, q in zip(crossings, crossings[1:]))
+    return {p.n: q.beta_n - p.beta_n for p, q in zip(crossings, crossings[1:])}
 
 
-def r4_gamma(crossings: list[CrossingPoint]) -> HalfPowerSequence:
+def r4_gamma(crossings: list[CrossingPoint]) -> dict[int, float]:
     """Four-fold extrapolation of the gap sequence, gamma_0 excluded."""
     gammas = gamma_sequence(crossings)
-    return richardson_iterate(
-        HalfPowerSequence(tuple(e for e in gammas.entries if e[0] >= 1)), 4)
-
-
-def loglog_slope(seq: HalfPowerSequence, offset: float,
-                 n_min: int = 12) -> float:
-    """Least-squares slope of log|y_n - offset| against log n for n >= n_min."""
-    pts = [(n, abs(v - offset)) for n, v in seq.entries if n >= n_min and v != offset]
-    if len(pts) < 2:
-        raise InsufficientData(f"need >= 2 entries with n >= {n_min}")
-    logs_n = np.log([n for n, _ in pts])
-    logs_v = np.log([v for _, v in pts])
-    slope, _ = np.polyfit(logs_n, logs_v, 1)
-    return float(slope)
-
-
-@dataclass(frozen=True)
-class ExpansionReport:
-    """Outcome of one asymptotic-coefficient check.
-
-    ``extrapolated`` is the deepest Richardson limit at its largest
-    surviving index, ``target`` the closed-form value from the computed
-    constants, and ``previous_depth`` the depth-3 limit for stability
-    control.
-    """
-
-    name: str
-    extrapolated: float
-    target: float
-    previous_depth: float
-
-    @property
-    def gap(self) -> float:
-        return self.extrapolated - self.target
-
-    @property
-    def depth_stability(self) -> float:
-        return self.extrapolated - self.previous_depth
-
-
-def _limits(seq: HalfPowerSequence) -> tuple[float, float]:
-    """(depth-4 limit, depth-3 limit), each at the largest surviving index."""
-    r3 = richardson_iterate(seq, 3)
-    r4 = richardson_step(r3, 4)
-    return r4.last()[1], r3.last()[1]
-
-
-def beta_expansion_check(crossings: list[CrossingPoint],
-                         constants: DeGennesConstants) -> list[ExpansionReport]:
-    """Leading terms of beta_n = 2n + xi1 sqrt(n) + kappa0 + O(n^{-1/2}).
-
-    xi1 = -2^{3/2} xi0 and kappa0 = 1 - 2 delta0 + 2 xi0^2 are fixed by
-    the De Gennes constants; the residual after removing the sqrt term
-    must extrapolate to kappa0, and the full residual to zero.
-    """
-    xi1 = -2.0 ** 1.5 * constants.xi0
-    kappa0 = 1.0 - 2.0 * constants.delta0_formula + 2.0 * constants.xi0 ** 2
-    r1 = HalfPowerSequence.from_pairs(
-        (p.n, p.beta_n - 2.0 * p.n - xi1 * math.sqrt(p.n))
-        for p in crossings if p.n >= 1)
-    lim4, lim3 = _limits(r1)
-    return [
-        ExpansionReport("beta_residual_to_kappa0", lim4, kappa0, lim3),
-        ExpansionReport("beta_residual_to_zero", lim4 - kappa0, 0.0, lim3 - kappa0),
-    ]
-
-
-def eta_star_expansion_check(crossings: list[CrossingPoint],
-                             constants: DeGennesConstants) -> list[ExpansionReport]:
-    """Crossing-ratio deficit: (Theta0 - eta_n*) sqrt(beta_n) -> C1, and the
-    next order -> -3 C1 sqrt(Theta0) (1/4 + C0) with C0 from the fit."""
-    theta0, c1 = constants.theta0, constants.c1
-    s_seq = HalfPowerSequence.from_pairs(
-        (p.n, (theta0 - p.eta_star) * math.sqrt(p.beta_n))
-        for p in crossings if p.n >= 1)
-    t_seq = HalfPowerSequence.from_pairs(
-        (p.n, (theta0 - p.eta_star) * p.beta_n - c1 * math.sqrt(p.beta_n))
-        for p in crossings if p.n >= 1)
-    s4, s3 = _limits(s_seq)
-    t4, t3 = _limits(t_seq)
-    t_target = -3.0 * c1 * math.sqrt(theta0) * (0.25 + constants.c0_fit)
-    return [
-        ExpansionReport("eta_deficit_to_c1", s4, c1, s3),
-        ExpansionReport("eta_deficit_next_order", t4, t_target, t3),
-    ]
-
-
-def delta_at_crossings_check(crossings: list[CrossingPoint],
-                             constants: DeGennesConstants) -> list[ExpansionReport]:
-    """delta(n, beta_n) -> delta0 - 1/2 and delta(n+1, beta_n) -> delta0 + 1/2."""
-    xi0, delta0 = constants.xi0, constants.delta0_formula
-
-    def delta(m: int, beta: float) -> float:
-        return m - 0.5 * beta - xi0 * math.sqrt(beta)
-
-    lower = HalfPowerSequence.from_pairs(
-        (p.n, delta(p.n, p.beta_n)) for p in crossings if p.n >= 1)
-    upper = HalfPowerSequence.from_pairs(
-        (p.n, delta(p.n + 1, p.beta_n)) for p in crossings if p.n >= 1)
-    lo4, lo3 = _limits(lower)
-    up4, up3 = _limits(upper)
-    return [
-        ExpansionReport("delta_lower_branch", lo4, delta0 - 0.5, lo3),
-        ExpansionReport("delta_upper_branch", up4, delta0 + 0.5, up3),
-    ]
+    return r4({n: g for n, g in gammas.items() if n >= 1})

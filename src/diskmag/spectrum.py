@@ -125,7 +125,9 @@ def neumann_residual(n: int, x: float, nu: float) -> float:
     Kummer ratio raises NonConvergence.
     """
     scale = max(1.0, x)
-    if nu == 0.0:  # the eta = 1 bracket end, where the ratio (e^x - 1)/x overflows
+    # nu = 0 (eta = 1) is reached only if the beta <= 2n walk lands on it
+    # exactly; the nu term vanishes there and its ratio (e^x - 1)/x can overflow
+    if nu == 0.0:
         return (n - x) / scale
     ratio = kummer_ratio_shift_b(nu, n + 1.0, x)
     return (n - x) / scale + 2.0 * nu * x * ratio / ((n + 1.0) * scale)
@@ -239,7 +241,10 @@ def lowest_eigenvalue(n: int, beta: float) -> EigenPoint:
     where nu* < 1e-17, and the point's ``nu`` keeps nu* (3.3e-193 at
     (0, 900)).  Past ln M(1, n+2, x) = 709 (beta >~ 1 400 at n = 0) the
     Kummer ratio overflows near the root, nu* < 1e-300: eta is 1 and nu
-    the seed's, within a factor 3.
+    the seed's, within a factor 3.  The solve resolves nu, so eta is good
+    to about eps absolute (<= 2 eps, 1.3 eps measured), not relative: at
+    n = 0, beta << 1, where eta ~ beta/8, lambda = beta eta carries a
+    relative error of order eps/eta (8e-8 at beta = 1e-9, 2e-11 at 1e-4).
 
     For beta <= 2n a walk up from the potential minimum (n - beta/2)^2 /
     beta brackets the root in eta: its step starts at 0.02 and doubles

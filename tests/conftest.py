@@ -24,4 +24,4 @@ def crossings400():
 def envelope_derivatives(crossings400):
     """(left, right) = (lambda'(n, beta_n), lambda'(n+1, beta_n)) for all n."""
     left, right, _, _ = one_sided_chain(range(len(crossings400)), 400)
-    return left.as_dict(), right.as_dict()
+    return left, right

@@ -16,12 +16,11 @@ from diskmag.crossings import (crossing_by_curves, crossing_by_phi,
 from diskmag.derivatives import conjecture_scan, lambda_prime
 from diskmag.fd import fd_disk_lambda
 from diskmag.kummer import kummer_m
-from diskmag.richardson import (HalfPowerSequence, delta_at_crossings_check,
-                                eta_star_expansion_check, gamma_sequence,
-                                loglog_slope, r4_gamma, richardson_iterate)
+from diskmag.richardson import gamma_sequence, r4_gamma, richardson_iterate
 from diskmag.spectrum import lowest_eigenvalue
 
 import refdata
+from checks import delta_at_crossings, eta_deficit, limits, loglog_slope
 from oracles import ScaledReal, check_recurrences, kummer_m_integral
 
 
@@ -108,8 +107,7 @@ def test_constants_delta0_reference_value(capsys, constants, crossings400):
     # gate pins that identity and keeps the computed delta0 clear of it
     ref = refdata.DELTA0_HP
     literal = refdata.DELTA0_LITERAL_0975
-    crossing = delta_at_crossings_check(
-        crossings400, constants)[0].extrapolated + 0.5
+    crossing = limits(delta_at_crossings(crossings400, constants, 0)[0])[0] + 0.5
     routes = [("formula", constants.delta0_formula, 1e-6),
               ("fit", constants.delta0_fit, 2e-3),
               ("crossings", crossing, 2e-3)]
@@ -127,8 +125,8 @@ def test_constants_delta0_reference_value(capsys, constants, crossings400):
 
 
 def test_gap_table(capsys, crossings400):
-    gaps = gamma_sequence(crossings400).as_dict()
-    r4 = r4_gamma(crossings400).as_dict()
+    gaps = gamma_sequence(crossings400)
+    r4 = r4_gamma(crossings400)
     gamma0_err = abs(gaps[0] - refdata.GAMMA_0)
     r4_err = abs(r4[24] - refdata.R4_GAMMA_24)
     decreasing = all(gaps[n + 1] < gaps[n] for n in range(1, 399))
@@ -143,10 +141,8 @@ def test_derivative_table(capsys, constants, crossings400, envelope_derivatives)
     row0 = (abs(left[0] - refdata.DERIVATIVES[0][0]),
             abs(right[0] - refdata.DERIVATIVES[0][1]))
     chain = [25, 50, 100, 200, 400]
-    r4_left = richardson_iterate(HalfPowerSequence.from_pairs(
-        (n, left[n]) for n in chain), 4).last()[1]
-    r4_right = richardson_iterate(HalfPowerSequence.from_pairs(
-        (n, right[n]) for n in chain), 4).last()[1]
+    r4_left = richardson_iterate({n: left[n] for n in chain}, 4)[chain[0]]
+    r4_right = richardson_iterate({n: right[n] for n in chain}, 4)[chain[0]]
     want_left, want_right = refdata.R4_DERIVATIVE_LIMITS
     spread = 1.5 * constants.c1 * abs(constants.xi0)
     ok = (max(row0) < 1e-5
@@ -229,10 +225,10 @@ def test_conjecture_scan_items(capsys, conjecture_report_full):
 
 
 def test_asymptotic_coefficients(capsys, constants, crossings400):
-    eta_reports = eta_star_expansion_check(crossings400, constants)
-    s_gap = abs(eta_reports[0].gap)
-    delta_reports = delta_at_crossings_check(crossings400, constants)
-    d_gap = abs(delta_reports[0].gap)
+    s_seq, c1 = eta_deficit(crossings400, constants)
+    s_gap = abs(limits(s_seq)[0] - c1)
+    d_seq, d_target = delta_at_crossings(crossings400, constants, 0)
+    d_gap = abs(limits(d_seq)[0] - d_target)
     slope = loglog_slope(r4_gamma(crossings400), 2.0, n_min=12)
     ok = s_gap < 2e-3 and d_gap < 2e-3 and -2.8 < slope < -2.2
     assert report(capsys, "asymptotic-coefficients", ok,

@@ -25,6 +25,14 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
     return run_python("-m", "diskmag", *args)
 
 
+def run_main(capsys, *args: str, code: int = 0) -> str:
+    """Run ``cli.main`` in process, assert its exit code; return its stderr."""
+    got = cli.main(list(args))
+    err = capsys.readouterr().err
+    assert got == code, err
+    return err
+
+
 def usage_error(capsys, *args: str) -> str:
     """Run ``cli.main`` in process on arguments it must refuse with exit
     code 3; return what it wrote to stderr."""
@@ -72,9 +80,8 @@ def test_beta_grid_stops_at_stop(spec, count, last):
     assert betas[-1] == last
 
 
-def test_crossings_outputs(tmp_path: Path):
-    out = run_cli("crossings", "--n-max", "50", "--output-dir", str(tmp_path))
-    assert out.returncode == 0, out.stderr
+def test_crossings_outputs(tmp_path: Path, capsys):
+    run_main(capsys, "crossings", "--n-max", "50", "--output-dir", str(tmp_path))
     table1 = (tmp_path / "table1_crossings.csv").read_text().splitlines()
     assert table1[0].split(",")[:3] == ["n", "beta", "eta_star"]
     assert len(table1) == 52  # header + one row per mode
@@ -88,6 +95,7 @@ def test_crossings_outputs(tmp_path: Path):
 
 
 def test_crossings_deterministic(tmp_path: Path):
+    # two processes: in one, the second run would read the memoized crossings
     dir_a, dir_b = tmp_path / "a", tmp_path / "b"
     assert run_cli("crossings", "--n-max", "4", "--output-dir", str(dir_a)).returncode == 0
     assert run_cli("crossings", "--n-max", "4", "--output-dir", str(dir_b)).returncode == 0
@@ -95,8 +103,8 @@ def test_crossings_deterministic(tmp_path: Path):
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
 
-def test_csv_roundtrips_at_printed_precision(tmp_path: Path):
-    run_cli("crossings", "--n-max", "3", "--output-dir", str(tmp_path))
+def test_csv_roundtrips_at_printed_precision(tmp_path: Path, capsys):
+    run_main(capsys, "crossings", "--n-max", "3", "--output-dir", str(tmp_path))
     lines = (tmp_path / "table1_crossings.csv").read_text().splitlines()
     for line in lines[1:]:
         cells = line.split(",")
@@ -104,19 +112,17 @@ def test_csv_roundtrips_at_printed_precision(tmp_path: Path):
         assert f"{float(cells[2]):.16g}" == cells[2]
 
 
-def test_json_format(tmp_path: Path):
-    out = run_cli("crossings", "--n-max", "2", "--output-dir", str(tmp_path),
-                  "--format", "json")
-    assert out.returncode == 0, out.stderr
+def test_json_format(tmp_path: Path, capsys):
+    run_main(capsys, "crossings", "--n-max", "2", "--output-dir", str(tmp_path),
+             "--format", "json")
     rows = json.loads((tmp_path / "table1_crossings.json").read_text())
     assert [row["n"] for row in rows] == [0, 1, 2]
     assert rows[0]["beta"] == pytest.approx(CROSSINGS[0][0], rel=1e-13)
 
 
-def test_curves_outputs(tmp_path: Path):
-    out = run_cli("curves", "--n-max", "20", "--output-dir", str(tmp_path),
-                  "--beta-grid", "0.5:30:0.5")
-    assert out.returncode == 0, out.stderr
+def test_curves_outputs(tmp_path: Path, capsys):
+    run_main(capsys, "curves", "--n-max", "20", "--output-dir", str(tmp_path),
+             "--beta-grid", "0.5:30:0.5")
     curve_files = sorted(tmp_path.glob("curve_n*.csv"))
     assert len(curve_files) == 21
 
@@ -142,21 +148,31 @@ def test_curves_outputs(tmp_path: Path):
     assert float(refs["theta0"]) == pytest.approx(THETA0, abs=1e-5)
 
 
-def test_richardson_blank_pattern(tmp_path: Path):
-    out = run_cli("richardson", "--n-max", "40", "--output-dir", str(tmp_path))
-    assert out.returncode == 0, out.stderr
-    lines = (tmp_path / "table2_gaps.csv").read_text().splitlines()
+def r4_cells(capsys, out_dir: Path, n_max: int) -> tuple[list[str], dict]:
+    """The richardson table's lines at n_max, and its r4_gamma cells by n."""
+    run_main(capsys, "richardson", "--n-max", str(n_max), "--output-dir",
+             str(out_dir))
+    lines = (out_dir / "table2_gaps.csv").read_text().splitlines()
+    return lines, {int(line.split(",")[0]): line.split(",")[2]
+                   for line in lines[1:]}
+
+
+def test_richardson_blank_pattern(tmp_path: Path, capsys):
+    lines, cells = r4_cells(capsys, tmp_path / "40", 40)
     assert lines[0] == "n,gamma,r4_gamma"
-    cells = {int(line.split(",")[0]): line.split(",")[2] for line in lines[1:]}
     assert cells[0] == ""  # gamma_0 excluded from extrapolation
     assert cells[1] != "" and cells[2] != ""
     assert cells[3] == ""  # 16 * 3 = 48 > 40: consumed
     assert len(lines) == 41  # header + gamma_0 .. gamma_39
+    # gamma_1 .. gamma_16 exist from n_max = 17: R4(1) is filled, and is
+    # the same number as at n_max = 40
+    _, cells20 = r4_cells(capsys, tmp_path / "20", 20)
+    assert cells20[1] == cells[1]
+    assert [n for n, cell in cells20.items() if cell] == [1]
 
 
-def test_derivatives_table(tmp_path: Path):
-    out = run_cli("derivatives", "--n-max", "20", "--output-dir", str(tmp_path))
-    assert out.returncode == 0, out.stderr
+def test_derivatives_table(tmp_path: Path, capsys):
+    run_main(capsys, "derivatives", "--n-max", "20", "--output-dir", str(tmp_path))
     lines = (tmp_path / "table4_derivatives.csv").read_text().splitlines()
     rows = {int(line.split(",")[0]): line.split(",") for line in lines[1:]}
     assert sorted(rows) == list(range(11))  # rows capped by n_max
@@ -166,9 +182,9 @@ def test_derivatives_table(tmp_path: Path):
     assert rows[1][4] != ""  # chain 1..16 fits below n_max = 20
     assert rows[2][4] == ""  # chain needs 32
 
-def test_constants_json(tmp_path: Path):
-    out = run_cli("constants", "--output-dir", str(tmp_path))
-    assert out.returncode == 0, out.stderr
+
+def test_constants_json(tmp_path: Path, capsys):
+    run_main(capsys, "constants", "--output-dir", str(tmp_path))
     payload = json.loads((tmp_path / "constants.json").read_text())
     assert payload["theta0"] == pytest.approx(THETA0, abs=1e-5)
     assert payload["xi0"] == pytest.approx(-0.768, abs=1e-3)
@@ -177,10 +193,9 @@ def test_constants_json(tmp_path: Path):
                                                   abs=2e-3)
 
 
-def test_conjectures_exit_code(tmp_path: Path):
-    out = run_cli("conjectures", "--n-max", "6", "--output-dir", str(tmp_path),
-                  "--beta-grid", "1:18:1")
-    assert out.returncode == 0, out.stderr
+def test_conjectures_exit_code(tmp_path: Path, capsys):
+    run_main(capsys, "conjectures", "--n-max", "6", "--output-dir", str(tmp_path),
+             "--beta-grid", "1:18:1")
     payload = json.loads((tmp_path / "conjectures.json").read_text())
     assert payload["all_passed"] is True
     assert {item["name"] for item in payload["items"]} == {
@@ -188,13 +203,12 @@ def test_conjectures_exit_code(tmp_path: Path):
         "right_derivative_positive", "lambda_slope_positive"}
 
 
-def test_conjectures_single_crossing_exits_one(tmp_path: Path):
+def test_conjectures_single_crossing_exits_one(tmp_path: Path, capsys):
     # n_max = 0 leaves one crossing: too few for the eta_n* step scan
-    out = run_cli("conjectures", "--n-max", "0", "--output-dir", str(tmp_path),
-                  "--beta-grid", "1:3:1")
-    assert out.returncode == 1
-    assert "computation failed" in out.stderr
-    assert "Traceback" not in out.stderr
+    err = run_main(capsys, "conjectures", "--n-max", "0", "--output-dir",
+                   str(tmp_path), "--beta-grid", "1:3:1", code=1)
+    assert "computation failed" in err
+    assert "Traceback" not in err
 
 
 def test_conjecture_failure_exit_code(tmp_path: Path, monkeypatch):
@@ -274,6 +288,8 @@ def test_one_crossing_pass_per_process(tmp_path: Path, capsys, monkeypatch):
         return solve(n, *args, **kwargs)
 
     monkeypatch.setattr(crossings, "crossing_by_system", counted)
+    # in-process tests above may have memoized crossings_range(40) already
+    crossings.crossings_range.cache_clear()
     misses = crossings.crossings_range.cache_info().misses
     for command, out_dir, fmt in (("crossings", "a", "csv"),
                                   ("richardson", "b", "json"),

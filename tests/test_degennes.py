@@ -6,7 +6,7 @@ import pytest
 from diskmag import degennes
 from diskmag.degennes import (DeGennesConstants, boundary_pairing_check,
                               lambda1_check, lambda2_profile, lambda_dg,
-                              minimize_theta0, stationarity_check)
+                              minimize_theta0, stationarity)
 from diskmag.errors import BracketFailure, InvalidParams
 from diskmag.fd import Grid1D
 
@@ -68,11 +68,11 @@ class TestMinimization:
 
 class TestStationarity:
     def test_vanishes_at_minimizer(self, constants):
-        assert abs(stationarity_check(constants)) < 1e-6
+        assert abs(stationarity(constants.xi0)) < 1e-6
 
     def test_sign_away_from_minimizer(self, constants):
-        assert stationarity_check(constants, xi=constants.xi0 + 0.1) > 0.0
-        assert stationarity_check(constants, xi=constants.xi0 - 0.1) < 0.0
+        assert stationarity(constants.xi0 + 0.1) > 0.0
+        assert stationarity(constants.xi0 - 0.1) < 0.0
 
     def test_finite_difference_slope_at_minimizer(self, constants):
         step = 1e-4

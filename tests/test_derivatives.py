@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from diskmag.derivatives import (conjecture_scan, derivative_limits_check,
-                                 lambda_prime, one_sided_chain,
-                                 one_sided_derivatives)
+from diskmag.derivatives import (conjecture_scan, lambda_prime,
+                                 one_sided_chain, one_sided_derivatives)
 from diskmag.errors import InsufficientData, InvalidParams
+from diskmag.richardson import richardson_iterate
 
 from oracles import eta_prime
 from refdata import CROSSINGS, DERIVATIVES
@@ -121,19 +121,19 @@ class TestLimits:
     def test_boundary_trace_limit(self, constants, crossings400):
         # beta_n^{-1/2} f_{n, beta_n}(1)^2 -> u0(0)^2: the boundary layer
         # of the crossing eigenfunction converges to the half-line profile
-        from diskmag.richardson import HalfPowerSequence, richardson_iterate
         by_n = {p.n: p for p in crossings400}
-        pairs = []
+        seq = {}
         for n in (25, 50, 100, 200, 400):
             rec = lambda_prime(n, by_n[n].beta_n, cross_check=False)
-            pairs.append((n, rec.boundary_trace_sq / math.sqrt(by_n[n].beta_n)))
-        limit = richardson_iterate(HalfPowerSequence.from_pairs(pairs), 4)
-        assert limit.last()[1] == pytest.approx(constants.u0_trace ** 2,
-                                                abs=2e-3)
+            seq[n] = rec.boundary_trace_sq / math.sqrt(by_n[n].beta_n)
+        limit = richardson_iterate(seq, 4)[25]
+        assert limit == pytest.approx(constants.u0_trace ** 2, abs=2e-3)
 
-    def test_requires_seventeen_indices(self, constants):
-        with pytest.raises(InsufficientData):
-            derivative_limits_check(range(10), constants)
+    def test_no_r4_without_a_doubling_chain(self):
+        # 0..9 holds no n, 2n, ..., 16n with n >= 1
+        left, right, r4_left, r4_right = one_sided_chain(range(10), 9)
+        assert sorted(left) == sorted(right) == list(range(10))
+        assert r4_left == r4_right == {}
 
     def test_chain_rejects_negative_index(self):
         # crossings_range(2)[-1] would silently pair n = -1 with beta_2
@@ -143,6 +143,7 @@ class TestLimits:
     def test_limits_against_constants(self, constants):
         chain = sorted({base * 2 ** k for base in (1, 3, 5, 7, 9, 25)
                         for k in range(5)} | {0, 2, 4, 6, 8, 10})
-        limits = derivative_limits_check(chain, constants)
-        assert limits.left_limit == pytest.approx(limits.left_target, abs=2e-3)
-        assert limits.right_limit == pytest.approx(limits.right_target, abs=2e-3)
+        _, _, r4_left, r4_right = one_sided_chain(chain, chain[-1])
+        spread = 1.5 * constants.c1 * abs(constants.xi0)
+        assert r4_left[25] == pytest.approx(constants.theta0 + spread, abs=2e-3)
+        assert r4_right[25] == pytest.approx(constants.theta0 - spread, abs=2e-3)

@@ -168,6 +168,18 @@ class TestLowestEigenvalue:
         assert point.eta == 1.0 - 2.0 * point.nu
         assert point.lam == beta * point.eta
 
+    @pytest.mark.parametrize("beta", [1e-9, 1e-6, 1e-4, 1e-2])
+    def test_small_field_eta_to_absolute_eps(self, beta):
+        # n = 0, beta << 1: eta ~ beta/8 is solved through nu ~ 1/2, so it
+        # is good to ~eps absolute, not relative (8e-8 relative at 1e-9)
+        point = lowest_eigenvalue(0, beta)
+        nu = nu_root_mp(0, beta)
+        with mpmath.workdps(50):
+            # in 50 digits: at 15 the subtraction repeats the float's rounding
+            eta = 1 - 2 * nu
+            assert abs(point.eta - eta) <= 2 * _EPS
+            assert abs(point.lam - beta * eta) <= 2 * _EPS * beta
+
     def test_refusal_raises_fast(self):
         # at eta ~ 1.6e5 the recurrence's error bound refuses every trial
         # point near the root; the walk gives up once its step falls below
