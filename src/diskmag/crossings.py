@@ -30,11 +30,10 @@ from .errors import BracketFailure, NewtonDivergence
 # bound because perfbench's tracer checks that it patches this binding
 from .kummer import kummer_ratio_shift_b  # noqa: F401
 from .roots import brent_root
-from .spectrum import lowest_eigenvalue, neumann_residual
+from .spectrum import XI0_SEED, lowest_eigenvalue, mode_index, neumann_residual
 
 _NEWTON_MAX_ITER = 50
 _NEWTON_TOL = 1e-11  # a Newton stop above this residual norm falls back to the curves
-_XI0_NUMERIC = -0.768  # seed-quality value; solvers do not depend on its digits
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,7 @@ def _system_residuals(n: int, x: float, nu: float) -> tuple[float, float]:
 def _guess(n: int) -> tuple[float, float]:
     """Asymptotic seed (x, nu): beta from the crossing expansion, eta by
     inverting the Saint-James quadratic at that beta."""
-    beta = max(2.0 * n + 2.0 ** 1.5 * abs(_XI0_NUMERIC) * math.sqrt(n) + 2.0,
+    beta = max(2.0 * n + 2.0 ** 1.5 * abs(XI0_SEED) * math.sqrt(n) + 2.0,
                2.0 * n + 3.0)
     eta = (beta * beta - 2.0 * (2.0 * n + 1.0) * beta + 4.0 * n * (n + 1.0)) \
         / (4.0 * beta)
@@ -106,6 +105,7 @@ def crossing_by_system(n: int,
     steps are halved until the residual norm decreases.  Falls back to
     the bracketed curve intersection if Newton diverges.
     """
+    n = mode_index(n)
     x, nu = seed if seed is not None else _guess(n)
     f1, f2 = _system_residuals(n, x, nu)
     norm = max(abs(f1), abs(f2))
@@ -165,8 +165,7 @@ def crossing_by_curves(n: int) -> CrossingPoint:
 
 def _x_of_nu(n: int, nu: float) -> float:
     """Saint-James x(nu) substituted into the crossing system."""
-    return (1.0 - 2.0 * nu + n + 0.5) + 0.5 * math.sqrt(
-        (3.0 - 4.0 * nu) ** 2 + 8.0 * (1.0 - 2.0 * nu) * n)
+    return 0.5 * saint_james_beta(n, 1.0 - 2.0 * nu)
 
 
 def crossing_by_phi(n: int) -> CrossingPoint:
@@ -176,6 +175,7 @@ def crossing_by_phi(n: int) -> CrossingPoint:
     the Saint-James relation; any algebraically equivalent form has the
     same roots, and the scaled form stays O(1).
     """
+    n = mode_index(n)
 
     def phi(nu: float) -> float:
         return neumann_residual(n, _x_of_nu(n, nu), nu)

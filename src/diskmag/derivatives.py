@@ -43,14 +43,18 @@ def lambda_prime(n: int, beta: float, cross_check: bool = True) -> DerivativeRec
     """Feynman-Hellmann derivative of lambda(n, .) at beta.
 
     The trace is the eigenfunction's at the point's own nu, which at
-    beta > 2n lies below the resolution of 1 - eta (3.8e-42 at (0, 200))."""
+    beta > 2n lies below the resolution of 1 - eta (3.8e-42 at (0, 200)).
+    The central difference steps h = min(1e-5 max(1, beta), beta/2), so
+    beta - h stays positive.  Raises InvalidParams as lowest_eigenvalue
+    does, and for beta = 0."""
     point = lowest_eigenvalue(n, beta)
+    n, beta = point.n, point.beta
     trace_sq = eigenfunction(point).boundary_trace ** 2
     dlam = point.lam / beta \
         - (point.lam - (n - 0.5 * beta) ** 2) * trace_sq / (2.0 * beta)
     gap = math.nan
     if cross_check:
-        h = 1e-5 * max(1.0, beta)
+        h = min(1e-5 * max(1.0, beta), 0.5 * beta)
         fd = (lowest_eigenvalue(n, beta + h).lam
               - lowest_eigenvalue(n, beta - h).lam) / (2.0 * h)
         gap = abs(dlam - fd)

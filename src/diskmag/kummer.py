@@ -8,8 +8,10 @@ as ordinary floats.
 a >= 0, rescaled by powers of two so e^422 never overflows; for a < 0 it
 recurs down in a from a + ceil(-a) (DLMF 13.3.1; Gil, Segura & Temme,
 *Numerical Methods for Special Functions*, ch. 4) instead of summing the
-alternating series.  The test suite checks it against an independent
-quadrature of the integral representation.
+alternating series.  The domain is b > 0, z >= 0, and b > 1 where
+a < 0 (the solvers' b = n + 1 with a < 0 only at beta <= 2n, n >= 1);
+outside it every entry point raises InvalidParams.  The test suite checks
+it against an independent quadrature of the integral representation.
 
 :func:`kummer_m_many` is the many-z kernel: for a >= 0 it sums the
 series at every z of an array as one numpy cumulative product per row,
@@ -44,11 +46,13 @@ _SHIFT_ROWS = np.array([[1.0], [0.0]])  # rows (a+1, b+1) and (a, b) of the rati
 
 
 def _check_args(a: float, b: float, z: float) -> None:
-    """Domain checks of M(a, b, z)."""
+    """Domain checks of M(a, b, z): b > 0, z >= 0, and b > 1 for a < 0."""
     if b <= 0:
         raise InvalidParams(f"b={b} must be positive")
     if z < 0:
         raise InvalidParams(f"z={z} must be >= 0")
+    if a < 0.0 and b <= 1.0:
+        raise InvalidParams(f"a={a} < 0 needs b > 1, not b={b}")
 
 
 def _series_budget(z: float) -> int:
@@ -61,7 +65,7 @@ def _numpy_count(z: float) -> int:
     return int(z + 14.0 * math.sqrt(z + 1.0) + 80.0)
 
 
-def _series_rows(a, b, z, count: int, head: float | None = None):
+def _series_rows(a, b, z, count: int):
     """1 + the first ``count`` terms of the positive-term series, as one
     numpy cumulative product per row: (total, settled).  Rows differ in z
     (an (N, 1) column) or in a and b ((N, 1) columns); scalars give one
@@ -70,40 +74,32 @@ def _series_rows(a, b, z, count: int, head: float | None = None):
     k = np.arange(count, dtype=float)
     terms = (a + k) * z  # one (N, count) buffer: divided and multiplied in place
     terms /= (b + k) * (k + 1.0)
-    if head is not None:
-        terms[..., :1] = head * z / b
     np.cumprod(terms, axis=-1, out=terms)
     total = 1.0 + terms.sum(axis=-1)
     return total, ((total < math.inf)
                    & (terms[..., -3:].max(axis=-1) <= _SERIES_REL_TOL * total))
 
 
-def _series(a: float, b: float, z: float,
-            head: float | None = None) -> tuple[float, int]:
-    """Sum the positive-term ascending series; returns (mantissa, e).
+def _series(a: float, b: float, z: float) -> tuple[float, int]:
+    """Sum the ascending series, whose terms are positive for a >= 0;
+    returns (mantissa, e).
 
-    The value is mantissa * 2**e.  ``head`` replaces the factor a of the
-    first term: with a in [-1, 0) and head = 1 every term stays positive
-    and the sum is 1 + S, S = (M(a, b, z) - 1)/a.  For 100 < z <= 600 the
-    one-row numpy product of z + 14 sqrt(z+1) + 80 terms, fewer than the
-    scalar loop's budget, is tried first.
+    The value is mantissa * 2**e.  For 100 < z <= 600 the one-row numpy
+    product of z + 14 sqrt(z+1) + 80 terms, fewer than the scalar loop's
+    budget, is tried first.
     Truncation requires three consecutive terms below the relative
     tolerance *and* the index to be past the term-growth peak at k ~ z,
     so a small early term cannot stop the sum prematurely.
     """
-    assert a >= 0.0 or (head is not None and a >= -1.0), \
-        "the ascending series is summed only over positive terms"
+    assert a >= 0.0, "the ascending series is summed only over positive terms"
     if _NUMPY_MIN_Z < z <= _RAW_LOG_CAP:
-        total, settled = _series_rows(a, b, z, _numpy_count(z), head)
+        total, settled = _series_rows(a, b, z, _numpy_count(z))
         if settled:  # past the peak: _numpy_count(z) > z
             return float(total), 0
     budget = _series_budget(z)
     term = total = 1.0
-    exp2 = small = start = 0
-    if head is not None:
-        term, start = head * z / b, 1
-        total += term
-    for k in range(start, budget):
+    exp2 = small = 0
+    for k in range(budget):
         term *= (a + k) * z / ((b + k) * (k + 1.0))
         total += term
         small = small + 1 if term <= _SERIES_REL_TOL * total else 0
@@ -124,10 +120,8 @@ def _descend(a: float, b: float, z: float) -> tuple[float, float, float]:
     p(a0) = (z/b) M(a0+1, b+1, z)/M(a0, b, z) at a0 = a + ceil(-a) (DLMF
     13.3.4) is a quotient of positive-term sums; DLMF 13.3.1 written for p
     (so small z/b costs no digits) carries it down: p(a'-1) = (z - a' p(a'))
-    / (b - a' - z + a' p(a')).  At a' = b that step is 0/0, which a0 in
-    [0, 1) can meet only for b <= 1; there the chain starts one step lower,
-    at a0 - 1 in [-1, 0), where M(a0 - 1, b, z) = 1 + (a0 - 1) S with S a
-    positive-term sum, and the cancellation of that sum seeds the bound.
+    / (b - a' - z + a' p(a')).  Its domain is b > 1, where the 0/0 step at
+    a' = b cannot occur, since a' <= a0 <= 1 (a0 rounds to 1 for tiny |a|).
     A p <= -1 above a (a zero of M crossed), a zero denominator or an
     overflow raises NonConvergence; near a zero of M the denominator
     cancels and the bound grows by that factor.
@@ -135,23 +129,11 @@ def _descend(a: float, b: float, z: float) -> tuple[float, float, float]:
     steps = math.ceil(-a)
     err = 4.0 * math.sqrt(z + 1.0)  # p(a0) observed within 3 sqrt(z+1) eps
     try:
-        if b > 1.0:
-            ap = a + steps
-            m0, e0 = _series(ap, b, z)
-            m1, e1 = _series(ap + 1.0, b + 1.0, z)
-            p = math.ldexp(m1 / m0, e1 - e0) * z / b
-            log_next = math.log(m0) + e0 * _LN2 + math.log1p(p)
-        else:
-            steps -= 1
-            ap = a + steps
-            t, e_t = _series(ap, b, z, head=1.0)  # 1 + S
-            m0, e0 = _series(ap + 1.0, b, z)
-            m1, e1 = _series(ap + 1.0, b + 1.0, z)
-            lead = math.ldexp(1.0 - ap, -e_t)
-            m_ap = lead + ap * t  # M(ap, b, z) / 2**e_t
-            p = math.ldexp(m1 / m_ap, e1 - e_t) * z / b
-            log_next = math.log(m0) + e0 * _LN2
-            err *= 1.0 + (lead - ap * t) / abs(m_ap)
+        ap = a + steps
+        m0, e0 = _series(ap, b, z)
+        m1, e1 = _series(ap + 1.0, b + 1.0, z)
+        p = math.ldexp(m1 / m0, e1 - e0) * z / b
+        log_next = math.log(m0) + e0 * _LN2 + math.log1p(p)
         prod = 1.0
         b_z, size = b - z, b + z + 2.0
         for _ in range(steps):
@@ -177,8 +159,8 @@ def _descend(a: float, b: float, z: float) -> tuple[float, float, float]:
 
 def kummer_m(a: float, b: float, z: float) -> tuple[float, int]:
     """(ln|M(a, b, z)|, sign of M(a, b, z)): the series for a >= 0, else
-    the recurrence, M(a) = M(a+1) / (1 + p(a)), which may cross a zero of
-    M only in its last step."""
+    (b > 1) the recurrence, M(a) = M(a+1) / (1 + p(a)), which may cross a
+    zero of M only in its last step."""
     _check_args(a, b, z)
     if z == 0.0:
         return 0.0, 1

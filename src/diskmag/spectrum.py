@@ -47,6 +47,7 @@ _LN2, _LN3 = math.log(2.0), math.log(3.0)
 _LOG_NU_MAX = -_LN2  # nu = 1/2, eta = 0: the top of the ln nu bracket
 _LOG_RATIO_MAX = 709.0  # ln M(1, n+2, x) past which the Kummer ratio overflows
 _TIE_REL = 1e-12  # ground_state: relative lambda margin that counts as a tie
+XI0_SEED = -0.768  # xi0 to three digits: seeds ground_state and the crossing guess
 
 
 @dataclass(frozen=True)
@@ -153,10 +154,20 @@ def _eta_scan_limit(n: int, beta: float) -> float:
     return 1.05 * bessel_jnp_first_zero(n) ** 2 / beta + 5.0
 
 
+def mode_index(n) -> int:
+    """n as an int: InvalidParams unless n is an integral number >= 0
+    (ints, numpy ints and floats such as 2.0 pass; 2.5, nan, inf do not)."""
+    try:
+        k = int(n)
+    except (TypeError, ValueError, OverflowError):
+        k = -1
+    if k != n or k < 0:
+        raise InvalidParams(f"angular mode n={n!r} must be an integer >= 0")
+    return k
+
+
 @lru_cache(maxsize=None)
 def _lowest_eigenvalue_cached(n: int, beta: float) -> EigenPoint:
-    if n < 0:
-        raise InvalidParams(f"angular mode n={n} must be >= 0")
     if not 0.0 <= beta < math.inf:
         raise InvalidParams(f"beta={beta} must be finite and >= 0")
     if beta == 0.0:
@@ -257,10 +268,10 @@ def lowest_eigenvalue(n: int, beta: float) -> EigenPoint:
     from the last refusal, once the step falls below that tolerance (seen
     at beta <= 1 with eta >~ 8e4: (200, 0.5), (350, 1)).
 
-    Raises InvalidParams for n < 0 and for beta < 0 or not finite.
-    Results are memoized.
+    Raises InvalidParams unless n is an integer >= 0 (see
+    :func:`mode_index`) and beta is finite and >= 0.  Results are memoized.
     """
-    return _lowest_eigenvalue_cached(int(n), float(beta))
+    return _lowest_eigenvalue_cached(mode_index(n), float(beta))
 
 
 def _graded_mesh(n: int, beta: float) -> np.ndarray:
@@ -328,13 +339,14 @@ def ground_state(beta: float) -> tuple[EigenPoint, int]:
     so a downhill walk from the boundary-layer estimate of the minimizing
     mode finds the minimum; ties at crossing points report the smaller n.
     """
-    if beta <= 0.0:
-        raise InvalidParams("ground state scan needs beta > 0")
+    if not 0.0 < beta < math.inf:
+        raise InvalidParams(f"beta={beta} must be finite and > 0 for the "
+                            "ground state scan")
 
     def lam(m: int) -> float:
         return lowest_eigenvalue(m, beta).lam
 
-    k = max(0, round(0.5 * beta - 0.768 * math.sqrt(beta)))
+    k = max(0, round(0.5 * beta + XI0_SEED * math.sqrt(beta)))
     here = lam(k)
     while k > 0:
         below = lam(k - 1)

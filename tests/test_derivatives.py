@@ -34,6 +34,14 @@ class TestLambdaPrime:
                 if beta < 2.0 * n:
                     assert record.dlambda < 0.0
 
+    @pytest.mark.parametrize("beta", [1e-9, 1e-6, 5e-6])
+    def test_small_field_step_stays_positive(self, beta):
+        # the step 1e-5 max(1, beta) exceeded beta here and lambda(0, beta - h)
+        # raised InvalidParams; lambda'(0, beta) = beta/4 + O(beta^3)
+        record = lambda_prime(0, beta)
+        assert record.dlambda == pytest.approx(0.25 * beta, rel=1e-12)
+        assert record.fh_vs_fd_gap <= 1e-6 * record.dlambda
+
     def test_trace_square_positive(self):
         record = lambda_prime(2, 9.0, cross_check=False)
         assert record.boundary_trace_sq > 0.0

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import diskmag.kummer as kummer_mod
-from diskmag.errors import InvalidParams, NonConvergence, SolverError
+from diskmag.errors import InvalidParams, NonConvergence
 from diskmag.kummer import kummer_m, kummer_m_many, kummer_ratio_shift_b
 
 from oracles import (ScaledReal, check_recurrences, kummer_m_integral,
@@ -25,13 +25,20 @@ def mp_ratio(a, b, z, digits):
         return mpmath.hyp1f1(a + 1, b + 1, z) / mpmath.hyp1f1(a, b, z)
 
 
-def close_or_solver_error(compute, exact, tol):
-    """compute() is within tol of exact (relative), or raises SolverError."""
+def close_or_refused(compute, exact, tol):
+    """compute() is within tol of exact (relative), or raises NonConvergence;
+    InvalidParams propagates, so an argument outside the domain fails."""
     try:
         value = compute()
-    except SolverError:
+    except NonConvergence:
         return True
     return abs(value - exact) <= tol * abs(exact)
+
+
+def mp_m(a, b, z, digits=50):
+    """M(a, b, z) in mpmath at the given precision."""
+    with mpmath.workdps(digits):
+        return mpmath.hyp1f1(a, b, z)
 
 
 class TestSeries:
@@ -58,9 +65,9 @@ class TestSeries:
     def test_negative_upper_parameter_is_signed(self):
         # ascending series with a < 0 alternates; sign must be tracked
         assert ScaledReal(*kummer_m(-8.5, 11.0, 2.5)).sign == 1
-        value = ScaledReal(*kummer_m(-0.5, 1.0, 3.0))
+        value = ScaledReal(*kummer_m(-0.5, 2.0, 5.0))
         assert value.sign == -1
-        assert value.value() == pytest.approx(-1.561631531928567, rel=1e-12)
+        assert value.value() == pytest.approx(float(mp_m(-0.5, 2.0, 5.0)), rel=1e-12)
 
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParams):
@@ -116,10 +123,11 @@ class TestManyZ:
                       <= 1e-14 * np.maximum(1.0, np.abs(scalar)))
 
     def test_negative_a_is_per_node(self):
-        z = np.array([0.5, 3.0, 40.0])
-        log_m, sign = kummer_m_many(-0.5, 1.0, z)
+        z = np.array([0.5, 3.0, 5.0, 12.0])
+        log_m, sign = kummer_m_many(-0.5, 2.0, z)
+        assert list(sign) == [1.0, -1.0, -1.0, -1.0]
         for i, x in enumerate(z):
-            m = ScaledReal(*kummer_m(-0.5, 1.0, float(x)))
+            m = ScaledReal(*kummer_m(-0.5, 2.0, float(x)))
             assert (log_m[i], sign[i]) == (m.log_mag, m.sign)
 
     @pytest.mark.parametrize("a,b,z", [(0.3, 101.0, 150.0), (0.05, 402.0, 449.5),
@@ -207,9 +215,9 @@ class TestRatio:
         expected = kummer_ratio_shift_b(0.3, 101.0, 150.0)
         series, calls = kummer_mod._series, []
 
-        def counted(a, b, z, head=None):
+        def counted(a, b, z):
             calls.append((a, b, z))
-            return series(a, b, z, head)
+            return series(a, b, z)
 
         monkeypatch.setattr(kummer_mod, "_numpy_count", lambda z: 40)
         monkeypatch.setattr(kummer_mod, "_series", counted)
@@ -248,40 +256,51 @@ class TestNegativeA:
             kummer_ratio_shift_b(a, b, z)
 
     def test_zero_crossed_before_last_step(self):
-        # M(-0.125, 1, 9) < 0 < M(0.875, 1, 9): a plain recurrence through
-        # that zero is off by 1.3e-10
-        a, b, z = -1.125, 1.0, 9.0
-        exact = mpmath.hyp1f1(a, b, z)
-        assert close_or_solver_error(lambda: ScaledReal(*kummer_m(a, b, z)).value(),
-                                     exact, 1e-12)
-        assert close_or_solver_error(lambda: kummer_ratio_shift_b(a, b, z),
-                                     mp_ratio(a, b, z, 50), 1e-12)
+        # M(-0.125, 2, 12) < 0 < M(0.875, 2, 12) and M(-1.125, 2, 12) > 0:
+        # the chain crosses a zero of M one step before its last, which
+        # both entry points refuse although M itself is positive
+        a, b, z = -1.125, 2.0, 12.0
+        assert mp_m(a + 1.0, b, z) < 0.0 < mp_m(a + 2.0, b, z)
+        assert mp_m(a, b, z) > 0.0
+        with pytest.raises(NonConvergence, match="crosses a zero"):
+            kummer_m(a, b, z)
+        with pytest.raises(NonConvergence, match="crosses a zero"):
+            kummer_ratio_shift_b(a, b, z)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("z", [0.25, 1.5, 4.0, 9.0])
     def test_integer_a_is_laguerre(self, m, z):
-        # M(-m, 1, z) = L_m(z) = sum_k C(m, k) (-z)^k / k!
+        # M(-m, 2, z) = L_m^(1)(z) / (m+1), with L_m^(1)(z) =
+        # sum_k C(m+1, m-k) (-z)^k / k!
         with mpmath.workdps(50):
-            laguerre = sum(math.comb(m, k) * mpmath.mpf(-z) ** k / math.factorial(k)
-                           for k in range(m + 1))
-        assert close_or_solver_error(lambda: ScaledReal(*kummer_m(-m, 1.0, z)).value(),
-                                     laguerre, 1e-12)
-        assert close_or_solver_error(lambda: kummer_ratio_shift_b(-m, 1.0, z),
-                                     mp_ratio(-m, 1, z, 50), 1e-12)
+            laguerre = sum(math.comb(m + 1, m - k) * mpmath.mpf(-z) ** k
+                           / math.factorial(k) for k in range(m + 1)) / (m + 1)
+        assert close_or_refused(lambda: ScaledReal(*kummer_m(-m, 2.0, z)).value(),
+                                laguerre, 1e-12)
+        assert close_or_refused(lambda: kummer_ratio_shift_b(-m, 2.0, z),
+                                mp_ratio(-m, 2, z, 50), 1e-12)
+
+    @pytest.mark.parametrize("a", [-1e-300, -1e-17, -1e-12])
+    def test_tiny_negative_a(self, a):
+        # a0 = a + ceil(-a) rounds to 1.0 at the first two; at b = 2 no
+        # chain step is the 0/0 step a' = b
+        assert kummer_ratio_shift_b(a, 2.0, 2.0) == pytest.approx(
+            float(mp_ratio(a, 2.0, 2.0, 50)), rel=1e-13)
+        assert ScaledReal(*kummer_m(a, 2.0, 2.0)).value() == pytest.approx(
+            float(mp_m(a, 2.0, 2.0)), rel=1e-13)
 
     @pytest.mark.parametrize("a,b,z", [
         (-1e-300, 1.0, 2.0), (-1e-17, 1.0, 2.0), (-1e-12, 1.0, 2.0),
         (-0.75, 0.25, 0.2)])
     def test_chain_start_below_b(self, a, b, z):
-        # from a0 = a + ceil(-a) (1.0 after rounding at the first two, b
-        # itself at the last) the first step would be the 0/0 step a' = b;
-        # at (-1e-12, 1, 2) its cancellation was refused at 3.7e-2
-        exact = mp_ratio(a, b, z, 50)
-        assert abs(kummer_ratio_shift_b(a, b, z) - exact) <= 1e-13 * abs(exact)
-        with mpmath.workdps(50):
-            exact_m = mpmath.hyp1f1(a, b, z)
-        assert abs(ScaledReal(*kummer_m(a, b, z)).value() - exact_m) \
-            <= 1e-13 * abs(exact_m)
+        # b <= 1 at a < 0 is outside the domain: from a0 = a + ceil(-a)
+        # the chain could meet the 0/0 step a' = b, and no solver asks
+        # for it (b = n + 1 has a < 0 only at beta <= 2n, n >= 1)
+        for call in (lambda: kummer_m(a, b, z),
+                     lambda: kummer_m_many(a, b, np.array([z, 2.0 * z])),
+                     lambda: kummer_ratio_shift_b(a, b, z)):
+            with pytest.raises(InvalidParams, match="needs b > 1"):
+                call()
 
     @pytest.mark.parametrize("a", [-0.5, -3.0, -41.7])
     def test_zero_argument(self, a):
@@ -349,12 +368,12 @@ class TestProperties:
 
     @given(st.floats(min_value=-200.0, max_value=-0.01, **bounded)
            .filter(lambda a: a != math.floor(a)),
-           st.integers(min_value=1, max_value=400),
+           st.integers(min_value=2, max_value=400),
            st.floats(min_value=0.25, max_value=450.0, **bounded))
     @settings(max_examples=300, deadline=None)
     def test_ratio_negative_a_matches_mpmath(self, a, b, z):
-        assert close_or_solver_error(lambda: kummer_ratio_shift_b(a, float(b), z),
-                                     mp_ratio(a, b, z, 50), 1e-12)
+        assert close_or_refused(lambda: kummer_ratio_shift_b(a, float(b), z),
+                                mp_ratio(a, b, z, 50), 1e-12)
 
     @given(st.floats(min_value=0.05, max_value=1.5, **bounded),
            st.floats(min_value=0.5, max_value=10.0, **bounded),

@@ -9,6 +9,8 @@ from scipy.integrate import quad
 
 import diskmag.kummer as kummer_mod
 import diskmag.spectrum as spectrum
+from diskmag.crossings import crossing_by_phi, crossing_by_system
+from diskmag.derivatives import lambda_prime
 from diskmag.errors import BracketFailure, InvalidParams, NonConvergence
 from diskmag.fd import Grid1D, fd_disk_eigen, fd_disk_lambda
 from diskmag.kummer import kummer_m
@@ -103,7 +105,8 @@ class TestLowestEigenvalue:
 
     @pytest.mark.parametrize("n, beta, name", [
         (0, -5.0, "beta"), (0, math.nan, "beta"), (-1, 5.0, "n"),
-        (3, math.nan, "beta"), (3, math.inf, "beta"), (0, math.inf, "beta")])
+        (3, math.nan, "beta"), (3, math.inf, "beta"), (0, math.inf, "beta"),
+        (2.5, 10.0, "n"), (math.nan, 10.0, "n"), (math.inf, 10.0, "n")])
     def test_rejects_bad_arguments_by_name(self, n, beta, name):
         with pytest.raises(InvalidParams, match=rf"\b{name}="):
             lowest_eigenvalue(n, beta)
@@ -293,6 +296,12 @@ class TestEigenfunction:
                          epsabs=1e-12, limit=200)
         assert norm == pytest.approx(1.0, abs=1e-10)
 
+    def test_mode_zero_above_beta_is_refused(self):
+        # eta > 1 at n = 0 is no eigenpoint (lambda(0, beta) < beta), and
+        # M(nu, 1, x) with nu < 0 is outside the Kummer domain
+        with pytest.raises(InvalidParams, match="needs b > 1"):
+            eigenfunction(EigenPoint(0, 1.0, 2.0, 2.0))
+
     def test_positive_in_the_interior(self):
         point = lowest_eigenvalue(7, 40.0)
         handle = eigenfunction(point)
@@ -358,6 +367,30 @@ class TestGroundState:
         beta, _ = CROSSINGS[2]
         _, k = ground_state(beta)
         assert k == 2
+
+
+@pytest.mark.parametrize("call, args, name", [
+    (lambda_prime, (2.7, 10.0), "n"),
+    (crossing_by_system, (2.5,), "n"),
+    (crossing_by_system, (-1,), "n"),
+    (crossing_by_phi, (2.5,), "n"),
+    (crossing_by_phi, (-1,), "n"),
+    (ground_state, (math.nan,), "beta"),
+    (ground_state, (math.inf,), "beta"),
+    (ground_state, (-1.0,), "beta")])
+def test_entry_points_reject_bad_arguments_by_name(call, args, name):
+    # lambda_prime(2.7, .) and crossing_by_system(2.5) returned values for
+    # modes that do not exist; n = -1 and a non-finite beta raised
+    # ValueError before any domain check
+    with pytest.raises(InvalidParams, match=rf"\b{name}="):
+        call(*args)
+
+
+@pytest.mark.parametrize("n", [3, np.int64(3), 3.0, np.float64(3.0)])
+def test_integral_modes_are_accepted(n):
+    assert lowest_eigenvalue(n, 10.0) == lowest_eigenvalue(3, 10.0)
+    record = lambda_prime(n, 10.0)
+    assert type(record.n) is int and record.n == 3
 
 
 def _fibonacci_lattice(count: int) -> list[tuple[int, float]]:
