@@ -194,15 +194,21 @@ def crossing_by_phi(n: int) -> CrossingPoint:
     return _make_point(n, _x_of_nu(n, nu), nu, "implicit_phi")
 
 
-@lru_cache(maxsize=None)
-def crossings_range(n_max: int) -> tuple[CrossingPoint, ...]:
+def crossings_range(n_max) -> tuple[CrossingPoint, ...]:
     """Crossings for n = 0 .. n_max via the Kummer system, with each
     solution seeding the next (linear extrapolation of eta_star).
 
-    Memoized per n_max, so a process makes one pass; a tuple,
-    so no caller can change it.  Each crossing is seeded only by earlier
-    ones: crossings_range(m) == crossings_range(n)[:m + 1] for m <= n.
+    n_max is checked by mode_index (InvalidParams unless an integer >= 0)
+    before the memo, so 3 and 3.0 share one entry and a process makes one
+    pass; a tuple, so no caller can change it.  Each crossing is seeded
+    only by earlier ones: crossings_range(m) == crossings_range(n)[:m + 1]
+    for m <= n.
     """
+    return _crossings_pass(mode_index(n_max, "n_max"))
+
+
+@lru_cache(maxsize=None)
+def _crossings_pass(n_max: int) -> tuple[CrossingPoint, ...]:
     points: list[CrossingPoint] = []
     for n in range(n_max + 1):
         seed = None
@@ -212,3 +218,10 @@ def crossings_range(n_max: int) -> tuple[CrossingPoint, ...]:
             seed = (0.5 * saint_james_beta(n, eta_seed), 0.5 * (1.0 - eta_seed))
         points.append(crossing_by_system(n, seed=seed))
     return tuple(points)
+
+
+# the memo's handles, as lru_cache names them: clear it, read it, or
+# bypass it for a cold pass
+crossings_range.cache_clear = _crossings_pass.cache_clear
+crossings_range.cache_info = _crossings_pass.cache_info
+crossings_range.__wrapped__ = _crossings_pass.__wrapped__

@@ -19,9 +19,9 @@ import math
 from dataclasses import dataclass
 
 from .crossings import CrossingPoint, crossings_range
-from .errors import InsufficientData, InvalidParams
+from .errors import InsufficientData
 from .richardson import r4
-from .spectrum import eigenfunction, ground_state, lowest_eigenvalue
+from .spectrum import eigenfunction, ground_state, lowest_eigenvalue, mode_index
 
 
 @dataclass(frozen=True)
@@ -151,11 +151,10 @@ def one_sided_chain(indices, n_max: int) -> tuple[dict[int, float], ...]:
     and n -> lambda'(n+1, beta_n) over ``indices`` (0 <= n <= n_max) at the
     memoized crossings_range(n_max), and their :func:`~diskmag.richardson.r4`,
     which is empty unless the set holds some n, 2n, ..., 16n, n >= 1.
-    Index 0 never changes an R4 entry: richardson_step consumes it.
+    Index 0 never changes an R4 entry: richardson_step consumes it.  An
+    index that is not an integer >= 0 raises InvalidParams (mode_index).
     """
-    indices = sorted(set(int(n) for n in indices))
-    if indices[0] < 0:
-        raise InvalidParams("derivative chain indices must be >= 0")
+    indices = sorted({mode_index(n, "indices") for n in indices})
     points = crossings_range(n_max)
     pairs = {n: one_sided_derivatives(n, crossing=points[n]) for n in indices}
     left = {n: lr[0] for n, lr in pairs.items()}

@@ -13,15 +13,25 @@ a < 0 (the solvers' b = n + 1 with a < 0 only at beta <= 2n, n >= 1);
 outside it every entry point raises InvalidParams.  The test suite checks
 it against an independent quadrature of the integral representation.
 
+Every positive-term sum is sized by the peak of its terms: past the
+larger root k2 of k^2 + (b+1-z) k + (b - a z) the term ratio stays below
+1 (:func:`_peak`).  The scalar loop stops after three small terms past
+k2; a numpy product takes k2 terms and a tail past them
+(:func:`_numpy_count`).  The terms peak near k ~ max(0, z - b), not at
+k ~ z, so at the crossings' b = n + 1 ~ z = beta/2 the sums are short.
+
 :func:`kummer_m_many` is the many-z kernel: for a >= 0 it sums the
-series at every z of an array as one numpy cumulative product per row,
-falling back to :func:`kummer_m` for any row that does not settle; the
-numpy path of the scalar series (100 < z <= 600) is its one-row call.
-Eigenfunction normalization takes all its Gauss nodes from one call.
+series at every z of an array as numpy cumulative products, one per
+band of rows with the same rounded-up count, falling back to
+:func:`kummer_m` for any row that does not settle; the numpy path of the
+scalar series (100 < z <= 600) is its one-row call.  Eigenfunction
+normalization takes all its Gauss nodes from one call.
 
 :func:`kummer_ratio_shift_b` returns M(a+1, b+1, z) / M(a, b, z) as an
 ordinary float; eigenvalue residuals are built from this ratio so they
-stay O(1) regardless of the raw Kummer magnitudes.
+stay O(1) regardless of the raw Kummer magnitudes.  For a >= 0 it sums
+one series: with s_k the terms of M(a+1, b+1, z), M(a, b, z) = 1 +
+(a z / b) sum s_k / (k+1).
 """
 
 from __future__ import annotations
@@ -42,7 +52,8 @@ _LN2 = math.log(2.0)
 _EPS = sys.float_info.epsilon
 _MAX_REL_ERR = 1e-12  # largest error bound of a recurrence result returned
 _SERIES_REL_TOL = 1e-16  # a series stops once three terms fall below this share
-_SHIFT_ROWS = np.array([[1.0], [0.0]])  # rows (a+1, b+1) and (a, b) of the ratio
+_TAIL_FALL = 50.0  # e-folds the terms fall past their peak in a numpy count
+_BAND = 32  # kummer_m_many sums rows whose term counts round up alike together
 
 
 def _check_args(a: float, b: float, z: float) -> None:
@@ -60,15 +71,37 @@ def _series_budget(z: float) -> int:
     return int(20.0 * (z + 50.0))
 
 
-def _numpy_count(z: float) -> int:
-    """Terms of the numpy series at z: past the peak at k ~ z and its tail."""
-    return int(z + 14.0 * math.sqrt(z + 1.0) + 80.0)
+def _pos(x):
+    """max(x, 0) for floats and arrays alike."""
+    return 0.5 * (x + abs(x))
+
+
+def _peak(a, b, z):
+    """The larger root k2 of k^2 + (b+1-z) k + (b - a z), clipped at 0, for
+    floats and arrays alike.  Past k2 the term ratio (a+k) z / ((b+k)(k+1))
+    stays below 1, so the terms fall from there on; where the roots are
+    complex every ratio is below 1 and the vertex, clipped at 0, stands
+    in.  k2 < z whenever a < b + 1."""
+    h = 0.5 * (z - b - 1.0)
+    return _pos(h + _pos(h * h - b + a * z) ** 0.5)
+
+
+def _numpy_count(a, b, z):
+    """Terms of the numpy series at z (floats or arrays): the peak k2, the
+    j at which a model of the terms past it has them fall by
+    e^-_TAIL_FALL, and 20 more.  The model takes ln r_(k2+j) = -q - j/s
+    with s = b + k2 + 1 and q = max(0, 1 - z/s) <= ln(s/z), so the fall
+    over j terms is q j + j^2 / (2s); each row's settled test checks it."""
+    k2 = _peak(a, b, z)
+    s = b + k2 + 1.0
+    q = _pos(1.0 - z / s)
+    return k2 + 2.0 * _TAIL_FALL / (q + (q * q + 2.0 * _TAIL_FALL / s) ** 0.5) + 20.0
 
 
 def _series_rows(a, b, z, count: int):
-    """1 + the first ``count`` terms of the positive-term series, as one
-    numpy cumulative product per row: (total, settled).  Rows differ in z
-    (an (N, 1) column) or in a and b ((N, 1) columns); scalars give one
+    """Terms 1 .. ``count`` of the positive-term series, as one numpy
+    cumulative product per row: (terms, total, settled), with total = 1 +
+    their sum.  Rows differ in z (an (N, 1) column); a scalar z gives one
     row.  A row is settled when its total is finite and its last three
     terms are within _SERIES_REL_TOL of it."""
     k = np.arange(count, dtype=float)
@@ -76,41 +109,58 @@ def _series_rows(a, b, z, count: int):
     terms /= (b + k) * (k + 1.0)
     np.cumprod(terms, axis=-1, out=terms)
     total = 1.0 + terms.sum(axis=-1)
-    return total, ((total < math.inf)
-                   & (terms[..., -3:].max(axis=-1) <= _SERIES_REL_TOL * total))
+    return terms, total, ((total < math.inf)
+                          & (terms[..., -3:].max(axis=-1) <= _SERIES_REL_TOL * total))
 
 
-def _series(a: float, b: float, z: float) -> tuple[float, int]:
-    """Sum the ascending series, whose terms are positive for a >= 0;
-    returns (mantissa, e).
+def _series(a: float, b: float, z: float) -> tuple[float, float, int]:
+    """Sum the ascending series sum_k s_k of M(a, b, z), whose terms are
+    positive for a >= 0; returns (S, W, e) with sum_k s_k = S * 2**e and
+    sum_k s_k / (k+1) = W * 2**e.
 
-    The value is mantissa * 2**e.  For 100 < z <= 600 the one-row numpy
-    product of z + 14 sqrt(z+1) + 80 terms, fewer than the scalar loop's
-    budget, is tried first.
-    Truncation requires three consecutive terms below the relative
-    tolerance *and* the index to be past the term-growth peak at k ~ z,
-    so a small early term cannot stop the sum prematurely.
+    For 100 < z <= 600 the one-row numpy product of _numpy_count terms,
+    fewer than the scalar loop's budget, is tried first.  Truncation
+    requires three consecutive terms below the relative tolerance *and*
+    the index to be past the peak k2 (:func:`_peak`), so a small early
+    term cannot stop the sum before the terms rise again.
     """
     assert a >= 0.0, "the ascending series is summed only over positive terms"
     if _NUMPY_MIN_Z < z <= _RAW_LOG_CAP:
-        total, settled = _series_rows(a, b, z, _numpy_count(z))
-        if settled:  # past the peak: _numpy_count(z) > z
-            return float(total), 0
-    budget = _series_budget(z)
-    term = total = 1.0
+        count = int(_numpy_count(a, b, z))
+        terms, total, settled = _series_rows(a, b, z, count)
+        if settled:
+            weighted = 1.0 + float(np.sum(terms / np.arange(2.0, count + 2.0)))
+            return float(total), weighted, 0
+    budget, peak = _series_budget(z), _peak(a, b, z)
+    term = total = weighted = 1.0
     exp2 = small = 0
     for k in range(budget):
         term *= (a + k) * z / ((b + k) * (k + 1.0))
         total += term
+        weighted += term / (k + 2.0)
         small = small + 1 if term <= _SERIES_REL_TOL * total else 0
-        if small >= 3 and k + 1 >= z:
-            return total, exp2
+        if small >= 3 and k + 1 >= peak:
+            return total, weighted, exp2
         if total > _RESCALE_AT:
             total, e = math.frexp(total)
             term = math.ldexp(term, -e)
+            weighted = math.ldexp(weighted, -e)
             exp2 += e
     raise NonConvergence(
         f"Kummer series for (a={a}, b={b}, z={z}) not converged in {budget} terms")
+
+
+def _shift_ratio(a: float, b: float, z: float) -> tuple[float, float]:
+    """(M(a+1, b+1, z) / M(a, b, z), ln M(a, b, z)) for a >= 0 from the one
+    series M(a+1, b+1, z) = sum s_k, since M(a, b, z) = 1 + (a z / b) sum
+    s_k / (k+1): both sums share the power-of-two exponent, so the ratio
+    is exact in it.  NonConvergence if the ratio leaves the float range."""
+    num, weighted, exp2 = _series(a + 1.0, b + 1.0, z)
+    den = math.ldexp(1.0, -exp2) + a * z / b * weighted
+    ratio = num / den if den > 0.0 else math.inf
+    if not ratio < math.inf:
+        raise NonConvergence(f"ratio at ({a}, {b}, {z}) overflows")
+    return ratio, math.log(den) + exp2 * _LN2
 
 
 def _descend(a: float, b: float, z: float) -> tuple[float, float, float]:
@@ -118,22 +168,22 @@ def _descend(a: float, b: float, z: float) -> tuple[float, float, float]:
     where p(a) = M(a+1, b, z)/M(a, b, z) - 1.
 
     p(a0) = (z/b) M(a0+1, b+1, z)/M(a0, b, z) at a0 = a + ceil(-a) (DLMF
-    13.3.4) is a quotient of positive-term sums; DLMF 13.3.1 written for p
-    (so small z/b costs no digits) carries it down: p(a'-1) = (z - a' p(a'))
-    / (b - a' - z + a' p(a')).  Its domain is b > 1, where the 0/0 step at
-    a' = b cannot occur, since a' <= a0 <= 1 (a0 rounds to 1 for tiny |a|).
+    13.3.4) comes from one positive-term series (:func:`_shift_ratio`);
+    DLMF 13.3.1 written for p (so small z/b costs no digits) carries it
+    down: p(a'-1) = (z - a' p(a')) / (b - a' - z + a' p(a')).  Its domain
+    is b > 1, where the 0/0 step at a' = b cannot occur, since a' <= a0 <=
+    1 (a0 rounds to 1 for tiny |a|).
     A p <= -1 above a (a zero of M crossed), a zero denominator or an
     overflow raises NonConvergence; near a zero of M the denominator
     cancels and the bound grows by that factor.
     """
     steps = math.ceil(-a)
-    err = 4.0 * math.sqrt(z + 1.0)  # p(a0) observed within 3 sqrt(z+1) eps
+    err = 4.0 * math.sqrt(z + 1.0)  # p(a0) observed within sqrt(z+1) eps
     try:
         ap = a + steps
-        m0, e0 = _series(ap, b, z)
-        m1, e1 = _series(ap + 1.0, b + 1.0, z)
-        p = math.ldexp(m1 / m0, e1 - e0) * z / b
-        log_next = math.log(m0) + e0 * _LN2 + math.log1p(p)
+        ratio, log_m = _shift_ratio(ap, b, z)
+        p = ratio * z / b
+        log_next = log_m + math.log1p(p)
         prod = 1.0
         b_z, size = b - z, b + z + 2.0
         for _ in range(steps):
@@ -165,7 +215,7 @@ def kummer_m(a: float, b: float, z: float) -> tuple[float, int]:
     if z == 0.0:
         return 0.0, 1
     if a >= 0.0:
-        total, exp2 = _series(a, b, z)
+        total, _, exp2 = _series(a, b, z)
         return math.log(total) + exp2 * _LN2, 1
     p, log_next, err = _descend(a, b, z)
     q = 1.0 + p
@@ -177,11 +227,13 @@ def kummer_m(a: float, b: float, z: float) -> tuple[float, int]:
 def kummer_m_many(a: float, b: float, z) -> tuple[np.ndarray, np.ndarray]:
     """(ln|M(a, b, z_i)|, sign of M(a, b, z_i)) at every z_i of a 1-D array.
 
-    For a >= 0 one numpy product sums the series at every z_i <= 600 at
-    once, with the term count of the largest of them; each row keeps the
-    scalar path's test (a finite total, its last three terms within
-    _SERIES_REL_TOL of it, and count > z_i).  A row that fails it, and every
-    row for a < 0, comes from :func:`kummer_m`.
+    For a >= 0 the z_i <= 600 are summed by numpy products in bands: rows
+    whose _numpy_count, each from its own z_i, rounds up to the same
+    multiple of _BAND share one product of that many terms.  Each row
+    keeps the scalar path's test (a finite total and its last three terms
+    within _SERIES_REL_TOL of it; the count is past the row's peak).  A
+    row that fails it, and every row for a < 0, comes from
+    :func:`kummer_m`.
     """
     z = np.asarray(z, dtype=float)
     log_m, sign = np.full_like(z, math.nan), np.ones_like(z)
@@ -189,36 +241,26 @@ def kummer_m_many(a: float, b: float, z) -> tuple[np.ndarray, np.ndarray]:
         _check_args(a, b, float(z.min()))
     rows = np.flatnonzero(z <= _RAW_LOG_CAP) if a >= 0.0 else []
     if len(rows):
-        z_rows = z[rows]
-        total, settled = _series_rows(a, b, z_rows[:, None],
-                                      _numpy_count(float(z_rows.max())))
-        log_m[rows[settled]] = np.log(total[settled])
+        bands = np.ceil(_numpy_count(a, b, z[rows]) / _BAND).astype(int) * _BAND
+        for count in np.unique(bands):
+            band = rows[bands == count]
+            _, total, settled = _series_rows(a, b, z[band, None], int(count))
+            log_m[band[settled]] = np.log(total[settled])
     for i in np.flatnonzero(np.isnan(log_m)):
         log_m[i], sign[i] = kummer_m(a, b, float(z[i]))
     return log_m, sign
 
 
 def kummer_ratio_shift_b(a: float, b: float, z: float) -> float:
-    """M(a+1, b+1, z) / M(a, b, z): for a >= 0 a quotient of positive-term
-    sums, exact in the power-of-two exponent (at 100 < z <= 600 both from
-    one two-row numpy product, unless a row does not settle); for a < 0
-    (b/z) p(a) by DLMF 13.3.4, refused unless M(a, b, z) > 0 and p(a) is
-    within _MAX_REL_ERR."""
+    """M(a+1, b+1, z) / M(a, b, z): for a >= 0 from the one positive-term
+    series of M(a+1, b+1, z) (:func:`_shift_ratio`); for a < 0 (b/z) p(a)
+    by DLMF 13.3.4, refused unless M(a, b, z) > 0 and p(a) is within
+    _MAX_REL_ERR."""
     _check_args(a, b, z)
     if z == 0.0:
         return 1.0
     if a >= 0.0:
-        if _NUMPY_MIN_Z < z <= _RAW_LOG_CAP:  # both series in one product
-            total, settled = _series_rows(_SHIFT_ROWS + a, _SHIFT_ROWS + b, z,
-                                          _numpy_count(z))
-            if settled.all():
-                return float(total[0] / total[1])
-        num, e_num = _series(a + 1.0, b + 1.0, z)
-        den, e_den = _series(a, b, z)
-        try:
-            return math.ldexp(num / den, e_num - e_den)
-        except OverflowError:
-            raise NonConvergence(f"ratio at ({a}, {b}, {z}) overflows") from None
+        return _shift_ratio(a, b, z)[0]
     p, _, err = _descend(a, b, z)
     if not (-1.0 < p < math.inf and err <= _MAX_REL_ERR):
         raise NonConvergence(f"ratio at ({a}, {b}, {z}): M <= 0 or error {err:.1e}")

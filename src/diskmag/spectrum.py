@@ -70,8 +70,7 @@ class EigenPoint:
     def __post_init__(self) -> None:
         if self.nu is None:
             object.__setattr__(self, "nu", 0.5 * (1.0 - self.eta))
-        if self.n < 0:
-            raise InvalidParams("angular mode n must be >= 0")
+        object.__setattr__(self, "n", mode_index(self.n))
         if self.beta < 0.0:
             raise InvalidParams("beta must be >= 0")
         if self.lam < 0.0:
@@ -154,15 +153,16 @@ def _eta_scan_limit(n: int, beta: float) -> float:
     return 1.05 * bessel_jnp_first_zero(n) ** 2 / beta + 5.0
 
 
-def mode_index(n) -> int:
-    """n as an int: InvalidParams unless n is an integral number >= 0
-    (ints, numpy ints and floats such as 2.0 pass; 2.5, nan, inf do not)."""
+def mode_index(n, name: str = "n") -> int:
+    """n as an int: InvalidParams, naming the argument ``name``, unless n is
+    an integral number >= 0 (ints, numpy ints and floats such as 2.0 pass;
+    2.5, nan, inf do not)."""
     try:
         k = int(n)
     except (TypeError, ValueError, OverflowError):
         k = -1
     if k != n or k < 0:
-        raise InvalidParams(f"angular mode n={n!r} must be an integer >= 0")
+        raise InvalidParams(f"{name}={n!r}: an angular mode must be an integer >= 0")
     return k
 
 
@@ -305,8 +305,9 @@ def eigenfunction(point: EigenPoint) -> EigenfunctionHandle:
     toward r = 1 (composite 8-point Gauss-Legendre), because the raw
     integrand spans hundreds of orders of magnitude at large beta.  ln M
     at all Gauss nodes comes from one call of the many-z Kummer kernel
-    :func:`~diskmag.kummer.kummer_m_many`: one numpy product for nu >= 0,
-    per-node :func:`~diskmag.kummer.kummer_m` for nu < 0.
+    :func:`~diskmag.kummer.kummer_m_many`: for nu >= 0 a few numpy
+    products, one per band of nodes whose series need about as many
+    terms; per-node :func:`~diskmag.kummer.kummer_m` for nu < 0.
     """
     if point.beta <= 0.0:
         raise InvalidParams("eigenfunction normalization needs beta > 0")

@@ -174,3 +174,16 @@ class TestSweep:
         # is exactly the head of a longer one
         from diskmag.crossings import crossings_range
         assert crossings_range(160) == crossings400[:161]
+
+    def test_n_max_checked_before_the_memo(self):
+        # crossings_range(2.5) raised TypeError and crossings_range(-1)
+        # returned (); 3.0 and 3 are one memo entry
+        from diskmag.crossings import crossings_range
+        from diskmag.errors import InvalidParams
+        for bad in (2.5, -1, math.nan):
+            with pytest.raises(InvalidParams, match=r"\bn_max="):
+                crossings_range(bad)
+        points = crossings_range(3)
+        misses = crossings_range.cache_info().misses
+        assert crossings_range(3.0) is points
+        assert crossings_range.cache_info().misses == misses

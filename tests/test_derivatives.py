@@ -148,6 +148,11 @@ class TestLimits:
         with pytest.raises(InvalidParams):
             one_sided_chain([-1, 0, 1], 2)
 
+    def test_chain_rejects_non_integral_index(self):
+        # int(2.5) truncated to 2 and returned mode 2's derivatives
+        with pytest.raises(InvalidParams, match=r"\bindices="):
+            one_sided_chain([2.5], 3)
+
     def test_limits_against_constants(self, constants):
         chain = sorted({base * 2 ** k for base in (1, 3, 5, 7, 9, 25)
                         for k in range(5)} | {0, 2, 4, 6, 8, 10})

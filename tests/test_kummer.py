@@ -4,14 +4,14 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import diskmag.kummer as kummer_mod
 from diskmag.errors import InvalidParams, NonConvergence
 from diskmag.kummer import kummer_m, kummer_m_many, kummer_ratio_shift_b
 
-from oracles import (ScaledReal, check_recurrences, kummer_m_integral,
-                     kummer_series_rational)
+from oracles import (ScaledReal, check_recurrences, kummer_m_2f2,
+                     kummer_m_integral, kummer_series_rational)
 from refdata import CROSSINGS
 
 
@@ -33,6 +33,17 @@ def close_or_refused(compute, exact, tol):
     except NonConvergence:
         return True
     return abs(value - exact) <= tol * abs(exact)
+
+
+def two_row_ratio(a, b, z):
+    """M(a+1, b+1, z) / M(a, b, z) as the former numpy path summed it: one
+    two-row cumulative product of z + 14 sqrt(z+1) + 80 terms per series."""
+    count = int(z + 14.0 * math.sqrt(z + 1.0) + 80.0)
+    k = np.arange(count, dtype=float)
+    shift = np.array([[1.0], [0.0]])
+    terms = np.cumprod((shift + a + k) * z / ((shift + b + k) * (k + 1.0)), axis=-1)
+    total = 1.0 + terms.sum(axis=-1)
+    return float(total[0] / total[1])
 
 
 def mp_m(a, b, z, digits=50):
@@ -104,8 +115,9 @@ class TestManyZ:
                           <= 1e-14 * np.maximum(1.0, np.abs(scalar)))
 
     def test_unsettled_rows_fall_back(self, monkeypatch):
-        # 40 terms settle only the small-z rows; every other row must come
-        # from kummer_m, one call each, and still match it
+        # 40 terms (one band, rounded up to a multiple of _BAND) settle only
+        # the small-z rows; every other row must come from kummer_m, one
+        # call each, and still match it
         a, b = 0.3, 11.0
         z = np.array([0.1, 2.0, 5.0, 60.0, 150.0, 420.0])
         scalar = [ScaledReal(*kummer_m(a, b, float(x))).log_mag for x in z]
@@ -115,7 +127,7 @@ class TestManyZ:
             calls.append(args[2])
             return kummer_m(*args)
 
-        monkeypatch.setattr(kummer_mod, "_numpy_count", lambda z_max: 40)
+        monkeypatch.setattr(kummer_mod, "_numpy_count", lambda a, b, z: 40.0 + 0.0 * z)
         monkeypatch.setattr(kummer_mod, "kummer_m", counted)
         log_m, _ = kummer_mod.kummer_m_many(a, b, z)
         assert calls == [60.0, 150.0, 420.0]
@@ -133,15 +145,19 @@ class TestManyZ:
     @pytest.mark.parametrize("a,b,z", [(0.3, 101.0, 150.0), (0.05, 402.0, 449.5),
                                        (0.5, 1.0, 100.5), (0.2, 7.0, 600.0)])
     def test_one_row_is_the_scalar_numpy_path(self, a, b, z):
-        # the scalar path's numpy branch is the one-row call: bit-identical
-        # to the former 1-D cumprod/sum, and to the same row of a many-z call
-        total, exp2 = kummer_mod._series(a, b, z)
-        count = kummer_mod._numpy_count(z)
+        # the scalar path's numpy branch is the one-row call of the row's own
+        # peak-sized count: bit-identical to a 1-D cumprod/sum of that many
+        # terms (and its sum of s_k / (k+1)), and to the same row of a
+        # many-z call with that count
+        total, weighted, exp2 = kummer_mod._series(a, b, z)
+        count = int(kummer_mod._numpy_count(a, b, z))
+        assert kummer_mod._peak(a, b, z) < count < kummer_mod._series_budget(z)
         k = np.arange(count, dtype=float)
         terms = np.cumprod((a + k) * z / ((b + k) * (k + 1.0)))
-        assert (total, exp2) == (1.0 + float(terms.sum()), 0)
+        assert (total, weighted, exp2) == (1.0 + float(terms.sum()),
+                                           1.0 + float(np.sum(terms / (k + 2.0))), 0)
         column = np.array([[z - 50.0], [z], [0.5 * z]])
-        rows, settled = kummer_mod._series_rows(a, b, column, count)
+        _, rows, settled = kummer_mod._series_rows(a, b, column, count)
         assert settled[1] and rows[1] == total
 
     def test_rejects_bad_arguments(self):
@@ -203,29 +219,58 @@ class TestRatio:
     @pytest.mark.parametrize("a,b,z", [(0.3, 101.0, 150.0), (0.05, 402.0, 449.5),
                                        (0.5, 1.0, 100.5), (0.2, 7.0, 600.0)])
     def test_two_row_product_is_the_two_series(self, a, b, z):
-        # at 100 < z <= 600 both sums come from one two-row product, bit
-        # for bit the quotient of the two separate _series calls
-        num, e_num = kummer_mod._series(a + 1.0, b + 1.0, z)
-        den, e_den = kummer_mod._series(a, b, z)
-        assert kummer_ratio_shift_b(a, b, z) == math.ldexp(num / den, e_num - e_den)
+        # at 100 < z <= 600 the ratio comes from one numpy row, the series of
+        # M(a+1, b+1, z) = sum s_k, with M(a, b, z) = 1 + (a z / b) sum
+        # s_k / (k+1): bit for bit that quotient, and no further from
+        # 50-digit mpmath than the former two-row product of M(a+1, b+1, z)
+        # and M(a, b, z)
+        num, weighted, exp2 = kummer_mod._series(a + 1.0, b + 1.0, z)
+        assert exp2 == 0
+        ratio = kummer_ratio_shift_b(a, b, z)
+        assert ratio == num / (1.0 + a * z / b * weighted)
+        exact = mp_ratio(a, b, z, 50)
+        assert abs(ratio - exact) <= max(abs(two_row_ratio(a, b, z) - exact),
+                                         4.0 * math.ulp(ratio))
 
     def test_unsettled_two_row_product_falls_back(self, monkeypatch):
-        # 40 terms settle neither row at z = 150, so the ratio comes from
-        # two _series calls, which then sum with the scalar loop
+        # 40 terms do not settle the one row at z = 150, so its one _series
+        # call sums with the scalar loop, and the ratio is that loop's
+        # quotient
         expected = kummer_ratio_shift_b(0.3, 101.0, 150.0)
-        series, calls = kummer_mod._series, []
+        series, rows = kummer_mod._series, kummer_mod._series_rows
+        calls, row_calls = [], []
 
         def counted(a, b, z):
             calls.append((a, b, z))
             return series(a, b, z)
 
-        monkeypatch.setattr(kummer_mod, "_numpy_count", lambda z: 40)
+        def counted_rows(*args):
+            result = rows(*args)
+            row_calls.append(result[-1])
+            return result
+
+        monkeypatch.setattr(kummer_mod, "_numpy_count", lambda a, b, z: 40.0)
         monkeypatch.setattr(kummer_mod, "_series", counted)
+        monkeypatch.setattr(kummer_mod, "_series_rows", counted_rows)
         ratio = kummer_ratio_shift_b(0.3, 101.0, 150.0)
-        assert len(calls) == 2
-        (num, e_num), (den, e_den) = (series(*args) for args in calls)
-        assert ratio == math.ldexp(num / den, e_num - e_den)
+        assert calls == [(1.3, 102.0, 150.0)] and row_calls == [False]
+        num, weighted, exp2 = series(*calls[0])
+        assert ratio == num / (math.ldexp(1.0, -exp2) + 0.3 * 150.0 / 101.0 * weighted)
         assert ratio == pytest.approx(expected, rel=1e-14)
+
+    def test_one_series_no_further_from_mpmath_than_two(self):
+        # a seeded draw in the numpy range: the one-series ratio's worst
+        # error against 50-digit mpmath is no larger than the former
+        # two-row product's
+        rng = np.random.default_rng(0)
+        new = old = 0.0
+        for _ in range(40):
+            a, b = rng.uniform(0.0, 0.5), float(rng.integers(1, 403))
+            z = rng.uniform(100.5, 600.0)
+            exact = mp_ratio(a, b, z, 50)
+            new = max(new, float(abs(kummer_ratio_shift_b(a, b, z) / exact - 1)))
+            old = max(old, float(abs(two_row_ratio(a, b, z) / exact - 1)))
+        assert new <= old < 1e-13
 
     def test_ratio_beyond_float_range_raises(self):
         # M(1, 2, z)/M(0, 1, z) = (e^z - 1)/z overflows a float at z = 725
@@ -387,3 +432,53 @@ class TestProperties:
         fd = (upper - lower) / (2.0 * h)
         closed = (a / b) * ScaledReal(*kummer_m(a + 1.0, b + 1.0, z)).value()
         assert rel_gap(fd, closed) < 1e-6
+
+
+class TestPeak:
+    """Every positive-term sum is sized by the peak of its terms: past k2
+    (_peak) the term ratio (a+k) z / ((b+k)(k+1)) stays below 1."""
+
+    @given(st.floats(min_value=0.0, max_value=2.0, **bounded),
+           st.floats(min_value=0.0, max_value=402.0, exclude_min=True, **bounded),
+           st.floats(min_value=0.0, max_value=600.0, **bounded),
+           st.lists(st.floats(min_value=1e-5, max_value=1e4, **bounded),
+                    min_size=1, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_terms_fall_past_the_peak(self, a, b, z, steps):
+        assume(a < b + 1.0)
+        k2 = kummer_mod._peak(a, b, z)
+        assert 0.0 <= k2 <= z
+        for step in steps:
+            k = k2 + step * (1.0 + k2)
+            assert (a + k) * z < (b + k) * (k + 1.0)
+
+    @pytest.mark.parametrize("a", [1e-300, 1e-30, 1e-12, 0.05])
+    @pytest.mark.parametrize("b,z", [(200.0, 170.0), (200.0, 200.0), (200.0, 240.0),
+                                     (401.0, 371.0), (401.0, 401.0), (401.0, 441.0),
+                                     (200.0, 400.0), (10.0, 90.0)])
+    def test_dip_then_rise(self, a, b, z):
+        # the first terms are ~ a z / b, tiny for tiny a, and at z > b + 1
+        # they rise again up to the peak: no sum may stop in the dip.  At
+        # a = 1e-30 and z - b >= 80 the first three terms are < 1e-16 and
+        # the peak term is not; (10, 90) runs the scalar loop
+        with mpmath.workdps(50):
+            m = kummer_m_2f2(mpmath.mpf(a), b, z)
+            log_m = float(mpmath.log(m))
+            ratio = kummer_m_2f2(mpmath.mpf(a) + 1, b + 1, z) / m
+        assert abs(kummer_m(a, b, z)[0] - log_m) <= 1e-13
+        assert abs(kummer_m_many(a, b, np.array([0.5 * z, z]))[0][1] - log_m) <= 1e-13
+        assert abs(kummer_ratio_shift_b(a, b, z) / ratio - 1) <= 1e-13
+
+    @pytest.mark.parametrize("n", [0, 10, 100, 400])
+    def test_eigenfunction_rows_settle(self, n, monkeypatch):
+        # at the (n+1, beta_n) eigenfunction every Gauss node's row settles
+        # in its numpy band: none falls back to kummer_m
+        from diskmag.spectrum import eigenfunction, lowest_eigenvalue
+
+        point = lowest_eigenvalue(n + 1, CROSSINGS[n][0])
+        assert point.nu > 0.0
+        calls = []
+        monkeypatch.setattr(kummer_mod, "kummer_m",
+                            lambda *args: calls.append(args) or (0.0, 1))
+        assert math.isfinite(eigenfunction(point).boundary_trace)
+        assert calls == []

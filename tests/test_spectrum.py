@@ -103,6 +103,13 @@ class TestLowestEigenvalue:
         with pytest.raises(InvalidParams):
             EigenPoint(-1, 1.0, 1.0, 1.0)
 
+    def test_rejects_non_integral_mode(self):
+        # EigenPoint(2.5, ...) was accepted and eigenfunction normalized it
+        with pytest.raises(InvalidParams, match=r"\bn="):
+            EigenPoint(2.5, 10.0, 10.0, 1.0)
+        point = EigenPoint(np.int64(2), 10.0, 10.0, 1.0)
+        assert type(point.n) is int and point.n == 2
+
     @pytest.mark.parametrize("n, beta, name", [
         (0, -5.0, "beta"), (0, math.nan, "beta"), (-1, 5.0, "n"),
         (3, math.nan, "beta"), (3, math.inf, "beta"), (0, math.inf, "beta"),
