@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BracketFailure, NewtonDivergence
+from .errors import BracketFailure, InvalidParams, NewtonDivergence
 # unused here (the residuals reach the ratio through neumann_residual);
 # bound because perfbench's tracer checks that it patches this binding
 from .kummer import kummer_ratio_shift_b  # noqa: F401
@@ -62,7 +62,11 @@ def saint_james_beta(n: int, eta: float) -> float:
 
     Larger root of beta^2 - 2(2 eta + 2n + 1) beta + 4 n (n+1) = 0; for
     n = 0 the radical collapses and the formula reduces to 4 eta + 2.
+    InvalidParams unless n is an integer >= 0 and eta is finite and >= 0.
     """
+    n = mode_index(n)
+    if not 0.0 <= eta < math.inf:
+        raise InvalidParams(f"eta={eta} must be finite and >= 0")
     return 2.0 * eta + 2.0 * n + 1.0 + math.sqrt(
         (2.0 * eta + 1.0) ** 2 + 8.0 * n * eta)
 

@@ -18,12 +18,14 @@ operator family h0 + b^{-1/2} h1 + b^{-1} h2 with
     h2 = t d/dt + (delta - t^2/2)^2 + 4 t (t+xi0)(delta - t^2/2)
          + 3 t^2 (t+xi0)^2.
 
-Second-order perturbation theory in b^{-1/2} gives a quadratic-in-delta
-coefficient lambda2(delta); its vertex delta0 and offset C0 are computed
-here by solving the regularized-resolvent equation for the first
-corrector u1 on the finite-difference grid, with the orthogonality
-constraint imposed by a bordered system that one banded Cholesky solve
-and one 2x2 solve eliminate (:meth:`_GridSolve.solve_corrector`).
+Second-order perturbation theory in b^{-1/2} gives a coefficient
+lambda2(delta) that is exactly quadratic in delta, also on each grid;
+its vertex delta0 and offset C0 come from its values at delta = -1, 0,
+1 (:func:`lambda2_coefficients`).  Each value solves the
+regularized-resolvent equation for the first corrector u1 on the
+finite-difference grid, with the orthogonality constraint imposed by a
+bordered system that one banded Cholesky solve and one 2x2 solve
+eliminate (:meth:`_GridSolve.solve_corrector`).
 
 Every quantity is read from one grid-pair solve at its xi and reported
 through the two-grid Richardson combination of :func:`fd.richardson`.
@@ -45,7 +47,7 @@ from .roots import brent_root
 _XI_BRACKET = (-2.0, 0.0)  # Theta0 = xi0^2 in (0,1) forces xi0 in (-1, 0)
 _L = 15.0  # truncation point of the half line
 _GRID_COUNT = 8001  # coarse grid of each two-grid pair
-_CONST_TOL = 2e-3  # DeGennesConstants.validate: Theta0 - xi0^2 and the delta0 fit
+_CONST_TOL = 2e-3  # DeGennesConstants.validate: Theta0 - xi0^2 and the delta0 vertex
 
 
 @dataclass(frozen=True)
@@ -54,8 +56,9 @@ class DeGennesConstants:
 
     delta0_formula is the closed-form value (1/2) Theta0^{-1/2} C1 coming
     from matching the crossing asymptotics with the Saint-James relation;
-    delta0_fit and c0_fit are read off the quadratic fit of the computed
-    lambda2 profile.  Unfilled fields are NaN.
+    delta0_fit and c0_fit are the vertex and offset of the computed
+    quadratic lambda2(delta) (:func:`lambda2_coefficients`).  Unfilled
+    fields are NaN.
     """
 
     theta0: float = math.nan
@@ -76,7 +79,7 @@ class DeGennesConstants:
         if math.isfinite(self.delta0_fit) \
                 and abs(self.delta0_fit - self.delta0_formula) > _CONST_TOL:
             raise InvalidParams(
-                f"delta0 fit {self.delta0_fit:.6f} vs formula "
+                f"delta0 vertex {self.delta0_fit:.6f} vs formula "
                 f"{self.delta0_formula:.6f} disagree")
 
 
@@ -151,7 +154,7 @@ class _GridSolve:
             + self.inner(self.apply_h1(u1, delta) - lam1 * u1)
 
 
-@lru_cache(maxsize=1)  # the checks and lambda2 profile at xi0 reuse the root
+@lru_cache(maxsize=1)  # the checks and lambda2(-1, 0, 1) at xi0 reuse the root
 def _solve_pair(xi: float) -> tuple[_GridSolve, _GridSolve]:
     """(coarse, fine) ground states at xi: the one place the grids are solved."""
     coarse = Grid1D(0.0, _L, _GRID_COUNT)
@@ -229,56 +232,28 @@ def boundary_pairing_check(constants: DeGennesConstants) -> tuple[float, float]:
     return lhs, -0.5 * constants.u0_trace ** 2
 
 
-@dataclass(frozen=True)
-class Lambda2Fit:
-    """Quadratic fit lambda2(delta) ~ leading * ((delta - delta0)^2 + c0)."""
+def lambda2_coefficients(constants: DeGennesConstants) -> tuple[float, float, float]:
+    """(c2, c1, c0) of lambda2(delta) = c2 delta^2 + c1 delta + c0 at xi0.
 
-    delta0_fit: float
-    c0_fit: float
-    leading_coeff: float
-    deltas: tuple[float, ...]
-    values: tuple[float, ...]
-    values_coarse: tuple[float, ...]
-
-
-def lambda2_profile(delta_grid, constants: DeGennesConstants) -> Lambda2Fit:
-    """Second-order coefficient lambda2(delta) on a delta grid, plus the fit.
-
-    The corrector u1 is recomputed at every delta (its delta-dependence
-    matters for the quadratic).  Values are two-grid Richardson combined
-    before the least-squares fit.
+    On each grid h1 is affine and h2 quadratic in delta, and the corrector
+    u1 is linear in it, so lambda2 is an exact quadratic: its values at
+    delta = -1, 0, 1, each two-grid Richardson combined, fix it.
     """
-    deltas = np.asarray(list(delta_grid), dtype=float)
-    if len(deltas) < 5 or deltas.min() > -1.0 or deltas.max() < 1.0:
-        raise InvalidParams("delta grid needs >= 5 points spanning [-1, 1]")
-    coarse, fine = _solve_pair(constants.xi0)
-    vals_c = np.array([coarse.lambda2(d) for d in deltas])
-    vals_f = np.array([fine.lambda2(d) for d in deltas])
-    vals = richardson(vals_f, vals_c)
-
-    c2, c1_coef, c0_coef = np.polyfit(deltas, vals, 2)
-    delta0_fit = -c1_coef / (2.0 * c2)
-    c0_fit = c0_coef / c2 - delta0_fit ** 2
-    return Lambda2Fit(
-        delta0_fit=float(delta0_fit),
-        c0_fit=float(c0_fit),
-        leading_coeff=float(c2),
-        deltas=tuple(float(d) for d in deltas),
-        values=tuple(float(v) for v in vals),
-        values_coarse=tuple(float(v) for v in vals_c),
-    )
+    root = _solve_pair(constants.xi0)
+    lm, l0, lp = (_combine(root, lambda s: s.lambda2(d)) for d in (-1.0, 0.0, 1.0))
+    return 0.5 * (lp + lm) - l0, 0.5 * (lp - lm), l0
 
 
-def compute_constants(delta_grid=None) -> DeGennesConstants:
-    """Full constants record: minimization, lambda1 check and lambda2 fit."""
+def compute_constants() -> DeGennesConstants:
+    """Full constants record: minimization, lambda1 check and the vertex
+    delta0 and offset C0 of lambda2(delta) = c2 ((delta - delta0)^2 + C0)."""
     constants = minimize_theta0()
-    fit = lambda2_profile(
-        delta_grid if delta_grid is not None else np.linspace(-1.0, 1.0, 9),
-        constants)
+    c2, c1, c0 = lambda2_coefficients(constants)
+    delta0 = -c1 / (2.0 * c2)
     constants = replace(
         constants,
-        delta0_fit=fit.delta0_fit,
-        c0_fit=fit.c0_fit,
+        delta0_fit=delta0,
+        c0_fit=c0 / c2 - delta0 ** 2,
         lambda1_check=float(lambda1_check(constants)),
     )
     constants.validate()

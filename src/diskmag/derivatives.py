@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .crossings import CrossingPoint, crossings_range
-from .errors import InsufficientData
+from .errors import InsufficientData, InvalidParams
 from .richardson import r4
 from .spectrum import eigenfunction, ground_state, lowest_eigenvalue, mode_index
 
@@ -152,10 +152,13 @@ def one_sided_chain(indices, n_max: int) -> tuple[dict[int, float], ...]:
     memoized crossings_range(n_max), and their :func:`~diskmag.richardson.r4`,
     which is empty unless the set holds some n, 2n, ..., 16n, n >= 1.
     Index 0 never changes an R4 entry: richardson_step consumes it.  An
-    index that is not an integer >= 0 raises InvalidParams (mode_index).
+    index that is not an integer >= 0 (mode_index) or exceeds n_max raises
+    InvalidParams.
     """
     indices = sorted({mode_index(n, "indices") for n in indices})
     points = crossings_range(n_max)
+    if indices and indices[-1] >= len(points):
+        raise InvalidParams(f"indices={indices[-1]} exceeds n_max={n_max}")
     pairs = {n: one_sided_derivatives(n, crossing=points[n]) for n in indices}
     left = {n: lr[0] for n, lr in pairs.items()}
     right = {n: lr[1] for n, lr in pairs.items()}

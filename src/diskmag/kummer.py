@@ -57,11 +57,14 @@ _BAND = 32  # kummer_m_many sums rows whose term counts round up alike together
 
 
 def _check_args(a: float, b: float, z: float) -> None:
-    """Domain checks of M(a, b, z): b > 0, z >= 0, and b > 1 for a < 0."""
-    if b <= 0:
-        raise InvalidParams(f"b={b} must be positive")
-    if z < 0:
-        raise InvalidParams(f"z={z} must be >= 0")
+    """Domain checks of M(a, b, z): a, b and z finite, b > 0, z >= 0, and
+    b > 1 for a < 0.  Chained comparisons, false for NaN, keep it cheap."""
+    if not 0.0 < b < math.inf:
+        raise InvalidParams(f"b={b} must be finite and positive")
+    if not 0.0 <= z < math.inf:
+        raise InvalidParams(f"z={z} must be finite and >= 0")
+    if not -math.inf < a < math.inf:
+        raise InvalidParams(f"a={a} must be finite")
     if a < 0.0 and b <= 1.0:
         raise InvalidParams(f"a={a} < 0 needs b > 1, not b={b}")
 
@@ -237,8 +240,9 @@ def kummer_m_many(a: float, b: float, z) -> tuple[np.ndarray, np.ndarray]:
     """
     z = np.asarray(z, dtype=float)
     log_m, sign = np.full_like(z, math.nan), np.ones_like(z)
-    if z.size:
+    if z.size:  # the min is NaN if any z_i is, the max inf if any z_i is
         _check_args(a, b, float(z.min()))
+        _check_args(a, b, float(z.max()))
     rows = np.flatnonzero(z <= _RAW_LOG_CAP) if a >= 0.0 else []
     if len(rows):
         bands = np.ceil(_numpy_count(a, b, z[rows]) / _BAND).astype(int) * _BAND

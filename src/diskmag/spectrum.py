@@ -71,10 +71,10 @@ class EigenPoint:
         if self.nu is None:
             object.__setattr__(self, "nu", 0.5 * (1.0 - self.eta))
         object.__setattr__(self, "n", mode_index(self.n))
-        if self.beta < 0.0:
-            raise InvalidParams("beta must be >= 0")
-        if self.lam < 0.0:
-            raise InvalidParams("eigenvalue must be >= 0")
+        if not 0.0 <= self.beta < math.inf:
+            raise InvalidParams(f"beta={self.beta} must be finite and >= 0")
+        if not 0.0 <= self.lam < math.inf:
+            raise InvalidParams(f"eigenvalue {self.lam} must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -186,6 +186,8 @@ def test_derivatives_table(tmp_path: Path, capsys):
 def test_constants_json(tmp_path: Path, capsys):
     run_main(capsys, "constants", "--output-dir", str(tmp_path))
     payload = json.loads((tmp_path / "constants.json").read_text())
+    assert sorted(payload) == ["c0_fit", "c1", "delta0_fit", "delta0_formula",
+                               "lambda1_check", "theta0", "u0_trace", "xi0"]
     assert payload["theta0"] == pytest.approx(THETA0, abs=1e-5)
     assert payload["xi0"] == pytest.approx(-0.768, abs=1e-3)
     assert payload["c1"] == pytest.approx(0.254, abs=1e-3)

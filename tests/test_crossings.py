@@ -8,6 +8,7 @@ import diskmag.crossings as crossings
 from diskmag.crossings import (_system_residuals, crossing_by_curves,
                                crossing_by_phi, crossing_by_system,
                                saint_james_beta)
+from diskmag.errors import InvalidParams
 from diskmag.spectrum import boundary_residual, lowest_eigenvalue
 
 from oracles import eta_prime
@@ -34,6 +35,14 @@ class TestSaintJamesFormula:
             + 4.0 * n * (n + 1.0)
         assert abs(residual) < 1e-8 * beta * beta
         assert beta > 2.0 * (n + 1.0)
+
+    @pytest.mark.parametrize("n, eta", [
+        (1, -0.1), (1, math.nan), (1, math.inf), (2.5, 0.3), (-1, 0.3)])
+    def test_rejects_bad_arguments(self, n, eta):
+        # (1, -0.1) raised a math domain error; (2.5, 0.3) and (-1, 0.3)
+        # returned 9.53 and 8e-16
+        with pytest.raises(InvalidParams):
+            saint_james_beta(n, eta)
 
 
 class TestCurveIntersection:
@@ -179,7 +188,6 @@ class TestSweep:
         # crossings_range(2.5) raised TypeError and crossings_range(-1)
         # returned (); 3.0 and 3 are one memo entry
         from diskmag.crossings import crossings_range
-        from diskmag.errors import InvalidParams
         for bad in (2.5, -1, math.nan):
             with pytest.raises(InvalidParams, match=r"\bn_max="):
                 crossings_range(bad)

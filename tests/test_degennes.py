@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from diskmag import degennes
 from diskmag.degennes import (DeGennesConstants, boundary_pairing_check,
-                              lambda1_check, lambda2_profile, lambda_dg,
+                              lambda1_check, lambda2_coefficients, lambda_dg,
                               minimize_theta0, stationarity)
 from diskmag.errors import BracketFailure, InvalidParams
 from diskmag.fd import Grid1D
@@ -127,37 +128,37 @@ class TestCorrectorSolve:
             assert abs(solve.inner(u1)) <= 1e-12 * np.max(np.abs(u1))
 
 
-@pytest.fixture(scope="module")
-def fit(constants):
-    return lambda2_profile(np.linspace(-1.0, 1.0, 9), constants)
+def _three_point(values):
+    """(c2, c1, c0) of the quadratic through (-1, 0, 1) -> values."""
+    lm, l0, lp = values
+    return 0.5 * (lp + lm) - l0, 0.5 * (lp - lm), l0
 
 
 class TestSecondOrderProfile:
-    def test_vertex_matches_closed_form(self, constants, fit):
-        assert fit.delta0_fit == pytest.approx(constants.delta0_formula, abs=2e-3)
+    def test_vertex_matches_closed_form(self, constants):
+        assert constants.delta0_fit == pytest.approx(constants.delta0_formula,
+                                                     abs=2e-3)
 
-    def test_leading_coefficient(self, constants, fit):
+    def test_leading_coefficient(self, constants):
         target = 3.0 * constants.c1 * math.sqrt(constants.theta0)
-        assert fit.leading_coeff / target == pytest.approx(1.0, abs=1e-3)
+        c2, _, _ = lambda2_coefficients(constants)
+        assert c2 / target == pytest.approx(1.0, abs=1e-3)
 
-    def test_profile_is_an_exact_quadratic(self, fit):
-        # symmetry about the vertex at machine-ish scale: the quadratic
-        # model must reproduce every sample
-        coeffs = np.polyfit(fit.deltas, fit.values, 2)
-        residual = np.polyval(coeffs, fit.deltas) - np.array(fit.values)
-        assert np.max(np.abs(residual)) < 1e-7
+    def test_profile_is_an_exact_quadratic(self, constants):
+        # h1 affine, h2 quadratic and u1 linear in delta on each grid: the
+        # quadratic through delta = -1, 0, 1 reproduces lambda2 off the nodes
+        for solve in degennes._solve_pair(constants.xi0):
+            c2, c1, c0 = _three_point([solve.lambda2(d) for d in (-1.0, 0.0, 1.0)])
+            for delta in (-3.0, -0.75, 0.5, 2.0):
+                assert abs(solve.lambda2(delta)
+                           - (c2 * delta ** 2 + c1 * delta + c0)) <= 1e-12
 
-    def test_offset_is_grid_stable(self, fit):
-        c2, c1_coef, c0_coef = np.polyfit(fit.deltas, fit.values_coarse, 2)
-        vertex = -c1_coef / (2.0 * c2)
-        coarse_c0 = c0_coef / c2 - vertex ** 2
-        assert abs(coarse_c0 - fit.c0_fit) < 1e-3
-
-    def test_delta_grid_validation(self, constants):
-        with pytest.raises(InvalidParams):
-            lambda2_profile([0.0, 0.1, 0.2, 0.3, 0.4], constants)
-        with pytest.raises(InvalidParams):
-            lambda2_profile([-1.0, 0.0, 1.0], constants)
+    def test_offset_is_grid_stable(self, constants):
+        coarse, _ = degennes._solve_pair(constants.xi0)
+        c2, c1, c0 = _three_point([coarse.lambda2(d) for d in (-1.0, 0.0, 1.0)])
+        vertex = -c1 / (2.0 * c2)
+        coarse_c0 = c0 / c2 - vertex ** 2
+        assert abs(coarse_c0 - constants.c0_fit) < 1e-3
 
 
 class TestFilledRecord:
@@ -167,3 +168,10 @@ class TestFilledRecord:
             0.5 * constants.c1 / math.sqrt(constants.theta0), rel=1e-14)
         assert constants.c1 == pytest.approx(constants.u0_trace ** 2 / 3.0,
                                              rel=1e-14)
+
+    def test_no_field_left_unfilled(self, constants):
+        # minimize_theta0's partial record leaves delta0_fit, c0_fit and
+        # lambda1_check NaN; compute_constants fills every field
+        unfilled = [f.name for f in dataclasses.fields(constants)
+                    if not math.isfinite(getattr(constants, f.name))]
+        assert unfilled == []

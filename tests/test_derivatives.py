@@ -153,6 +153,11 @@ class TestLimits:
         with pytest.raises(InvalidParams, match=r"\bindices="):
             one_sided_chain([2.5], 3)
 
+    def test_chain_rejects_index_above_n_max(self):
+        # indexing crossings_range(3) at 5 raised a bare IndexError
+        with pytest.raises(InvalidParams, match=r"\bindices=5 .*\bn_max=3\b"):
+            one_sided_chain([1, 5], 3)
+
     def test_limits_against_constants(self, constants):
         chain = sorted({base * 2 ** k for base in (1, 3, 5, 7, 9, 25)
                         for k in range(5)} | {0, 2, 4, 6, 8, 10})

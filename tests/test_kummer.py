@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 import diskmag.kummer as kummer_mod
 from diskmag.errors import InvalidParams, NonConvergence
 from diskmag.kummer import kummer_m, kummer_m_many, kummer_ratio_shift_b
+from diskmag.spectrum import boundary_residual
 
 from oracles import (ScaledReal, check_recurrences, kummer_m_2f2,
                      kummer_m_integral, kummer_series_rational)
@@ -89,6 +90,24 @@ class TestSeries:
             kummer_m(0.3, 2.0, -1.0)
         with pytest.raises(InvalidParams):
             kummer_ratio_shift_b(0.5, -1.0, 2.0)
+
+    NON_FINITE_CALLS = [
+        (kummer_m, (0.5, 2.0, math.nan)),  # ValueError
+        (kummer_m, (0.5, 2.0, math.inf)),  # OverflowError
+        (kummer_m, (math.nan, 2.0, 1.0)),
+        (kummer_m, (-math.inf, 2.0, 1.0)),
+        (kummer_ratio_shift_b, (0.5, math.nan, 1.0)),  # NonConvergence, 1 020 terms
+        (kummer_ratio_shift_b, (0.5, math.inf, 1.0)),
+        (kummer_m_many, (0.5, 2.0, [1.0, math.nan])),  # z.min() alone was checked
+        (kummer_m_many, (0.5, 2.0, [math.inf, 1.0])),
+        (boundary_residual, (2, math.nan, 0.2)),  # ValueError
+    ]
+
+    @pytest.mark.parametrize("func, args", NON_FINITE_CALLS,
+                             ids=[f"{f.__name__}{a}" for f, a in NON_FINITE_CALLS])
+    def test_non_finite_arguments(self, func, args):
+        with pytest.raises(InvalidParams):
+            func(*args)
 
     def test_term_budget_exhaustion(self, monkeypatch):
         monkeypatch.setattr(kummer_mod, "_series_budget", lambda z: 5)

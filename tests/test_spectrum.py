@@ -110,6 +110,17 @@ class TestLowestEigenvalue:
         point = EigenPoint(np.int64(2), 10.0, 10.0, 1.0)
         assert type(point.n) is int and point.n == 2
 
+    @pytest.mark.parametrize("beta, lam", [
+        (math.nan, 1.0), (math.inf, 1.0), (-1.0, 1.0),
+        (2.0, math.nan), (2.0, math.inf), (2.0, -1.0)])
+    def test_point_rejects_non_finite_beta_or_eigenvalue(self, beta, lam):
+        # EigenPoint(2, nan, 1.0, 0.2) was constructed
+        with pytest.raises(InvalidParams):
+            EigenPoint(2, beta, lam, 0.2)
+
+    def test_point_takes_nan_eta_at_zero_field(self):
+        assert math.isnan(EigenPoint(2, 0.0, 9.3, math.nan).eta)
+
     @pytest.mark.parametrize("n, beta, name", [
         (0, -5.0, "beta"), (0, math.nan, "beta"), (-1, 5.0, "n"),
         (3, math.nan, "beta"), (3, math.inf, "beta"), (0, math.inf, "beta"),
