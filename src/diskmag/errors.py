@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the solver modules."""
+"""Exception types shared across the solver modules."""
 
 
 class SolverError(Exception):
@@ -28,6 +28,3 @@ class IllConditioned(SolverError):
 class InsufficientData(SolverError):
     """A sequence transform was given too few usable entries."""
 
-
-class TruncationWarning(UserWarning):
-    """Half-line eigenfunction not negligible at the artificial boundary."""

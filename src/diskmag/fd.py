@@ -26,13 +26,12 @@ the scheme.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dstebz, dstein
 
-from .errors import InvalidParams, NonConvergence, TruncationWarning
+from .errors import InvalidParams, NonConvergence
 
 _DISK_GRID_COUNT = 4001  # coarse grid of fd_disk_lambda's two-grid pair
 _BRACKET_COARSENING = 16  # bracketing grid: every 16th node, ~1/16 of the solve
@@ -203,6 +202,8 @@ def assemble_disk_system(n: int, beta: float, grid: Grid1D) -> TridiagSystem:
     """
     if grid.left != 0.0 or grid.right != 1.0:
         raise InvalidParams("disk grid must span [0, 1]")
+    if not abs(beta) < np.inf:  # NaN fails too: LAPACK would take it
+        raise InvalidParams(f"beta={beta} must be finite")
     h = grid.spacing
     r = grid.nodes()
     half = r[:-1] + 0.5 * h  # r_{i+1/2}, i = 0 .. count-2
@@ -261,6 +262,8 @@ def assemble_degennes_system(xi: float, grid: Grid1D) -> TridiagSystem:
     """
     if grid.left != 0.0:
         raise InvalidParams("half-line grid must start at 0")
+    if not abs(xi) < np.inf:
+        raise InvalidParams(f"xi={xi} must be finite")
     h = grid.spacing
     t = grid.nodes()[:-1]  # Dirichlet drops the node at L
     q = (t + xi) ** 2
@@ -273,21 +276,3 @@ def assemble_degennes_system(xi: float, grid: Grid1D) -> TridiagSystem:
     coarse = grid.coarsened()
     return TridiagSystem(diag, offdiag, mass, bracketing=None if coarse is None
                          else assemble_degennes_system(xi, coarse))
-
-
-def fd_degennes_eigen(xi: float, L: float, grid: Grid1D) -> tuple[float, np.ndarray]:
-    """Smallest half-line eigenpair on one grid.
-
-    The eigenvector lives on nodes 0, h, ..., L-h and is normalized in
-    L2((0, L), dt).  Warns if the mode has not decayed at the truncation
-    boundary (domain too short for the requested xi).
-    """
-    if grid.right != L:
-        raise InvalidParams(f"grid right endpoint {grid.right} != L = {L}")
-    lam, vec = solve_smallest(assemble_degennes_system(xi, grid), vectors=True)
-    if abs(vec[-1]) > 1e-8:
-        warnings.warn(
-            f"eigenfunction magnitude {abs(vec[-1]):.2e} at L - h; "
-            f"increase L for xi = {xi}", TruncationWarning, stacklevel=2)
-    return lam, vec
-

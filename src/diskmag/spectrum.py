@@ -18,14 +18,12 @@ only accepted values brackets the first root without a sign test of M
 at a distant point.
 
 For beta > 2n the ground state leaves the boundary and nu* lies within
-e^{-x}-small distance of 0 (3e-193 at (0, 900)), below the resolution of
-eta near 1.  There the root is found in u = ln nu, where the residual
-is smooth: its term 2 nu x R/(n+1), R = M(nu+1, n+2, x)/M(nu, n+1, x),
-gives the seed u1 with R frozen at R(0) = M(1, n+2, x), and every
-EigenPoint carries nu itself, so the eigenfunction keeps what eta = 1 -
-2 nu rounds away.  For beta = 0 the problem degenerates to the free
-Neumann Laplacian and is handled through the first zero of the Bessel
-derivative J_n'.
+e^{-x}-small distance of 0 (1.7e-193 at (0, 900)), below the resolution
+of eta near 1.  There the root is found in u = ln nu, where the residual
+is smooth, on a bracket from the one series of M(1, n+2, x), and every
+EigenPoint carries nu, which eta = 1 - 2 nu rounds away.  For beta = 0
+the problem degenerates to the free Neumann Laplacian, solved through
+the first zero of the Bessel derivative J_n'.
 """
 
 from __future__ import annotations
@@ -36,14 +34,14 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gammainc, jnp_zeros
+from scipy.special import jnp_zeros
 
 from .errors import BracketFailure, InvalidParams, NonConvergence
-from .kummer import kummer_m, kummer_m_many, kummer_ratio_shift_b
+from .kummer import _series, kummer_m, kummer_m_many, kummer_ratio_shift_b
 from .roots import RTOL, brent_root
 
 _ETA_SCAN_STEP = 0.02  # first eta step of the bracket walk at beta <= 2n
-_LN2, _LN3 = math.log(2.0), math.log(3.0)
+_LN2 = math.log(2.0)
 _LOG_NU_MAX = -_LN2  # nu = 1/2, eta = 0: the top of the ln nu bracket
 _LOG_RATIO_MAX = 709.0  # ln M(1, n+2, x) past which the Kummer ratio overflows
 _TIE_REL = 1e-12  # ground_state: relative lambda margin that counts as a tie
@@ -140,14 +138,6 @@ def boundary_residual(n: int, beta: float, nu: float) -> float:
     return neumann_residual(n, 0.5 * beta, nu)
 
 
-def _log_m_one(n: int, x: float) -> float:
-    """ln M(1, n+2, x) = ln((n+1)! x^{-(n+1)} e^x P(n+1, x)), with P the
-    regularized lower incomplete gamma function (Kummer's transformation
-    and M(a, a+1, -z) = a z^{-a} gamma(a, z), DLMF 13.2.39 and 13.6.10)."""
-    return (math.lgamma(n + 2.0) - (n + 1.0) * math.log(x) + x
-            + math.log(float(gammainc(n + 1.0, x))))
-
-
 def _eta_scan_limit(n: int, beta: float) -> float:
     # lambda(n, .) decreases on (0, 2n], so lambda(n, 0) caps eta there
     return 1.05 * bessel_jnp_first_zero(n) ** 2 / beta + 5.0
@@ -209,16 +199,23 @@ def _lowest_eigenvalue_cached(n: int, beta: float) -> EigenPoint:
 
 
 def _solve_log_nu(n: int, beta: float) -> EigenPoint:
-    """The beta > 2n root in u = ln nu, bracketed from the seed u1."""
+    """The beta > 2n root in u = ln nu, bracketed from one Kummer series.
+
+    Times (n+1) max(1, x) M(nu, n+1, x) the residual is (n+1)(n - x) + nu
+    x D, D = 2 S - (x - n) W, S = M(nu+1, n+2, x) = sum t_k and W = sum
+    t_k/(k+1); at nu = 0, S = s 2^e and W = w 2^e.  nu1, the root with R =
+    S/M(nu, n+1, x) frozen at R(0) = S, is <= nu* as R falls with nu.  nu_c,
+    the root with S and W frozen, is >= nu*: t_k(nu) = t_k(0) P_k, P_k =
+    prod_{j<=k} (1 + nu/j), so D(nu) - D(0) = sum t_k(0) (P_k - 1)(2 - (x -
+    n)/(k+1)), whose factors both rise with k; by Chebyshev's sum
+    inequality it is >= 0, as D(0) > 0 (D/S >= 0.11 measured to n = 2 000).
+    """
     x = 0.5 * beta
-    log_m_one = _log_m_one(n, x)
-    # the root with R frozen at R(0): 2 nu x M(1, n+2, x) = (n+1)(x - n);
-    # R falls with nu, so nu*/nu1 >= 1 (1.02-2.53 where measured)
-    u1 = math.log((x - n) * (n + 1.0) / (2.0 * x)) - log_m_one
-    if log_m_one > _LOG_RATIO_MAX:
-        # R overflows at every nu up to the root nu* < 3 nu1 < 1e-300,
-        # so no residual there can be evaluated; eta = 1 - 2 nu* is 1
-        return EigenPoint(n, beta, beta, 1.0, math.exp(u1))
+    s, w, e = _series(1.0, n + 2.0, x)
+    c, d = (n + 1.0) * (x - n) / x, 2.0 * s - (x - n) * w
+    if math.log(s) + e * _LN2 > _LOG_RATIO_MAX:
+        # R overflows on the way to nu* < 1e-300, and nu_c is nu* to rounding
+        return EigenPoint(n, beta, beta, 1.0, math.ldexp(c / d, -e))
     values: dict[float, float] = {}
 
     def residual(u: float) -> float:
@@ -229,8 +226,8 @@ def _solve_log_nu(n: int, beta: float) -> EigenPoint:
 
     # the residual rises with u from (n - x)/max(1, x) < 0 at nu -> 0 to
     # > 0 at nu = 1/2 (eta = 0); widen a missed bracket by ln 2 steps
-    lo = min(u1, _LOG_NU_MAX)
-    hi = min(lo + _LN3, _LOG_NU_MAX)
+    lo = min(math.log(0.5 * c / s) - e * _LN2, _LOG_NU_MAX)
+    hi = min(math.log(c / d) - e * _LN2, _LOG_NU_MAX)
     while residual(lo) > 0.0:
         lo, hi = lo - _LN2, lo
     while residual(hi) < 0.0 and hi < _LOG_NU_MAX:
@@ -244,18 +241,15 @@ def lowest_eigenvalue(n: int, beta: float) -> EigenPoint:
     """Lowest eigenvalue of the fiber operator at angular mode n.
 
     For beta > 2n one Brent solve (:func:`~diskmag.roots.brent_root`,
-    tolerance 4 eps |u|) for u = ln nu on [u1, u1 + ln 3], where the seed
-    u1 is the root with the Kummer ratio frozen at nu = 0; a bracket end of
-    the wrong sign moves out by ln 2 steps, up to u = ln(1/2) (eta = 0).
-    That takes 4-12 residual evaluations, where the solve in eta on [0, 1]
-    took 10-53.  eta = 1 - 2 nu is not clamped, so it is correctly rounded
-    where nu* < 1e-17, and the point's ``nu`` keeps nu* (3.3e-193 at
-    (0, 900)).  Past ln M(1, n+2, x) = 709 (beta >~ 1 400 at n = 0) the
-    Kummer ratio overflows near the root, nu* < 1e-300: eta is 1 and nu
-    the seed's, within a factor 3.  The solve resolves nu, so eta is good
-    to about eps absolute (<= 2 eps, 1.3 eps measured), not relative: at
-    n = 0, beta << 1, where eta ~ beta/8, lambda = beta eta carries a
-    relative error of order eps/eta (8e-8 at beta = 1e-9, 2e-11 at 1e-4).
+    tolerance 4 eps |u|) for u = ln nu on a bracket from one Kummer series
+    (:func:`_solve_log_nu`) takes 2-11 residual evaluations, 2-4 where nu*
+    < 1e-17.  eta = 1 - 2 nu is correctly rounded there, and ``nu`` keeps
+    nu* (1.7e-193 at (0, 900)).  Past ln M(1, n+2, x) = 709 (beta >~ 1 400
+    at n = 0) eta is 1 and nu is nu* to 2 ulp where measured, with no
+    residual evaluated (0.0 once it underflows, beta >~ 1 490 at n = 0).
+    eta is good to about eps absolute (<= 2 eps), not relative: at n = 0,
+    beta << 1, where eta ~ beta/8, lambda = beta eta carries a relative
+    error of order eps/eta (8e-8 at beta = 1e-9).
 
     For beta <= 2n a walk up from the potential minimum (n - beta/2)^2 /
     beta brackets the root in eta: its step starts at 0.02 and doubles

@@ -5,8 +5,9 @@ series summation and adaptive quadrature of the integral representation
 for the Kummer series, the contiguous recurrences as identities between
 Kummer values, an ascending-series bisection for Bessel derivative
 zeros, and an RK4 shooting integrator for the half-line eigenvalue.
-fd_degennes_lambda takes the half-line FD eigenvalue through
-fd_degennes_eigen, a path apart from the one degennes.lambda_dg takes.
+fd_degennes_eigen takes the half-line FD eigenpair on a path apart from
+the one degennes.lambda_dg takes, and warns (TruncationWarning) when the
+domain is too short; fd_degennes_lambda combines it over two grids.
 For beta > 2n, nu_root_mp roots the Neumann condition in mpmath with M
 in the 2F2 form, which stays right at the tiny nu where mpmath's hyp1f1
 does not; boundary_trace_quadrature normalizes the eigenfunction at a
@@ -19,6 +20,7 @@ eta_prime restates lambda_prime for the field-normalized ratio eta.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -31,7 +33,8 @@ from scipy.integrate import quad
 from diskmag import degennes
 from diskmag.derivatives import lambda_prime
 from diskmag.errors import InvalidParams, SolverError
-from diskmag.fd import Grid1D, fd_degennes_eigen, fd_disk_eigen, two_grid
+from diskmag.fd import (Grid1D, assemble_degennes_system, fd_disk_eigen,
+                        solve_smallest, two_grid)
 from diskmag.kummer import kummer_m
 from diskmag.spectrum import lowest_eigenvalue
 
@@ -40,6 +43,10 @@ _QUAD_REL_TOL = 1e-12  # relative tolerance of each adaptive quadrature piece
 
 class QuadratureFailure(SolverError):
     """Adaptive quadrature did not reach the requested tolerance."""
+
+
+class TruncationWarning(UserWarning):
+    """Half-line eigenfunction not negligible at the artificial boundary."""
 
 
 @dataclass(frozen=True)
@@ -286,6 +293,23 @@ def shooting_halfline_eigenvalue(xi: float, L: float = 15.0,
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def fd_degennes_eigen(xi: float, L: float, grid: Grid1D) -> tuple[float, np.ndarray]:
+    """Smallest half-line eigenpair on one grid.
+
+    The eigenvector lives on nodes 0, h, ..., L-h and is normalized in
+    L2((0, L), dt).  Warns if the mode has not decayed at the truncation
+    boundary (domain too short for the requested xi).
+    """
+    if grid.right != L:
+        raise InvalidParams(f"grid right endpoint {grid.right} != L = {L}")
+    lam, vec = solve_smallest(assemble_degennes_system(xi, grid), vectors=True)
+    if abs(vec[-1]) > 1e-8:
+        warnings.warn(
+            f"eigenfunction magnitude {abs(vec[-1]):.2e} at L - h; "
+            f"increase L for xi = {xi}", TruncationWarning, stacklevel=2)
+    return lam, vec
 
 
 def fd_degennes_lambda(xi: float, L: float = degennes._L,

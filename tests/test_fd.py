@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from diskmag import fd
-from diskmag.errors import InvalidParams, NonConvergence, TruncationWarning
+from diskmag import degennes, fd
+from diskmag.errors import InvalidParams, NonConvergence
 from diskmag.fd import (Grid1D, TridiagSystem, assemble_degennes_system,
-                        assemble_disk_system, fd_degennes_eigen,
-                        fd_disk_eigen, fd_disk_lambda, solve_smallest)
+                        assemble_disk_system, fd_disk_eigen, fd_disk_lambda,
+                        solve_smallest)
 from diskmag.spectrum import bessel_jnp_first_zero, lowest_eigenvalue
 
-from oracles import fd_degennes_lambda, shooting_halfline_eigenvalue
+from oracles import (TruncationWarning, fd_degennes_eigen, fd_degennes_lambda,
+                     shooting_halfline_eigenvalue)
 from refdata import CROSSINGS, THETA0, XI0, XI0_HP
 
 
@@ -162,6 +163,17 @@ class TestSolver:
         lam, vec = solve_smallest(system)
         assert vec is None
         assert solve_smallest(system, vectors=True)[0] == lam
+
+
+@pytest.mark.parametrize("call, args", [
+    (degennes.lambda_dg, (np.nan,)), (degennes.stationarity, (np.inf,)),
+    (degennes.lambda_dg, (-np.inf,)), (fd_disk_lambda, (0, np.nan, 101)),
+    (fd_disk_lambda, (3, np.inf, 4001)),
+    (fd_disk_eigen, (1, -np.inf, Grid1D(0.0, 1.0, 64)))])
+def test_non_finite_field_or_shift_rejected(call, args):
+    # LAPACK's dstebz took them and failed with info = 4 (NonConvergence)
+    with pytest.raises(InvalidParams, match="must be finite"):
+        call(*args)
 
 
 def _symmetrized(system):
