@@ -41,7 +41,8 @@ import numpy as np
 from scipy.linalg import solveh_banded
 
 from .errors import BracketFailure, IllConditioned, InvalidParams
-from .fd import Grid1D, assemble_degennes_system, richardson, solve_smallest
+from .fd import (Grid1D, TridiagSystem, assemble_degennes_system, richardson,
+                 solve_pair, solve_smallest)
 from .roots import brent_root
 
 _XI_BRACKET = (-2.0, 0.0)  # Theta0 = xi0^2 in (0,1) forces xi0 in (-1, 0)
@@ -87,11 +88,12 @@ class _GridSolve:
     """Ground state (lam0, u0) of h0(xi) on one grid, with the assembled
     system (its mass is the lumped L2 weight) and the operators built on it."""
 
-    def __init__(self, xi: float, grid: Grid1D):
+    def __init__(self, xi: float, grid: Grid1D, system: TridiagSystem,
+                 eigenpair: tuple[float, np.ndarray]):
         self.xi = xi
-        self.system = assemble_degennes_system(xi, grid)
-        self.mass = self.system.mass
-        self.lam0, self.u0 = solve_smallest(self.system, vectors=True)
+        self.system = system
+        self.mass = system.mass
+        self.lam0, self.u0 = eigenpair
         self.t = grid.nodes()[:-1]
         self.h = grid.spacing
 
@@ -156,9 +158,13 @@ class _GridSolve:
 
 @lru_cache(maxsize=1)  # the checks and lambda2(-1, 0, 1) at xi0 reuse the root
 def _solve_pair(xi: float) -> tuple[_GridSolve, _GridSolve]:
-    """(coarse, fine) ground states at xi: the one place the grids are solved."""
+    """(coarse, fine) ground states at xi: the one place the grids are
+    solved, by one :func:`fd.solve_pair`."""
     coarse = Grid1D(0.0, _L, _GRID_COUNT)
-    return _GridSolve(xi, coarse), _GridSolve(xi, coarse.refined())
+    grids = (coarse, coarse.refined())
+    systems = [assemble_degennes_system(xi, g) for g in grids]
+    pair = solve_pair(solve_smallest, *systems, vectors=True)
+    return tuple(_GridSolve(xi, *args) for args in zip(grids, systems, pair))
 
 
 def _combine(pair: tuple[_GridSolve, _GridSolve], func):

@@ -12,16 +12,20 @@ the Kummer route so they can serve as brute-force cross-checks:
 Both reduce to a symmetric generalized tridiagonal eigenproblem
 A v = lambda M v with diagonal positive mass M, symmetrized exactly by
 the diagonal scaling M^{-1/2}.  The smallest eigenvalue comes from
-LAPACK's Sturm-count bisection (dstebz) run on a value bracket: each
-assembled system carries the same operator on its grid coarsened 16x,
-whose smallest eigenvalue +- 5 % is the bracket.  The bracket is used
-only when a Sturm count shows no eigenvalue below it and at least one in
-it, so the value returned is always the smallest; otherwise, and on
-grids that do not coarsen, dstebz bisects for the first eigenvalue by
-index.  Inverse iteration (dstein) computes the eigenvector only for the
-callers that read it.  Eigenvalues are reported through a two-grid
-Richardson combination assuming the second-order truncation error of
-the scheme.
+LAPACK's Sturm-count bisection (dstebz) run on a value bracket.  Each
+assembled system carries the same operator on its grid coarsened 16x.
+A two-grid pair (:func:`solve_pair`, spacings h and h/2) fits
+lambda(h) = L + C h^2 through two coarser solves and bisects each grid
+on the predicted value +- 1/4 of the predicted change, plus 16 ulp: the
+grid h from the coarsened systems 16h and 8h, the grid h/2 from 8h and
+the grid h.  A bracket is used only when a Sturm count shows no
+eigenvalue below it and at least one in it, so the value returned is
+always the smallest.  When a check fails, the bracket is the grid's own
+coarsened eigenvalue +- 5 %, and when that fails too, or the grid does
+not coarsen, dstebz bisects for the first eigenvalue by index.  Inverse
+iteration (dstein) computes the eigenvector only for the callers that
+read it.  Eigenvalues are reported through a two-grid Richardson
+combination assuming the second-order truncation error of the scheme.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .errors import InvalidParams, NonConvergence
 _DISK_GRID_COUNT = 4001  # coarse grid of fd_disk_lambda's two-grid pair
 _BRACKET_COARSENING = 16  # bracketing grid: every 16th node, ~1/16 of the solve
 _BRACKET_WIDENING = 0.05  # bracket = lambda0 on the coarsened grid +- 5 %
+_PREDICTION_SHARE = 0.25  # bracket = h^2 prediction +- 1/4 of its change
 
 
 @dataclass(frozen=True)
@@ -77,8 +82,9 @@ class TridiagSystem:
     """Symmetric generalized eigenproblem A v = lambda M v, M = diag(mass).
 
     bracketing, when set, is the same operator assembled on
-    :meth:`Grid1D.coarsened`; :func:`solve_smallest` widens its smallest
-    eigenvalue into the bracket for this system's.
+    :meth:`Grid1D.coarsened`: :func:`solve_pair` fits the h^2 model
+    through its smallest eigenvalue, and :func:`solve_smallest` widens
+    that eigenvalue into its fallback bracket for this system's.
     """
 
     diag: np.ndarray
@@ -101,23 +107,26 @@ _EIG_ABSTOL = 2.0 * np.finfo(float).tiny
 _BY_VALUE, _BY_INDEX = 1, 2  # dstebz RANGE: eigenvalues in (vl, vu], or il..iu
 
 
-def solve_smallest(system: TridiagSystem, *,
-                   vectors: bool = False) -> tuple[float, np.ndarray | None]:
+def solve_smallest(system: TridiagSystem, *, vectors: bool = False,
+                   bracket: tuple[float, float] | None = None
+                   ) -> tuple[float, np.ndarray | None]:
     """Smallest eigenpair of A v = lambda M v; the eigenvector is None
     unless vectors is set.
 
-    lambda0 comes from one dstebz bisection on (lo, hi], the bracketing
-    system's smallest eigenvalue widened by _BRACKET_WIDENING, when a
-    Sturm count finds no eigenvalue between a Gershgorin lower bound and
-    lo and dstebz finds at least one in (lo, hi]; otherwise (and without
-    a bracketing system) from dstebz by index.  Either way it is the
-    smallest eigenvalue, and a given system always takes the same path,
+    lambda0 comes from one dstebz bisection on the first of these value
+    brackets (lo, hi] that passes two checks, a Sturm count finding no
+    eigenvalue between a Gershgorin lower bound and lo and dstebz finding
+    at least one in (lo, hi]: the given bracket (:func:`solve_pair` takes
+    it from the h^2 model of coarser grids), then the bracketing system's
+    smallest eigenvalue widened by _BRACKET_WIDENING.  Without a passing
+    bracket it comes from dstebz by index.  Either way it is the smallest
+    eigenvalue, and a given system and bracket always take the same path,
     with or without vectors.  The eigenvector, from dstein, comes back
     sign-fixed positive and normalized to sum(v^2 * mass) = 1, i.e. unit
     norm in the lumped weighted L2.  NonConvergence if LAPACK fails.
     """
     d, e, root_m = _symmetrized(system)
-    w, iblock, isplit = _lowest(system, d, e)
+    w, iblock, isplit = _lowest(system, d, e, bracket)
     if not vectors:
         return float(w[0]), None
     z, info = dstein(d, e, w[:1], iblock, isplit)
@@ -130,6 +139,48 @@ def solve_smallest(system: TridiagSystem, *,
     return float(w[0]), v
 
 
+def solve_pair(solve, coarse: TridiagSystem, fine: TridiagSystem, *,
+               vectors: bool = False) -> tuple[tuple, tuple]:
+    """(solve(coarse, ...), solve(fine, ...)) for the systems of a two-grid
+    pair, spacings h and h/2, each solve given a bracket predicted from
+    coarser grids.
+
+    solve is :func:`solve_smallest`, as bound in the caller's module, and
+    is called once per grid.  With both systems coarsening, the coarsened
+    systems (16h, 8h) are solved first, 8h on 16h's value +- 5 %; the
+    grid h is bracketed from the h^2 model through 16h and 8h, the grid
+    h/2 from the model through 8h and h (:func:`_predicted`).  A bracket
+    that fails its checks costs one more solve of the grid's own
+    coarsened system, never the answer.
+    """
+    if coarse.bracketing is None or fine.bracketing is None:
+        return solve(coarse, vectors=vectors), solve(fine, vectors=vectors)
+    lam16 = _smallest(coarse.bracketing)
+    lam8 = _smallest(fine.bracketing, _widened(lam16))
+    first = solve(coarse, vectors=vectors, bracket=_predicted(lam16, lam8, 16, 8, 1))
+    second = solve(fine, vectors=vectors,
+                   bracket=_predicted(lam8, first[0], 8, 1, 0.5))
+    return first, second
+
+
+def _predicted(far: float, near: float, h_far: float, h_near: float,
+               h: float) -> tuple[float, float]:
+    """Bracket for the grid of spacing h from the values far and near on
+    the coarser spacings h_far and h_near (in any common unit): the value
+    that lambda = L + C h^2 through them predicts, +- _PREDICTION_SHARE
+    of its change from near, plus 16 ulp."""
+    change = (near - far) * (h_near ** 2 - h ** 2) / (h_far ** 2 - h_near ** 2)
+    value = near + change
+    half = _PREDICTION_SHARE * abs(change) + 16.0 * np.spacing(abs(value))
+    return value - half, value + half
+
+
+def _widened(guess: float) -> tuple[float, float]:
+    """guess +- _BRACKET_WIDENING."""
+    return (guess - _BRACKET_WIDENING * abs(guess),
+            guess + _BRACKET_WIDENING * abs(guess))
+
+
 def _symmetrized(system: TridiagSystem):
     """(diagonal, off-diagonal) of M^{-1/2} A M^{-1/2}, and M^{1/2}."""
     root_m = np.sqrt(system.mass)
@@ -137,25 +188,29 @@ def _symmetrized(system: TridiagSystem):
             system.offdiag / (root_m[:-1] * root_m[1:]), root_m)
 
 
-def _lowest(system: TridiagSystem, d: np.ndarray, e: np.ndarray):
-    """dstebz's (w, iblock, isplit) for the symmetrized system, w[0] = lambda0."""
-    if system.bracketing is not None:
-        guess = _lowest(system.bracketing,
-                        *_symmetrized(system.bracketing)[:2])[0][0]
-        found = _in_bracket(d, e, guess)
-        if found is not None:
-            return found
+def _smallest(system: TridiagSystem, bracket=None) -> float:
+    """lambda0 of system, the bracket tried first."""
+    return _lowest(system, *_symmetrized(system)[:2], bracket)[0][0]
+
+
+def _lowest(system: TridiagSystem, d: np.ndarray, e: np.ndarray, bracket):
+    """dstebz's (w, iblock, isplit) for the symmetrized system, w[0] =
+    lambda0: on bracket, else on the bracketing system's lambda0 +- 5 %,
+    else by index."""
+    found = None if bracket is None else _in_bracket(d, e, *bracket)
+    if found is None and system.bracketing is not None:
+        found = _in_bracket(d, e, *_widened(_smallest(system.bracketing)))
+    if found is not None:
+        return found
     found = _stebz(d, e, _BY_INDEX, 0.0, 0.0, _EIG_ABSTOL)
     if len(found[0]) == 0:
         raise NonConvergence("tridiagonal eigensolve (dstebz) found no eigenvalue")
     return found
 
 
-def _in_bracket(d: np.ndarray, e: np.ndarray, guess: float):
-    """dstebz on guess +- _BRACKET_WIDENING, or None unless that bracket
-    holds an eigenvalue and none lies below it."""
-    lo = guess - _BRACKET_WIDENING * abs(guess)
-    hi = guess + _BRACKET_WIDENING * abs(guess)
+def _in_bracket(d: np.ndarray, e: np.ndarray, lo: float, hi: float):
+    """dstebz on (lo, hi], or None unless that bracket holds an eigenvalue
+    and none lies below it."""
     if not lo < hi:
         return None
     # Gershgorin lower bound, lowered by dstebz's own rounding allowance;
@@ -185,12 +240,6 @@ def richardson(fine, coarse):
     """Two-grid Richardson value from spacings h/2 and h: the O(h^2) error
     of the second-order schemes cancels.  Works elementwise on arrays."""
     return fine + (fine - coarse) / 3.0
-
-
-def two_grid(solve, grid: Grid1D) -> float:
-    """Richardson-combined solve(g) over g = grid and grid.refined()."""
-    coarse = solve(grid)
-    return richardson(solve(grid.refined()), coarse)
 
 
 def assemble_disk_system(n: int, beta: float, grid: Grid1D) -> TridiagSystem:
@@ -244,14 +293,18 @@ def fd_disk_eigen(n: int, beta: float, grid: Grid1D) -> tuple[float, np.ndarray]
 
 
 def fd_disk_lambda(n: int, beta: float, count: int = _DISK_GRID_COUNT) -> float:
-    """Richardson-combined disk eigenvalue from grids (count, 2*count-1).
+    """Richardson-combined disk eigenvalue from grids (count, 2*count-1),
+    solved by :func:`solve_pair`.
 
     The error at the default count is ~5e-9 absolute, the bisection's
     backward error on these matrices, not relative: at n = 0 and beta <~
     0.1, where lambda ~ beta^2/8, that is a large relative error.
     """
-    return two_grid(lambda g: solve_smallest(assemble_disk_system(n, beta, g))[0],
-                    Grid1D(0.0, 1.0, count))
+    grid = Grid1D(0.0, 1.0, count)
+    (coarse, _), (fine, _) = solve_pair(
+        solve_smallest, assemble_disk_system(n, beta, grid),
+        assemble_disk_system(n, beta, grid.refined()))
+    return richardson(fine, coarse)
 
 
 def assemble_degennes_system(xi: float, grid: Grid1D) -> TridiagSystem:

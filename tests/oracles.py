@@ -5,9 +5,9 @@ series summation and adaptive quadrature of the integral representation
 for the Kummer series, the contiguous recurrences as identities between
 Kummer values, an ascending-series bisection for Bessel derivative
 zeros, and an RK4 shooting integrator for the half-line eigenvalue.
-fd_degennes_eigen takes the half-line FD eigenpair on a path apart from
-the one degennes.lambda_dg takes, and warns (TruncationWarning) when the
-domain is too short; fd_degennes_lambda combines it over two grids.
+fd_degennes_eigen takes the half-line FD eigenpair on one grid and warns
+(TruncationWarning) when the domain is too short; fd_degennes_lambda
+combines two grids solved by fd.solve_pair, as degennes.lambda_dg does.
 For beta > 2n, nu_root_mp roots the Neumann condition in mpmath with M
 in the 2F2 form, which stays right at the tiny nu where mpmath's hyp1f1
 does not; boundary_trace_quadrature normalizes the eigenfunction at a
@@ -33,8 +33,8 @@ from scipy.integrate import quad
 from diskmag import degennes
 from diskmag.derivatives import lambda_prime
 from diskmag.errors import InvalidParams, SolverError
-from diskmag.fd import (Grid1D, assemble_degennes_system, fd_disk_eigen,
-                        solve_smallest, two_grid)
+from diskmag.fd import (Grid1D, assemble_degennes_system, assemble_disk_system,
+                        richardson, solve_pair, solve_smallest)
 from diskmag.kummer import kummer_m
 from diskmag.spectrum import lowest_eigenvalue
 
@@ -305,19 +305,30 @@ def fd_degennes_eigen(xi: float, L: float, grid: Grid1D) -> tuple[float, np.ndar
     if grid.right != L:
         raise InvalidParams(f"grid right endpoint {grid.right} != L = {L}")
     lam, vec = solve_smallest(assemble_degennes_system(xi, grid), vectors=True)
+    _warn_if_truncated(xi, vec)
+    return lam, vec
+
+
+def _warn_if_truncated(xi: float, vec: np.ndarray) -> None:
     if abs(vec[-1]) > 1e-8:
         warnings.warn(
             f"eigenfunction magnitude {abs(vec[-1]):.2e} at L - h; "
-            f"increase L for xi = {xi}", TruncationWarning, stacklevel=2)
-    return lam, vec
+            f"increase L for xi = {xi}", TruncationWarning, stacklevel=3)
 
 
 def fd_degennes_lambda(xi: float, L: float = degennes._L,
                        count: int = degennes._GRID_COUNT) -> float:
     """Richardson-combined half-line FD eigenvalue from grids
-    (count, 2*count-1); the defaults are the grid pair of
+    (count, 2*count-1) by :func:`diskmag.fd.solve_pair`, warning as
+    fd_degennes_eigen does; the defaults are the grid pair of
     :func:`diskmag.degennes.lambda_dg`."""
-    return two_grid(lambda g: fd_degennes_eigen(xi, L, g)[0], Grid1D(0.0, L, count))
+    grid = Grid1D(0.0, L, count)
+    pair = solve_pair(solve_smallest, assemble_degennes_system(xi, grid),
+                      assemble_degennes_system(xi, grid.refined()), vectors=True)
+    for _, vec in pair:
+        _warn_if_truncated(xi, vec)
+    (coarse, _), (fine, _) = pair
+    return richardson(fine, coarse)
 
 
 def kummer_m_2f2(a, b, z):
@@ -386,6 +397,10 @@ def boundary_trace_quadrature(n: int, beta: float, nu: float,
 
 def fd_boundary_trace(n: int, beta: float, count: int = 4001) -> float:
     """r = 1 entry of the FD eigenvector, Richardson-combined over the grids
-    (count, 2 count - 1): normalized and sign-fixed by fd_disk_eigen."""
-    return float(two_grid(lambda g: fd_disk_eigen(n, beta, g)[1][-1],
-                          Grid1D(0.0, 1.0, count)))
+    (count, 2 count - 1) of one :func:`diskmag.fd.solve_pair`, normalized
+    and sign-fixed as fd_disk_eigen's."""
+    grid = Grid1D(0.0, 1.0, count)
+    (_, coarse), (_, fine) = solve_pair(
+        solve_smallest, assemble_disk_system(n, beta, grid),
+        assemble_disk_system(n, beta, grid.refined()), vectors=True)
+    return float(richardson(fine[-1], coarse[-1]))

@@ -9,7 +9,7 @@ from diskmag.degennes import (DeGennesConstants, boundary_pairing_check,
                               lambda1_check, lambda2_coefficients, lambda_dg,
                               minimize_theta0, stationarity)
 from diskmag.errors import BracketFailure, InvalidParams
-from diskmag.fd import Grid1D
+from diskmag.fd import Grid1D, assemble_degennes_system, solve_smallest
 
 from oracles import fd_degennes_lambda, shooting_halfline_eigenvalue
 from refdata import C1, C1_HP, THETA0, THETA0_HP, U00_HP, XI0, XI0_HP
@@ -103,7 +103,10 @@ class TestCorrectorSolve:
     def test_matches_dense_bordered_solve(self, delta):
         # on this grid h0 - lam0 without its last node is indefinite (a
         # Cholesky of it fails at node 26); without node 0 it is not
-        solve = degennes._GridSolve(XI0_HP, Grid1D(0.0, 10.0, 40))
+        grid = Grid1D(0.0, 10.0, 40)
+        system = assemble_degennes_system(XI0_HP, grid)
+        solve = degennes._GridSolve(XI0_HP, grid, system,
+                                    solve_smallest(system, vectors=True))
         h1_u0 = solve.apply_h1(solve.u0, delta)
         rhs = -(h1_u0 - solve.inner(h1_u0) * solve.u0)
         u1 = solve.solve_corrector(rhs)

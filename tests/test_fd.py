@@ -240,6 +240,91 @@ class TestBracketedSolve:
             assert np.max(np.abs(vec - ref_vec)) <= 1e-12
 
 
+def test_bad_hints_fall_back_to_the_unhinted_solve():
+    system = assemble_disk_system(400, 1.0, Grid1D(0.0, 1.0, 4001))
+    d, e, _ = _symmetrized(system)
+    lam0, lam1 = eigh_tridiagonal(d, e, eigvals_only=True, select="i",
+                                  select_range=(0, 1), tol=fd._EIG_ABSTOL)
+    lam, vec = solve_smallest(system, vectors=True)
+    above = (0.5 * (lam0 + lam1), 1.01 * lam1)  # holds lambda1, not lambda0
+    below = (0.5 * lam0, 0.99 * lam0)
+    empty = (1.01 * lam0, 0.99 * lam0)  # lo >= hi
+    for bracket in (above, below, empty):
+        assert solve_smallest(system, bracket=bracket)[0] == lam
+        hinted, hinted_vec = solve_smallest(system, vectors=True, bracket=bracket)
+        assert hinted == lam
+        assert np.max(np.abs(hinted_vec - vec)) <= 1e-12
+
+
+def _recorded(monkeypatch, module, call):
+    """Run call() and return the (system, lambda0) of each solve through
+    module's solve_smallest binding and the (size, select, vl, vu, tol) of
+    each dstebz call."""
+    solved, stebz = [], []
+    real_solve, real_stebz = module.solve_smallest, fd.dstebz
+
+    def solve(system, **kwargs):
+        result = real_solve(system, **kwargs)
+        solved.append((system, result[0]))
+        return result
+
+    def stebz_call(d, e, select, vl, vu, il, iu, tol, order):
+        stebz.append((len(d), select, vl, vu, tol))
+        return real_stebz(d, e, select, vl, vu, il, iu, tol, order)
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "solve_smallest", solve)
+        patch.setattr(fd, "dstebz", stebz_call)
+        call()
+    return solved, stebz
+
+
+def _assert_predicted_brackets_taken(solved, stebz):
+    """Each grid of the pair is bisected once, on a bracket as narrow as
+    the h^2 prediction gives (1e-3 relative on the coarse grid, 1e-5 on
+    the fine), never by index, to lambda0 within 4 ulp."""
+    assert len(solved) == 2
+    for (system, lam), width in zip(solved, (1e-3, 1e-5)):
+        on_grid = [call for call in stebz if call[0] == len(system.diag)]
+        assert all(select == fd._BY_VALUE for _, select, *_ in on_grid)
+        (lo, hi), = [(vl, vu) for *_, vl, vu, tol in on_grid
+                     if tol == fd._EIG_ABSTOL]
+        assert lo < lam <= hi and hi - lo <= width * lam
+        ref = _index_mode_reference(system)[0]
+        assert abs(lam - ref) <= 4.0 * np.spacing(max(abs(lam), abs(ref)))
+
+
+class TestPairSolve:
+    """solve_pair brackets each grid from the h^2 model of coarser grids."""
+
+    @pytest.mark.parametrize("beta", [2.0, 60.0, 600.0, 900.0])
+    @pytest.mark.parametrize("n", [1, 20, 200, 400])
+    def test_disk_pair_takes_the_predicted_brackets(self, monkeypatch, n, beta):
+        _assert_predicted_brackets_taken(
+            *_recorded(monkeypatch, fd, lambda: fd_disk_lambda(n, beta)))
+
+    def test_half_line_pair_takes_the_predicted_brackets(self, monkeypatch):
+        degennes._solve_pair.cache_clear()
+        _assert_predicted_brackets_taken(
+            *_recorded(monkeypatch, degennes, lambda: degennes.lambda_dg(XI0_HP)))
+
+    def test_two_solves_through_the_callers_binding(self, monkeypatch):
+        # perfbench traces solve_smallest by replacing the name in each
+        # module that binds it, and checks that fd_disk_lambda and
+        # lambda_dg each show their solves below them
+        counts = {fd: 0, degennes: 0}
+        for module in counts:
+            def counting(*args, _module=module, _real=module.solve_smallest,
+                         **kwargs):
+                counts[_module] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(module, "solve_smallest", counting)
+        fd_disk_lambda(3, 20.0)
+        assert counts == {fd: 2, degennes: 0}
+        degennes._solve_pair.cache_clear()
+        degennes.lambda_dg(-0.5)
+        assert counts == {fd: 2, degennes: 2}
+
+
 class TestLapackFailure:
     """A LAPACK info != 0, or no eigenvalue by index, raises NonConvergence."""
 
