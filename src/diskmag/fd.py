@@ -11,21 +11,23 @@ the Kummer route so they can serve as brute-force cross-checks:
 
 Both reduce to a symmetric generalized tridiagonal eigenproblem
 A v = lambda M v with diagonal positive mass M, symmetrized exactly by
-the diagonal scaling M^{-1/2}.  The smallest eigenvalue comes from
-LAPACK's Sturm-count bisection (dstebz) run on a value bracket.  Each
-assembled system carries the same operator on its grid coarsened 16x.
-A two-grid pair (:func:`solve_pair`, spacings h and h/2) fits
-lambda(h) = L + C h^2 through two coarser solves and bisects each grid
-on the predicted value +- 1/4 of the predicted change, plus 16 ulp: the
-grid h from the coarsened systems 16h and 8h, the grid h/2 from 8h and
-the grid h.  A bracket is used only when a Sturm count shows no
-eigenvalue below it and at least one in it, so the value returned is
-always the smallest.  When a check fails, the bracket is the grid's own
-coarsened eigenvalue +- 5 %, and when that fails too, or the grid does
-not coarsen, dstebz bisects for the first eigenvalue by index.  Inverse
-iteration (dstein) computes the eigenvector only for the callers that
-read it.  Eigenvalues are reported through a two-grid Richardson
-combination assuming the second-order truncation error of the scheme.
+the diagonal scaling M^{-1/2}.  Each assembled system carries the same
+operator on its grid coarsened 16x.  A two-grid pair (:func:`solve_pair`,
+spacings h and h/2) fits lambda(h) = L + C h^2 through two coarser
+solves and brackets each grid on the predicted value +- 1/4 of the
+predicted change, plus 16 ulp: the grid h from the coarsened systems
+16h and 8h, the grid h/2 from 8h and the grid h.  On such a bracket
+(lo, hi], each end moved out by the rounding allowance eps |T|_inf, the
+smallest eigenpair comes from inverse iteration shifted by lo: one
+LDL^T factorization (dpttrf), which shows no eigenvalue at or below lo,
+and 3-4 solves (dpttrs).  When that fails, the bracket is the grid's
+own coarsened eigenvalue +- 5 %, on which LAPACK's Sturm-count bisection
+(dstebz) runs once a factorization shows nothing below it, and after
+that, or when the grid does not coarsen, dstebz bisects for the first
+eigenvalue by index; dstein then computes the eigenvector only for the
+callers that read it.  Eigenvalues are reported through a two-grid
+Richardson combination assuming the second-order truncation error of
+the scheme.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dstebz, dstein
+from scipy.linalg.lapack import dpttrf, dpttrs, dstebz, dstein
 
 from .errors import InvalidParams, NonConvergence
 
@@ -102,9 +104,10 @@ class TridiagSystem:
 # LAPACK dstebz: ABSTOL at twice the underflow threshold gives the most
 # accurate eigenvalues; the default eps*|T|_1 leaves ~1e-9 noise at our
 # grid sizes, which would dominate the minimization of the ground energy.
-# The bracketed and the by-index bisection both run to this tolerance.
+# Only the fallbacks bisect: on the +- 5 % bracket and by index.
 _EIG_ABSTOL = 2.0 * np.finfo(float).tiny
 _BY_VALUE, _BY_INDEX = 1, 2  # dstebz RANGE: eigenvalues in (vl, vu], or il..iu
+_INVERSE_ITERATION_CAP = 8  # solves on a given bracket before the fallbacks
 
 
 def solve_smallest(system: TridiagSystem, *, vectors: bool = False,
@@ -113,30 +116,101 @@ def solve_smallest(system: TridiagSystem, *, vectors: bool = False,
     """Smallest eigenpair of A v = lambda M v; the eigenvector is None
     unless vectors is set.
 
-    lambda0 comes from one dstebz bisection on the first of these value
-    brackets (lo, hi] that passes two checks, a Sturm count finding no
-    eigenvalue between a Gershgorin lower bound and lo and dstebz finding
-    at least one in (lo, hi]: the given bracket (:func:`solve_pair` takes
-    it from the h^2 model of coarser grids), then the bracketing system's
-    smallest eigenvalue widened by _BRACKET_WIDENING.  Without a passing
-    bracket it comes from dstebz by index.  Either way it is the smallest
-    eigenvalue, and a given system and bracket always take the same path,
-    with or without vectors.  The eigenvector, from dstein, comes back
+    A given bracket (lo, hi) (:func:`solve_pair` takes it from the h^2
+    model of coarser grids) is tried by :func:`_inverse_iteration`, which
+    returns lambda0 with its eigenvector, the last iterate.  When it
+    fails, lambda0 comes from one dstebz bisection on the bracketing
+    system's lambda0 widened by _BRACKET_WIDENING, used only when an LDL^T
+    factorization shows no eigenvalue at or below its lower end and
+    dstebz finds one in it, and otherwise from dstebz by index; dstein
+    then computes the eigenvector where it is read.  Either way it is the
+    smallest eigenvalue, and a given system and bracket always take the
+    same path, with or without vectors.  The eigenvector comes back
     sign-fixed positive and normalized to sum(v^2 * mass) = 1, i.e. unit
     norm in the lumped weighted L2.  NonConvergence if LAPACK fails.
     """
     d, e, root_m = _symmetrized(system)
-    w, iblock, isplit = _lowest(system, d, e, bracket)
+    found = None if bracket is None else _inverse_iteration(d, e, *bracket)
+    if found is None:
+        w, iblock, isplit = _lowest(system, d, e)
+        if not vectors:
+            return float(w[0]), None
+        z, info = dstein(d, e, w[:1], iblock, isplit)
+        if info != 0:
+            raise NonConvergence(f"tridiagonal eigenvector (dstein) failed: info = {info}")
+        found = float(w[0]), z[:, 0]
+    lam, z = found
     if not vectors:
-        return float(w[0]), None
-    z, info = dstein(d, e, w[:1], iblock, isplit)
-    if info != 0:
-        raise NonConvergence(f"tridiagonal eigenvector (dstein) failed: info = {info}")
-    v = z[:, 0] / root_m
+        return lam, None
+    v = z / root_m
     v = v / np.sqrt(np.sum(v * v * system.mass))
     if v[np.argmax(np.abs(v))] < 0.0:
         v = -v
-    return float(w[0]), v
+    return lam, v
+
+
+def _inverse_iteration(d: np.ndarray, e: np.ndarray, lo: float, hi: float):
+    """(lambda0, unit eigenvector) of the symmetrized tridiagonal T by
+    inverse iteration shifted by lo, or None unless lambda0 is shown to
+    lie in (lo, hi], each end moved out by eps (max|d| + 2 max|e|) >=
+    eps |T|_inf: the backward error of any computed lambda0, which the h^2
+    prediction cannot see (at n = 1, beta = 2 the FD error is below it).
+
+    dpttrf factors T - lo I = L D L^T once, and succeeds only when no
+    eigenvalue is <= lo.  Each dpttrs solve of (T - lo I) y = x gives
+    rho = lo + x.y / y.y, the Rayleigh quotient of y with nothing to
+    cancel, and x = y / |y|.  Once rho moves by <= 2 ulp of max(|lo|,
+    |rho|), within _INVERSE_ITERATION_CAP solves, the value is x.Tx for
+    the unit x, taken from T: its rounding averages out over the nodes
+    (0.03 eps |T|_inf from the exact lambda0, against 0.16 for rho, which
+    carries the factorization's backward error).  It must lie in (lo, hi].
+
+    Why it is lambda0: both FD operators have negative off-diagonals, so
+    T - lo I is a positive definite Z-matrix with an entrywise positive
+    inverse, and every iterate from the constant start stays positive.
+    The start thus has a component along the positive ground state, and
+    the iteration converges to it, never to lambda1, at the rate
+    (lambda0 - lo) / (lambda1 - lo) per solve (~1e-5 from the h^2
+    prediction: 3-4 solves).  A Rayleigh quotient is >= lambda0, and the
+    factorization shows lambda0 > lo, so lambda0 lies in (lo, value].
+    """
+    if not lo < hi:
+        return None
+    pad = np.finfo(float).eps * (np.max(np.abs(d)) + 2.0 * np.max(np.abs(e)))
+    lo, hi = lo - pad, hi + pad
+    factors = _factored(d, e, lo)
+    if factors is None:
+        return None
+    x = np.full(len(d), 1.0 / np.sqrt(len(d)))
+    rho = np.inf
+    for _ in range(_INVERSE_ITERATION_CAP):
+        y, info = dpttrs(*factors, x)
+        if info != 0:
+            raise NonConvergence(f"tridiagonal solve (dpttrs) failed: info = {info}")
+        y_y = _dot(y, y)
+        last, rho = rho, lo + _dot(x, y) / y_y
+        x = y / np.sqrt(y_y)
+        if abs(rho - last) <= 2.0 * np.spacing(max(abs(lo), abs(rho))):
+            t_x = d * x
+            t_x[1:] += e * x[:-1]
+            t_x[:-1] += e * x[1:]
+            value = float(_dot(x, t_x))
+            return (value, x) if lo < value <= hi else None
+    return None
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """x.y by numpy's own loop: OpenBLAS's ddot threads past 10 000
+    entries, and on 2 shared vCPUs each such call could wait ~8 ms for its
+    thread (the 16 000-node half-line grid took 64 ms a solve, not 1 ms)."""
+    return np.einsum("i,i", x, y)
+
+
+def _factored(d: np.ndarray, e: np.ndarray, shift: float):
+    """dpttrf's L D L^T factors of T - shift I, or None unless T - shift I
+    is positive definite, i.e. no eigenvalue of T lies at or below shift."""
+    diag, offdiag, info = dpttrf(d - shift, e)
+    return (diag, offdiag) if info == 0 else None
 
 
 def solve_pair(solve, coarse: TridiagSystem, fine: TridiagSystem, *,
@@ -189,11 +263,11 @@ def _symmetrized(system: TridiagSystem):
 
 
 def _smallest(system: TridiagSystem, bracket=None) -> float:
-    """lambda0 of system, the bracket tried first."""
+    """lambda0 of system by dstebz, the bracket tried first."""
     return _lowest(system, *_symmetrized(system)[:2], bracket)[0][0]
 
 
-def _lowest(system: TridiagSystem, d: np.ndarray, e: np.ndarray, bracket):
+def _lowest(system: TridiagSystem, d: np.ndarray, e: np.ndarray, bracket=None):
     """dstebz's (w, iblock, isplit) for the symmetrized system, w[0] =
     lambda0: on bracket, else on the bracketing system's lambda0 +- 5 %,
     else by index."""
@@ -210,17 +284,8 @@ def _lowest(system: TridiagSystem, d: np.ndarray, e: np.ndarray, bracket):
 
 def _in_bracket(d: np.ndarray, e: np.ndarray, lo: float, hi: float):
     """dstebz on (lo, hi], or None unless that bracket holds an eigenvalue
-    and none lies below it."""
-    if not lo < hi:
-        return None
-    # Gershgorin lower bound, lowered by dstebz's own rounding allowance;
-    # only how many eigenvalues lie in (lower, lo] is read, so a tolerance
-    # of lo - lower lets dstebz stop right after its Sturm counts
-    radius = np.abs(np.append(e, 0.0)) + np.abs(np.append(0.0, e))
-    lower = np.min(d - radius)
-    lower -= 2.1 * len(d) * np.finfo(float).eps * max(abs(lower),
-                                                      np.max(d + radius))
-    if lower < lo and len(_stebz(d, e, _BY_VALUE, lower, lo, lo - lower)[0]):
+    and none lies at or below lo (:func:`_factored`)."""
+    if not (lo < hi and _factored(d, e, lo) is not None):
         return None
     found = _stebz(d, e, _BY_VALUE, lo, hi, _EIG_ABSTOL)
     return found if len(found[0]) else None
@@ -296,9 +361,9 @@ def fd_disk_lambda(n: int, beta: float, count: int = _DISK_GRID_COUNT) -> float:
     """Richardson-combined disk eigenvalue from grids (count, 2*count-1),
     solved by :func:`solve_pair`.
 
-    The error at the default count is ~5e-9 absolute, the bisection's
-    backward error on these matrices, not relative: at n = 0 and beta <~
-    0.1, where lambda ~ beta^2/8, that is a large relative error.
+    The error at the default count is ~5e-9 absolute, the backward error
+    of the eigensolve on these matrices, not relative: at n = 0 and
+    beta <~ 0.1, where lambda ~ beta^2/8, that is a large relative error.
     """
     grid = Grid1D(0.0, 1.0, count)
     (coarse, _), (fine, _) = solve_pair(

@@ -12,7 +12,9 @@ For beta > 2n, nu_root_mp roots the Neumann condition in mpmath with M
 in the 2F2 form, which stays right at the tiny nu where mpmath's hyp1f1
 does not; boundary_trace_quadrature normalizes the eigenfunction at a
 given nu on a uniform mesh, and fd_boundary_trace takes the trace from
-the two-grid FD eigenvector.
+the two-grid FD eigenvector.  sturm_smallest_mp bisects on the Sturm
+count of a given double tridiagonal in 30-digit arithmetic, the exact
+smallest eigenvalue of that very matrix.
 ScaledReal is the log-magnitude arithmetic these oracles compute in;
 eta_prime restates lambda_prime for the field-normalized ratio eta.
 """
@@ -329,6 +331,42 @@ def fd_degennes_lambda(xi: float, L: float = degennes._L,
         _warn_if_truncated(xi, vec)
     (coarse, _), (fine, _) = pair
     return richardson(fine, coarse)
+
+
+def sturm_smallest_mp(d: np.ndarray, e: np.ndarray, lo: float, hi: float,
+                      dps: int = 30):
+    """Smallest eigenvalue (mpf) of the symmetric tridiagonal T with the
+    double diagonal d and off-diagonal e, taken exactly, to 1e-22 |T|_inf.
+
+    Bisects (lo, hi] on the Sturm count, the number of negative pivots of
+    the LDL^T of T - x I, in dps-digit arithmetic; the counts must show
+    no eigenvalue at or below lo and one at or below hi."""
+    with mpmath.workdps(dps):
+        diag = [mpmath.mpf(float(v)) for v in d]
+        off_sq = [mpmath.mpf(float(v)) ** 2 for v in e]
+        tiny = mpmath.mpf(2) ** (-4 * mpmath.mp.prec)
+
+        def count_below(x):
+            pivot = diag[0] - x
+            count = int(pivot <= 0)
+            for d_i, e_sq in zip(diag[1:], off_sq):
+                pivot = d_i - x - e_sq / (pivot if pivot != 0 else tiny)
+                count += pivot <= 0
+            return count
+
+        lo, hi = mpmath.mpf(float(lo)), mpmath.mpf(float(hi))
+        if count_below(lo) or not count_below(hi):
+            raise AssertionError(f"({lo}, {hi}] does not bracket lambda0")
+        norm = np.max(np.abs(d) + np.abs(np.append(e, 0.0))
+                      + np.abs(np.append(0.0, e)))
+        tol = mpmath.mpf(10) ** -22 * norm
+        while hi - lo > tol:
+            mid = (lo + hi) / 2
+            if count_below(mid):
+                hi = mid
+            else:
+                lo = mid
+        return (lo + hi) / 2
 
 
 def kummer_m_2f2(a, b, z):

@@ -1,4 +1,6 @@
+import importlib.util
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,11 +10,11 @@ from diskmag import degennes, fd
 from diskmag.errors import InvalidParams, NonConvergence
 from diskmag.fd import (Grid1D, TridiagSystem, assemble_degennes_system,
                         assemble_disk_system, fd_disk_eigen, fd_disk_lambda,
-                        solve_smallest)
+                        solve_pair, solve_smallest)
 from diskmag.spectrum import bessel_jnp_first_zero, lowest_eigenvalue
 
 from oracles import (TruncationWarning, fd_degennes_eigen, fd_degennes_lambda,
-                     shooting_halfline_eigenvalue)
+                     shooting_halfline_eigenvalue, sturm_smallest_mp)
 from refdata import CROSSINGS, THETA0, XI0, XI0_HP
 
 
@@ -83,8 +85,10 @@ class TestDisk:
 
     def test_lambda_is_richardson_of_grid_pair(self):
         n, beta, count = 3, 20.0, 257
-        coarse, _ = fd_disk_eigen(n, beta, Grid1D(0.0, 1.0, count))
-        fine, _ = fd_disk_eigen(n, beta, Grid1D(0.0, 1.0, 2 * count - 1))
+        grid = Grid1D(0.0, 1.0, count)
+        (coarse, _), (fine, _) = solve_pair(
+            solve_smallest, assemble_disk_system(n, beta, grid),
+            assemble_disk_system(n, beta, grid.refined()))
         assert fd_disk_lambda(n, beta, count) == fine + (fine - coarse) / 3.0
 
     def test_grid_must_span_unit_interval(self):
@@ -256,41 +260,65 @@ def test_bad_hints_fall_back_to_the_unhinted_solve():
         assert np.max(np.abs(hinted_vec - vec)) <= 1e-12
 
 
+# Measured over TestInverseIteration's exact-value cases: inverse iteration
+# comes within 0.033 eps |T|_inf of the exact lambda0 of the double matrix,
+# dstebz by index within 0.089; the bound leaves a margin over both and
+# over their difference.
+_BACKWARD_ERROR = 0.25
+
+
+def _backward_scale(d, e):
+    """eps |T|_inf of the symmetrized tridiagonal (d, e)."""
+    row = np.abs(d) + np.abs(np.append(e, 0.0)) + np.abs(np.append(0.0, e))
+    return np.finfo(float).eps * np.max(row)
+
+
 def _recorded(monkeypatch, module, call):
-    """Run call() and return the (system, lambda0) of each solve through
-    module's solve_smallest binding and the (size, select, vl, vu, tol) of
-    each dstebz call."""
-    solved, stebz = [], []
-    real_solve, real_stebz = module.solve_smallest, fd.dstebz
+    """Run call() and return the (system, bracket, (lambda0, vector)) of
+    each solve through module's solve_smallest binding, and for each of
+    fd's dstebz, dpttrf and dpttrs the (size, first argument) of each call."""
+    solved, calls = [], {"dstebz": [], "dpttrf": [], "dpttrs": []}
+    real_solve = module.solve_smallest
 
     def solve(system, **kwargs):
         result = real_solve(system, **kwargs)
-        solved.append((system, result[0]))
+        solved.append((system, kwargs.get("bracket"), result))
         return result
 
-    def stebz_call(d, e, select, vl, vu, il, iu, tol, order):
-        stebz.append((len(d), select, vl, vu, tol))
-        return real_stebz(d, e, select, vl, vu, il, iu, tol, order)
+    def recording(name, real):
+        def lapack_call(d, *args):
+            calls[name].append((len(d), d.copy()))
+            return real(d, *args)
+        return lapack_call
     with monkeypatch.context() as patch:
         patch.setattr(module, "solve_smallest", solve)
-        patch.setattr(fd, "dstebz", stebz_call)
+        for name in calls:
+            patch.setattr(fd, name, recording(name, getattr(fd, name)))
         call()
-    return solved, stebz
+    return solved, calls
 
 
-def _assert_predicted_brackets_taken(solved, stebz):
-    """Each grid of the pair is bisected once, on a bracket as narrow as
-    the h^2 prediction gives (1e-3 relative on the coarse grid, 1e-5 on
-    the fine), never by index, to lambda0 within 4 ulp."""
+def _on_grid(calls, name, size):
+    return [arg for length, arg in calls[name] if length == size]
+
+
+def _assert_predicted_brackets_taken(solved, calls):
+    """Each grid of the pair is factored once, shifted by the lower end of
+    a bracket as narrow as the h^2 prediction gives (1e-3 relative on the
+    coarse grid, 1e-5 on the fine) with its rounding allowance, and solved
+    by inverse iteration in at most 4 solves, with no dstebz call on it,
+    to lambda0 within the backward error."""
     assert len(solved) == 2
-    for (system, lam), width in zip(solved, (1e-3, 1e-5)):
-        on_grid = [call for call in stebz if call[0] == len(system.diag)]
-        assert all(select == fd._BY_VALUE for _, select, *_ in on_grid)
-        (lo, hi), = [(vl, vu) for *_, vl, vu, tol in on_grid
-                     if tol == fd._EIG_ABSTOL]
-        assert lo < lam <= hi and hi - lo <= width * lam
+    for (system, (lo, hi), (lam, _)), width in zip(solved, (1e-3, 1e-5)):
+        d, e, _ = _symmetrized(system)
+        pad = np.finfo(float).eps * (np.max(np.abs(d)) + 2.0 * np.max(np.abs(e)))
+        shifted, = _on_grid(calls, "dpttrf", len(d))
+        assert np.array_equal(shifted, d - (lo - pad))
+        assert lo - pad < lam <= hi + pad and hi - lo + 2.0 * pad <= width * lam
+        assert not _on_grid(calls, "dstebz", len(d))
+        assert 2 <= len(_on_grid(calls, "dpttrs", len(d))) <= 4
         ref = _index_mode_reference(system)[0]
-        assert abs(lam - ref) <= 4.0 * np.spacing(max(abs(lam), abs(ref)))
+        assert abs(lam - ref) <= _BACKWARD_ERROR * _backward_scale(d, e)
 
 
 class TestPairSolve:
@@ -323,6 +351,86 @@ class TestPairSolve:
         degennes._solve_pair.cache_clear()
         degennes.lambda_dg(-0.5)
         assert counts == {fd: 2, degennes: 2}
+
+
+class TestInverseIteration:
+    """The bracketed path: inverse iteration shifted by the lower end."""
+
+    @pytest.mark.parametrize("n, beta", [(n, beta) for n in (0, 1, 3, 400)
+                                         for beta in (0.0, 20.0, 900.0)])
+    def test_disk_against_exact_value(self, n, beta):
+        self._assert_exact(assemble_disk_system(n, beta, Grid1D(0.0, 1.0, 513)))
+
+    @pytest.mark.parametrize("count", [257, 1025])
+    def test_half_line_against_exact_value(self, count):
+        self._assert_exact(assemble_degennes_system(XI0_HP, Grid1D(0.0, 15.0, count)))
+
+    @staticmethod
+    def _assert_exact(system):
+        # the new value and dstebz's by index both lie within the backward
+        # error of the exact lambda0 of the same double matrix
+        d, e, _ = _symmetrized(system)
+        by_index = _index_mode_reference(system)[0]
+        half = 1e-5 * max(abs(by_index), 1.0)  # the fine grid's bracket
+        bracket = (by_index - half, by_index + half)
+        found = fd._inverse_iteration(d, e, *bracket)
+        assert found is not None
+        lam = solve_smallest(system, bracket=bracket)[0]
+        assert lam == found[0]
+        span = 4.0 * _backward_scale(d, e)
+        exact = sturm_smallest_mp(d, e, min(lam, by_index) - span,
+                                  max(lam, by_index) + span)
+        for value in (lam, by_index):
+            assert abs(value - exact) <= _BACKWARD_ERROR * _backward_scale(d, e)
+
+    def test_eigenvector_matches_the_index_mode(self, monkeypatch):
+        # both unit vectors lie within residual / gap of the ground state
+        # (Davis-Kahan): 2.4e-11 and 9.5e-11 apart on 4 001 and 8 001 nodes,
+        # against bounds of 2.1e-9 and 1.2e-8
+        grid = Grid1D(0.0, 1.0, 4001)
+        systems = [assemble_disk_system(3, 20.0, g) for g in (grid, grid.refined())]
+        solved, calls = _recorded(monkeypatch, fd, lambda: fd.solve_pair(
+            fd.solve_smallest, *systems, vectors=True))
+        for system, _, (lam, vec) in solved:
+            d, e, root_m = _symmetrized(system)
+            assert not _on_grid(calls, "dstebz", len(d))
+            assert np.all(vec >= 0.0)
+            ref_lam, ref_vec = _index_mode_reference(system)
+            gap = np.diff(eigh_tridiagonal(d, e, eigvals_only=True, select="i",
+                                           select_range=(0, 1)))[0]
+
+            def residual(value, unit):
+                t_unit = d * unit
+                t_unit[1:] += e * unit[:-1]
+                t_unit[:-1] += e * unit[1:]
+                return np.linalg.norm(t_unit - value * unit)
+            unit, ref_unit = vec * root_m, ref_vec * root_m
+            bound = 2.0 * (residual(lam, unit) + residual(ref_lam, ref_unit)) / gap
+            assert np.linalg.norm(unit - ref_unit) <= bound
+
+    @pytest.mark.parametrize("case", ["lo above lambda0", "cap", "rho above hi"])
+    def test_failure_falls_back_to_the_index_mode(self, monkeypatch, case):
+        system = assemble_disk_system(3, 20.0, Grid1D(0.0, 1.0, 1001))
+        assert system.bracketing is None  # the fallback is dstebz by index
+        d, e, _ = _symmetrized(system)
+        lam0, lam1 = eigh_tridiagonal(d, e, eigvals_only=True, select="i",
+                                      select_range=(0, 1), tol=fd._EIG_ABSTOL)
+        if case == "lo above lambda0":
+            bracket = (0.5 * (lam0 + lam1), 1.01 * lam1)
+        elif case == "cap":
+            bracket = (0.99 * lam0, 1.01 * lam0)
+            assert fd._inverse_iteration(d, e, *bracket) is not None
+            monkeypatch.setattr(fd, "_INVERSE_ITERATION_CAP", 1)
+        else:  # converges to lambda0, which lies above the bracket
+            bracket = (lam0 - 2e-6 * lam0, lam0 - 1e-6 * lam0)
+            assert fd._inverse_iteration(d, e, bracket[0], np.inf) is not None
+        assert fd._inverse_iteration(d, e, *bracket) is None
+        by_index, by_index_vec = solve_smallest(system, vectors=True)
+        assert by_index == fd._stebz(d, e, fd._BY_INDEX, 0.0, 0.0,
+                                     fd._EIG_ABSTOL)[0][0]
+        assert solve_smallest(system, bracket=bracket)[0] == by_index
+        lam, vec = solve_smallest(system, vectors=True, bracket=bracket)
+        assert lam == by_index and np.array_equal(vec, by_index_vec)
 
 
 class TestLapackFailure:
@@ -366,3 +474,31 @@ class TestLapackFailure:
         assert solve_smallest(system)[1] is None  # dstein not called
         with pytest.raises(NonConvergence, match="dstein"):
             solve_smallest(system, vectors=True)
+
+    def test_pttrs_info(self, monkeypatch):
+        system = assemble_disk_system(2, 10.0, Grid1D(0.0, 1.0, 1001))
+        lam = solve_smallest(system)[0]
+        monkeypatch.setattr(fd, "dpttrs", lambda d, e, b: (b, -3))
+        with pytest.raises(NonConvergence, match="dpttrs"):
+            solve_smallest(system, bracket=(0.99 * lam, 1.01 * lam))
+
+
+_SPEC = importlib.util.spec_from_file_location(
+    "fd_convergence", Path(__file__).resolve().parents[1] / "scripts" / "fd_convergence.py")
+fd_convergence = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(fd_convergence)
+
+
+@pytest.mark.parametrize("label, assemble", [
+    ("disk fiber n=3, beta=20.0",
+     lambda grid: assemble_disk_system(3, 20.0, grid)),
+    ("half-line oscillator xi=xi0",
+     lambda grid: assemble_degennes_system(XI0_HP, grid))])
+def test_convergence_script_observes_second_order(label, assemble, capsys):
+    # scripts/fd_convergence.py at --levels 4 (251 .. 2 001 nodes): the
+    # observed ratios are 4.0005-4.0014 on the disk, 3.9972-3.9993 on the
+    # half line
+    ratios = fd_convergence.study(label, assemble, 251, 4)
+    assert len(ratios) == 2
+    assert all(abs(ratio - 4.0) <= 0.01 for ratio in ratios)
+    assert "ratio" in capsys.readouterr().out
