@@ -17,7 +17,7 @@ spacings h and h/2) fits lambda(h) = L + C h^2 through two coarser
 solves and brackets each grid on the predicted value +- 1/4 of the
 predicted change, plus 16 ulp: the grid h from the coarsened systems
 16h and 8h, the grid h/2 from 8h and the grid h.  On such a bracket
-(lo, hi], each end moved out by the rounding allowance eps |T|_inf, the
+(lo, hi], each end moved out by a rounding allowance of ~eps |T|_inf, the
 smallest eigenpair comes from inverse iteration shifted by lo: one
 LDL^T factorization (dpttrf), which shows no eigenvalue at or below lo,
 and 3-4 solves (dpttrs).  When that fails, the bracket is the grid's
@@ -152,9 +152,9 @@ def solve_smallest(system: TridiagSystem, *, vectors: bool = False,
 def _inverse_iteration(d: np.ndarray, e: np.ndarray, lo: float, hi: float):
     """(lambda0, unit eigenvector) of the symmetrized tridiagonal T by
     inverse iteration shifted by lo, or None unless lambda0 is shown to
-    lie in (lo, hi], each end moved out by eps (max|d| + 2 max|e|) >=
-    eps |T|_inf: the backward error of any computed lambda0, which the h^2
-    prediction cannot see (at n = 1, beta = 2 the FD error is below it).
+    lie in (lo, hi], each end moved out by :func:`_allowance`: the
+    backward error of any computed lambda0, which the h^2 prediction
+    cannot see (at n = 1, beta = 2 the FD error is below it).
 
     dpttrf factors T - lo I = L D L^T once, and succeeds only when no
     eigenvalue is <= lo.  Each dpttrs solve of (T - lo I) y = x gives
@@ -162,8 +162,9 @@ def _inverse_iteration(d: np.ndarray, e: np.ndarray, lo: float, hi: float):
     cancel, and x = y / |y|.  Once rho moves by <= 2 ulp of max(|lo|,
     |rho|), within _INVERSE_ITERATION_CAP solves, the value is x.Tx for
     the unit x, taken from T: its rounding averages out over the nodes
-    (0.03 eps |T|_inf from the exact lambda0, against 0.16 for rho, which
-    carries the factorization's backward error).  It must lie in (lo, hi].
+    (within 0.03 of the allowance from the exact lambda0, against 0.12 for
+    rho, which carries the factorization's backward error).  It must lie in
+    (lo, hi].
 
     Why it is lambda0: both FD operators have negative off-diagonals, so
     T - lo I is a positive definite Z-matrix with an entrywise positive
@@ -176,7 +177,7 @@ def _inverse_iteration(d: np.ndarray, e: np.ndarray, lo: float, hi: float):
     """
     if not lo < hi:
         return None
-    pad = np.finfo(float).eps * (np.max(np.abs(d)) + 2.0 * np.max(np.abs(e)))
+    pad = _allowance(d, e)
     lo, hi = lo - pad, hi + pad
     factors = _factored(d, e, lo)
     if factors is None:
@@ -199,10 +200,17 @@ def _inverse_iteration(d: np.ndarray, e: np.ndarray, lo: float, hi: float):
     return None
 
 
+def _allowance(d: np.ndarray, e: np.ndarray) -> float:
+    """eps (max|d| + 2 max|e|) >= eps |T|_inf: the backward error of any
+    computed eigenvalue of the symmetrized tridiagonal T = (d, e)."""
+    return np.finfo(float).eps * (np.max(np.abs(d)) + 2.0 * np.max(np.abs(e)))
+
+
 def _dot(x: np.ndarray, y: np.ndarray) -> float:
     """x.y by numpy's own loop: OpenBLAS's ddot threads past 10 000
-    entries, and on 2 shared vCPUs each such call could wait ~8 ms for its
-    thread (the 16 000-node half-line grid took 64 ms a solve, not 1 ms)."""
+    entries, and on 2 shared vCPUs, once the machine has idled, each such
+    call waits ~8 ms for its thread (`diskmag constants`, which solves the
+    16 000-node half-line grid, took 0.70 s with BLAS dots, not 0.04 s)."""
     return np.einsum("i,i", x, y)
 
 

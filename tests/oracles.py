@@ -35,8 +35,9 @@ from scipy.integrate import quad
 from diskmag import degennes
 from diskmag.derivatives import lambda_prime
 from diskmag.errors import InvalidParams, SolverError
-from diskmag.fd import (Grid1D, assemble_degennes_system, assemble_disk_system,
-                        richardson, solve_pair, solve_smallest)
+from diskmag.fd import (Grid1D, _allowance, assemble_degennes_system,
+                        assemble_disk_system, richardson, solve_pair,
+                        solve_smallest)
 from diskmag.kummer import kummer_m
 from diskmag.spectrum import lowest_eigenvalue
 
@@ -333,15 +334,16 @@ def fd_degennes_lambda(xi: float, L: float = degennes._L,
     return richardson(fine, coarse)
 
 
-def sturm_smallest_mp(d: np.ndarray, e: np.ndarray, lo: float, hi: float,
-                      dps: int = 30):
+def sturm_smallest_mp(d: np.ndarray, e: np.ndarray, lo: float, hi: float):
     """Smallest eigenvalue (mpf) of the symmetric tridiagonal T with the
-    double diagonal d and off-diagonal e, taken exactly, to 1e-22 |T|_inf.
+    double diagonal d and off-diagonal e, taken exactly, to 2^-20 of
+    fd's rounding allowance (about 2e-22 |T|_inf).
 
     Bisects (lo, hi] on the Sturm count, the number of negative pivots of
-    the LDL^T of T - x I, in dps-digit arithmetic; the counts must show
+    the LDL^T of T - x I, in 30-digit arithmetic, whose midpoints resolve
+    far below that tolerance (lambda0 <= |T|_inf); the counts must show
     no eigenvalue at or below lo and one at or below hi."""
-    with mpmath.workdps(dps):
+    with mpmath.workdps(30):
         diag = [mpmath.mpf(float(v)) for v in d]
         off_sq = [mpmath.mpf(float(v)) ** 2 for v in e]
         tiny = mpmath.mpf(2) ** (-4 * mpmath.mp.prec)
@@ -357,9 +359,7 @@ def sturm_smallest_mp(d: np.ndarray, e: np.ndarray, lo: float, hi: float,
         lo, hi = mpmath.mpf(float(lo)), mpmath.mpf(float(hi))
         if count_below(lo) or not count_below(hi):
             raise AssertionError(f"({lo}, {hi}] does not bracket lambda0")
-        norm = np.max(np.abs(d) + np.abs(np.append(e, 0.0))
-                      + np.abs(np.append(0.0, e)))
-        tol = mpmath.mpf(10) ** -22 * norm
+        tol = mpmath.mpf(_allowance(d, e)) / 2 ** 20
         while hi - lo > tol:
             mid = (lo + hi) / 2
             if count_below(mid):

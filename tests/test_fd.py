@@ -260,17 +260,11 @@ def test_bad_hints_fall_back_to_the_unhinted_solve():
         assert np.max(np.abs(hinted_vec - vec)) <= 1e-12
 
 
-# Measured over TestInverseIteration's exact-value cases: inverse iteration
-# comes within 0.033 eps |T|_inf of the exact lambda0 of the double matrix,
-# dstebz by index within 0.089; the bound leaves a margin over both and
-# over their difference.
+# Measured over TestInverseIteration's exact-value cases, in units of
+# fd._allowance: inverse iteration comes within 0.029 of the exact lambda0
+# of the double matrix, dstebz by index within 0.071; the bound leaves a
+# margin over both and over their difference.
 _BACKWARD_ERROR = 0.25
-
-
-def _backward_scale(d, e):
-    """eps |T|_inf of the symmetrized tridiagonal (d, e)."""
-    row = np.abs(d) + np.abs(np.append(e, 0.0)) + np.abs(np.append(0.0, e))
-    return np.finfo(float).eps * np.max(row)
 
 
 def _recorded(monkeypatch, module, call):
@@ -311,14 +305,14 @@ def _assert_predicted_brackets_taken(solved, calls):
     assert len(solved) == 2
     for (system, (lo, hi), (lam, _)), width in zip(solved, (1e-3, 1e-5)):
         d, e, _ = _symmetrized(system)
-        pad = np.finfo(float).eps * (np.max(np.abs(d)) + 2.0 * np.max(np.abs(e)))
+        pad = fd._allowance(d, e)
         shifted, = _on_grid(calls, "dpttrf", len(d))
         assert np.array_equal(shifted, d - (lo - pad))
         assert lo - pad < lam <= hi + pad and hi - lo + 2.0 * pad <= width * lam
         assert not _on_grid(calls, "dstebz", len(d))
         assert 2 <= len(_on_grid(calls, "dpttrs", len(d))) <= 4
         ref = _index_mode_reference(system)[0]
-        assert abs(lam - ref) <= _BACKWARD_ERROR * _backward_scale(d, e)
+        assert abs(lam - ref) <= _BACKWARD_ERROR * pad
 
 
 class TestPairSolve:
@@ -377,11 +371,12 @@ class TestInverseIteration:
         assert found is not None
         lam = solve_smallest(system, bracket=bracket)[0]
         assert lam == found[0]
-        span = 4.0 * _backward_scale(d, e)
+        allowance = fd._allowance(d, e)
+        span = 4.0 * allowance
         exact = sturm_smallest_mp(d, e, min(lam, by_index) - span,
                                   max(lam, by_index) + span)
         for value in (lam, by_index):
-            assert abs(value - exact) <= _BACKWARD_ERROR * _backward_scale(d, e)
+            assert abs(value - exact) <= _BACKWARD_ERROR * allowance
 
     def test_eigenvector_matches_the_index_mode(self, monkeypatch):
         # both unit vectors lie within residual / gap of the ground state
