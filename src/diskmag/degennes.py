@@ -41,8 +41,8 @@ import numpy as np
 from scipy.linalg import solveh_banded
 
 from .errors import BracketFailure, IllConditioned, InvalidParams
-from .fd import (Grid1D, TridiagSystem, assemble_degennes_system, richardson,
-                 solve_pair, solve_smallest)
+from .fd import (Grid1D, TridiagSystem, _dot, assemble_degennes_system,
+                 richardson, solve_pair, solve_smallest)
 from .roots import brent_root
 
 _XI_BRACKET = (-2.0, 0.0)  # Theta0 = xi0^2 in (0,1) forces xi0 in (-1, 0)
@@ -207,13 +207,6 @@ def minimize_theta0() -> DeGennesConstants:
     c1 = u0_trace ** 2 / 3.0
     return DeGennesConstants(theta0=theta0, xi0=xi0, c1=c1, u0_trace=u0_trace,
                              delta0_formula=0.5 * c1 / math.sqrt(theta0))
-
-
-def _dot(u: np.ndarray, v: np.ndarray) -> float:
-    """u . v without BLAS: with OpenBLAS's threads uncapped, its dot on the
-    16 001-node grid made compute_constants take 0.65 s against 0.29 s
-    (2 shared cores)."""
-    return float(np.einsum("i,i", u, v))
 
 
 def _derivative(u: np.ndarray, h: float) -> np.ndarray:

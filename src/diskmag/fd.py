@@ -20,14 +20,12 @@ predicted change, plus 16 ulp: the grid h from the coarsened systems
 (lo, hi], each end moved out by a rounding allowance of ~eps |T|_inf, the
 smallest eigenpair comes from inverse iteration shifted by lo: one
 LDL^T factorization (dpttrf), which shows no eigenvalue at or below lo,
-and 3-4 solves (dpttrs).  When that fails, the bracket is the grid's
-own coarsened eigenvalue +- 5 %, on which LAPACK's Sturm-count bisection
-(dstebz) runs once a factorization shows nothing below it, and after
-that, or when the grid does not coarsen, dstebz bisects for the first
-eigenvalue by index; dstein then computes the eigenvector only for the
-callers that read it.  Eigenvalues are reported through a two-grid
-Richardson combination assuming the second-order truncation error of
-the scheme.
+and 3-4 solves (dpttrs).  Without a bracket, or when it fails, LAPACK's
+Sturm-count bisection (dstebz) finds the first eigenvalue by index, and
+dstein computes the eigenvector only for the callers that read it.  The
+coarsened systems themselves are bisected: 16h by index, 8h on 16h's
+value +- 5 %.  Eigenvalues are reported through a two-grid Richardson
+combination assuming the second-order truncation error of the scheme.
 """
 
 from __future__ import annotations
@@ -85,8 +83,7 @@ class TridiagSystem:
 
     bracketing, when set, is the same operator assembled on
     :meth:`Grid1D.coarsened`: :func:`solve_pair` fits the h^2 model
-    through its smallest eigenvalue, and :func:`solve_smallest` widens
-    that eigenvalue into its fallback bracket for this system's.
+    through its smallest eigenvalue.
     """
 
     diag: np.ndarray
@@ -104,10 +101,10 @@ class TridiagSystem:
 # LAPACK dstebz: ABSTOL at twice the underflow threshold gives the most
 # accurate eigenvalues; the default eps*|T|_1 leaves ~1e-9 noise at our
 # grid sizes, which would dominate the minimization of the ground energy.
-# Only the fallbacks bisect: on the +- 5 % bracket and by index.
+# Only solve_pair's coarsened systems and the fallback bisect.
 _EIG_ABSTOL = 2.0 * np.finfo(float).tiny
 _BY_VALUE, _BY_INDEX = 1, 2  # dstebz RANGE: eigenvalues in (vl, vu], or il..iu
-_INVERSE_ITERATION_CAP = 8  # solves on a given bracket before the fallbacks
+_INVERSE_ITERATION_CAP = 8  # solves on a given bracket before the fallback
 
 
 def solve_smallest(system: TridiagSystem, *, vectors: bool = False,
@@ -118,21 +115,18 @@ def solve_smallest(system: TridiagSystem, *, vectors: bool = False,
 
     A given bracket (lo, hi) (:func:`solve_pair` takes it from the h^2
     model of coarser grids) is tried by :func:`_inverse_iteration`, which
-    returns lambda0 with its eigenvector, the last iterate.  When it
-    fails, lambda0 comes from one dstebz bisection on the bracketing
-    system's lambda0 widened by _BRACKET_WIDENING, used only when an LDL^T
-    factorization shows no eigenvalue at or below its lower end and
-    dstebz finds one in it, and otherwise from dstebz by index; dstein
-    then computes the eigenvector where it is read.  Either way it is the
-    smallest eigenvalue, and a given system and bracket always take the
-    same path, with or without vectors.  The eigenvector comes back
+    returns lambda0 with its eigenvector, the last iterate.  Without a
+    bracket, or when it fails, lambda0 comes from dstebz by index, and
+    dstein computes the eigenvector where it is read.  Either way it is
+    the smallest eigenvalue, and a given system and bracket always take
+    the same path, with or without vectors.  The eigenvector comes back
     sign-fixed positive and normalized to sum(v^2 * mass) = 1, i.e. unit
     norm in the lumped weighted L2.  NonConvergence if LAPACK fails.
     """
     d, e, root_m = _symmetrized(system)
     found = None if bracket is None else _inverse_iteration(d, e, *bracket)
     if found is None:
-        w, iblock, isplit = _lowest(system, d, e)
+        w, iblock, isplit = _stebz(d, e, _BY_INDEX, 0.0, 0.0)
         if not vectors:
             return float(w[0]), None
         z, info = dstein(d, e, w[:1], iblock, isplit)
@@ -232,13 +226,12 @@ def solve_pair(solve, coarse: TridiagSystem, fine: TridiagSystem, *,
     systems (16h, 8h) are solved first, 8h on 16h's value +- 5 %; the
     grid h is bracketed from the h^2 model through 16h and 8h, the grid
     h/2 from the model through 8h and h (:func:`_predicted`).  A bracket
-    that fails its checks costs one more solve of the grid's own
-    coarsened system, never the answer.
+    that fails its checks costs a bisection by index, never the answer.
     """
     if coarse.bracketing is None or fine.bracketing is None:
         return solve(coarse, vectors=vectors), solve(fine, vectors=vectors)
     lam16 = _smallest(coarse.bracketing)
-    lam8 = _smallest(fine.bracketing, _widened(lam16))
+    lam8 = _smallest(fine.bracketing, lam16)
     first = solve(coarse, vectors=vectors, bracket=_predicted(lam16, lam8, 16, 8, 1))
     second = solve(fine, vectors=vectors,
                    bracket=_predicted(lam8, first[0], 8, 1, 0.5))
@@ -257,12 +250,6 @@ def _predicted(far: float, near: float, h_far: float, h_near: float,
     return value - half, value + half
 
 
-def _widened(guess: float) -> tuple[float, float]:
-    """guess +- _BRACKET_WIDENING."""
-    return (guess - _BRACKET_WIDENING * abs(guess),
-            guess + _BRACKET_WIDENING * abs(guess))
-
-
 def _symmetrized(system: TridiagSystem):
     """(diagonal, off-diagonal) of M^{-1/2} A M^{-1/2}, and M^{1/2}."""
     root_m = np.sqrt(system.mass)
@@ -270,42 +257,30 @@ def _symmetrized(system: TridiagSystem):
             system.offdiag / (root_m[:-1] * root_m[1:]), root_m)
 
 
-def _smallest(system: TridiagSystem, bracket=None) -> float:
-    """lambda0 of system by dstebz, the bracket tried first."""
-    return _lowest(system, *_symmetrized(system)[:2], bracket)[0][0]
+def _smallest(system: TridiagSystem, guess: float | None = None) -> float:
+    """lambda0 of system by dstebz: on guess +- _BRACKET_WIDENING when
+    :func:`_factored` shows no eigenvalue at or below its lower end and
+    dstebz finds one in it, otherwise by index."""
+    d, e, _ = _symmetrized(system)
+    if guess is not None:
+        lo = guess - _BRACKET_WIDENING * abs(guess)
+        hi = guess + _BRACKET_WIDENING * abs(guess)
+        if lo < hi and _factored(d, e, lo) is not None:
+            w = _stebz(d, e, _BY_VALUE, lo, hi)[0]
+            if len(w):
+                return w[0]
+    return _stebz(d, e, _BY_INDEX, 0.0, 0.0)[0][0]
 
 
-def _lowest(system: TridiagSystem, d: np.ndarray, e: np.ndarray, bracket=None):
-    """dstebz's (w, iblock, isplit) for the symmetrized system, w[0] =
-    lambda0: on bracket, else on the bracketing system's lambda0 +- 5 %,
-    else by index."""
-    found = None if bracket is None else _in_bracket(d, e, *bracket)
-    if found is None and system.bracketing is not None:
-        found = _in_bracket(d, e, *_widened(_smallest(system.bracketing)))
-    if found is not None:
-        return found
-    found = _stebz(d, e, _BY_INDEX, 0.0, 0.0, _EIG_ABSTOL)
-    if len(found[0]) == 0:
-        raise NonConvergence("tridiagonal eigensolve (dstebz) found no eigenvalue")
-    return found
-
-
-def _in_bracket(d: np.ndarray, e: np.ndarray, lo: float, hi: float):
-    """dstebz on (lo, hi], or None unless that bracket holds an eigenvalue
-    and none lies at or below lo (:func:`_factored`)."""
-    if not (lo < hi and _factored(d, e, lo) is not None):
-        return None
-    found = _stebz(d, e, _BY_VALUE, lo, hi, _EIG_ABSTOL)
-    return found if len(found[0]) else None
-
-
-def _stebz(d: np.ndarray, e: np.ndarray, select: int, vl: float, vu: float,
-           tol: float):
+def _stebz(d: np.ndarray, e: np.ndarray, select: int, vl: float, vu: float):
     """(w, iblock, isplit) of dstebz for the first eigenvalue by index or
-    every eigenvalue in (vl, vu], w ascending; NonConvergence on info != 0."""
-    m, w, iblock, isplit, info = dstebz(d, e, select, vl, vu, 1, 1, tol, "E")
+    every eigenvalue in (vl, vu], w ascending; NonConvergence on info != 0
+    or when the index mode finds no eigenvalue."""
+    m, w, iblock, isplit, info = dstebz(d, e, select, vl, vu, 1, 1, _EIG_ABSTOL, "E")
     if info != 0:
         raise NonConvergence(f"tridiagonal eigensolve (dstebz) failed: info = {info}")
+    if m == 0 and select == _BY_INDEX:
+        raise NonConvergence("tridiagonal eigensolve (dstebz) found no eigenvalue")
     return w[:m], iblock, isplit
 
 

@@ -84,9 +84,14 @@ def _peak(a, b, z):
     floats and arrays alike.  Past k2 the term ratio (a+k) z / ((b+k)(k+1))
     stays below 1, so the terms fall from there on; where the roots are
     complex every ratio is below 1 and the vertex, clipped at 0, stands
-    in.  k2 < z whenever a < b + 1."""
+    in.  k2 < z whenever a < b + 1.  With h = (z - b - 1)/2 and root =
+    sqrt(h^2 - b + a z), k2 = h + root cancels where h < 0, so there it is
+    taken rationalized, as (a z - b)+ / (root - h)."""
     h = 0.5 * (z - b - 1.0)
-    return _pos(h + _pos(h * h - b + a * z) ** 0.5)
+    root = _pos(h * h - b + a * z) ** 0.5
+    if not isinstance(h, np.ndarray):
+        return h + root if h >= 0.0 else _pos(a * z - b) / (root - h)
+    return np.divide(_pos(a * z - b), root - h, out=h + root, where=h < 0.0)
 
 
 def _numpy_count(a, b, z):

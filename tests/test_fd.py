@@ -1,5 +1,4 @@
 import importlib.util
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -200,15 +199,17 @@ def _index_mode_reference(system):
 
 
 def _assert_same_as_index_mode(system):
-    lam, vec = solve_smallest(system, vectors=True)
+    lam = fd._smallest(system, fd._smallest(system.bracketing))
     ref_lam, ref_vec = _index_mode_reference(system)
     assert abs(lam - ref_lam) <= 4.0 * np.spacing(max(abs(lam), abs(ref_lam)))
+    vec = solve_smallest(system, vectors=True)[1]
     assert np.max(np.abs(vec - ref_vec)) <= 1e-12
 
 
 class TestBracketedSolve:
-    """The value-range bisection on a coarse-grid bracket returns what the
-    bisection by index returns: lambda0 to 4 ulp, the same eigenvector."""
+    """The value-range bisection on the coarsened system's lambda0 +- 5 %
+    returns what the bisection by index returns: lambda0 to 4 ulp; the
+    unbracketed solve returns the same eigenvector."""
 
     @pytest.mark.parametrize("count", [4001, 8001])
     @pytest.mark.parametrize("n, beta", [(0, 0.0), (0, 1e-4), (1, 0.0),
@@ -233,15 +234,9 @@ class TestBracketedSolve:
         between = 0.5 * (lam1 + lam2)
         # lambda1 and lambda2 inside between +- 5 %, lambda0 below it
         assert lam0 < 0.95 * between < lam1 < lam2 <= 1.05 * between
-        ref_lam, ref_vec = _index_mode_reference(system)
+        ref_lam = _index_mode_reference(system)[0]
         for guess in (0.5 * lam0, between, 10.0 * lam0, 0.0):  # 0: empty bracket
-            # a bracketing system whose every eigenvalue is the guess
-            forced = replace(system, bracketing=TridiagSystem(
-                np.full(16, guess), np.zeros(15), np.ones(16)))
-            assert solve_smallest(forced)[0] == ref_lam
-            lam, vec = solve_smallest(forced, vectors=True)
-            assert lam == ref_lam
-            assert np.max(np.abs(vec - ref_vec)) <= 1e-12
+            assert fd._smallest(system, guess) == ref_lam
 
 
 def test_bad_hints_fall_back_to_the_unhinted_solve():
@@ -270,7 +265,8 @@ _BACKWARD_ERROR = 0.25
 def _recorded(monkeypatch, module, call):
     """Run call() and return the (system, bracket, (lambda0, vector)) of
     each solve through module's solve_smallest binding, and for each of
-    fd's dstebz, dpttrf and dpttrs the (size, first argument) of each call."""
+    fd's dstebz, dpttrf and dpttrs the (size, first argument, other
+    arguments) of each call."""
     solved, calls = [], {"dstebz": [], "dpttrf": [], "dpttrs": []}
     real_solve = module.solve_smallest
 
@@ -281,7 +277,7 @@ def _recorded(monkeypatch, module, call):
 
     def recording(name, real):
         def lapack_call(d, *args):
-            calls[name].append((len(d), d.copy()))
+            calls[name].append((len(d), d.copy(), args))
             return real(d, *args)
         return lapack_call
     with monkeypatch.context() as patch:
@@ -293,7 +289,7 @@ def _recorded(monkeypatch, module, call):
 
 
 def _on_grid(calls, name, size):
-    return [arg for length, arg in calls[name] if length == size]
+    return [arg for length, arg, _ in calls[name] if length == size]
 
 
 def _assert_predicted_brackets_taken(solved, calls):
@@ -328,6 +324,25 @@ class TestPairSolve:
         degennes._solve_pair.cache_clear()
         _assert_predicted_brackets_taken(
             *_recorded(monkeypatch, degennes, lambda: degennes.lambda_dg(XI0_HP)))
+
+    def test_refused_bracket_is_bisected_by_index(self, monkeypatch):
+        # at n = 371-399, beta ~ 2.25 n the 16h -> 8h change is too small for
+        # the +- 1/4 share: here lambda_h = 729.30544 lies below the
+        # predicted lower end, 729.30599
+        solved, calls = _recorded(monkeypatch, fd,
+                                  lambda: fd_disk_lambda(378, 851.0624))
+        (coarse, bracket, (lam, _)), (fine, fine_bracket, (fine_lam, _)) = solved
+        d, e, _ = _symmetrized(coarse)
+        assert lam < bracket[0] - fd._allowance(d, e)
+        assert fd._inverse_iteration(d, e, *bracket) is None
+        selects = {}
+        for size, _, args in calls["dstebz"]:
+            selects.setdefault(size, []).append(args[1])
+        # 16h by index, 8h by value, the grid h once by index, h/2 never
+        assert selects == {250: [fd._BY_INDEX], 500: [fd._BY_VALUE],
+                           4000: [fd._BY_INDEX]}
+        d, e, _ = _symmetrized(fine)
+        assert fd._inverse_iteration(d, e, *fine_bracket)[0] == fine_lam
 
     def test_two_solves_through_the_callers_binding(self, monkeypatch):
         # perfbench traces solve_smallest by replacing the name in each
@@ -421,8 +436,7 @@ class TestInverseIteration:
             assert fd._inverse_iteration(d, e, bracket[0], np.inf) is not None
         assert fd._inverse_iteration(d, e, *bracket) is None
         by_index, by_index_vec = solve_smallest(system, vectors=True)
-        assert by_index == fd._stebz(d, e, fd._BY_INDEX, 0.0, 0.0,
-                                     fd._EIG_ABSTOL)[0][0]
+        assert by_index == fd._stebz(d, e, fd._BY_INDEX, 0.0, 0.0)[0][0]
         assert solve_smallest(system, bracket=bracket)[0] == by_index
         lam, vec = solve_smallest(system, vectors=True, bracket=bracket)
         assert lam == by_index and np.array_equal(vec, by_index_vec)
@@ -452,15 +466,15 @@ class TestLapackFailure:
             solve_smallest(system)
 
     def test_stebz_info_by_value(self, monkeypatch):
-        system = assemble_disk_system(2, 10.0, Grid1D(0.0, 1.0, 4001))
+        # the 8h solve of fd_disk_lambda's pair bisects by value
         real = fd.dstebz
 
         def failing_by_value(d, e, select, *args):
             m, w, iblock, isplit, info = real(d, e, select, *args)
-            return m, w, iblock, isplit, 3 if select == 1 else info
+            return m, w, iblock, isplit, 3 if select == fd._BY_VALUE else info
         monkeypatch.setattr(fd, "dstebz", failing_by_value)
         with pytest.raises(NonConvergence, match="info = 3"):
-            solve_smallest(system)
+            fd_disk_lambda(2, 10.0)
 
     def test_stein_info(self, monkeypatch):
         system = assemble_disk_system(2, 10.0, Grid1D(0.0, 1.0, 4001))

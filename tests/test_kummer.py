@@ -4,7 +4,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import diskmag.kummer as kummer_mod
 from diskmag.errors import InvalidParams, NonConvergence
@@ -462,6 +462,7 @@ class TestPeak:
            st.floats(min_value=0.0, max_value=600.0, **bounded),
            st.lists(st.floats(min_value=1e-5, max_value=1e4, **bounded),
                     min_size=1, max_size=8))
+    @example(a=0.875, b=5e-324, z=1e-16, steps=[1.0])  # h + root cancelled to 1.67e-16
     @settings(max_examples=300, deadline=None)
     def test_terms_fall_past_the_peak(self, a, b, z, steps):
         assume(a < b + 1.0)
