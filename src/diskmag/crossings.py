@@ -87,7 +87,7 @@ def _guess(n: int) -> tuple[float, float]:
     return 0.5 * beta, 0.5 * (1.0 - eta)
 
 
-def _make_point(n: int, x: float, nu: float, method: str) -> CrossingPoint:
+def _make_point(n: int, x: float, nu: float, method: str, residuals=None) -> CrossingPoint:
     beta = 2.0 * x
     eta = 1.0 - 2.0 * nu
     return CrossingPoint(
@@ -96,7 +96,7 @@ def _make_point(n: int, x: float, nu: float, method: str) -> CrossingPoint:
         eta_star=eta,
         lambda_star=beta * eta,
         sj_residual=abs(beta - saint_james_beta(n, eta)),
-        sys_residuals=_system_residuals(n, x, nu),
+        sys_residuals=residuals or _system_residuals(n, x, nu),
         method=method,
     )
 
@@ -142,7 +142,7 @@ def crossing_by_system(n: int,
             break  # no step lowers the norm: stagnated or diverging
     if norm >= _NEWTON_TOL:
         return crossing_by_curves(n)
-    return _make_point(n, x, nu, "kummer_system")
+    return _make_point(n, x, nu, "kummer_system", (f1, f2))
 
 
 def crossing_by_curves(n: int) -> CrossingPoint:
@@ -158,11 +158,12 @@ def crossing_by_curves(n: int) -> CrossingPoint:
 
     lo = 2.0 * (n + 1.0) + 1e-9
     hi = saint_james_beta(n, 0.99) + 10.0
-    if not gap(lo) < 0.0 < gap(hi):
+    g_lo, g_hi = gap(lo), gap(hi)
+    if not g_lo < 0.0 < g_hi:
         raise BracketFailure(
             f"crossing bracket sign pattern violated at n={n} "
-            f"(gap({lo:.3f})={gap(lo):.3e}, gap({hi:.3f})={gap(hi):.3e})")
-    beta = brent_root(gap, lo, hi, xtol=1e-100)
+            f"(gap({lo:.3f})={g_lo:.3e}, gap({hi:.3f})={g_hi:.3e})")
+    beta = brent_root(gap, lo, hi, xtol=1e-100, fa=g_lo, fb=g_hi)
     return _make_point(n, 0.5 * beta, lowest_eigenvalue(n, beta).nu,
                        "curve_intersection")
 
@@ -185,16 +186,15 @@ def crossing_by_phi(n: int) -> CrossingPoint:
         return neumann_residual(n, _x_of_nu(n, nu), nu)
 
     _, nu_seed = _guess(n)
-    width = 0.02
-    lo = max(1e-12, nu_seed - width)
-    hi = min(0.5 - 1e-12, nu_seed + width)
-    while phi(lo) * phi(hi) > 0.0:
+    width, f_lo, f_hi = 0.01, 1.0, 1.0  # the first bracket is +-0.02
+    while f_lo * f_hi > 0.0:
         width *= 2.0
-        lo = max(1e-12, nu_seed - width)
-        hi = min(0.5 - 1e-12, nu_seed + width)
         if width > 1.0:
             raise BracketFailure(f"no Phi sign change in (0, 1/2) for n={n}")
-    nu = brent_root(phi, lo, hi, xtol=1e-100)
+        lo = max(1e-12, nu_seed - width)
+        hi = min(0.5 - 1e-12, nu_seed + width)
+        f_lo, f_hi = phi(lo), phi(hi)
+    nu = brent_root(phi, lo, hi, xtol=1e-100, fa=f_lo, fb=f_hi)
     return _make_point(n, _x_of_nu(n, nu), nu, "implicit_phi")
 
 

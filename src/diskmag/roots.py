@@ -23,17 +23,18 @@ RTOL = 4.0 * sys.float_info.epsilon  # of every solve: brentq's default and leas
 _MAX_ITER = 100
 
 
-def _value(f: Callable[[float], float], x: float) -> float:
-    fx = float(f(x))
+def _value(f: Callable[[float], float], x: float, known=None) -> float:
+    fx = float(f(x) if known is None else known)
     if math.isnan(fx):
         raise NonConvergence(f"root finder: the function is NaN at x={x!r}")
     return fx
 
 
-def brent_root(f: Callable[[float], float], a: float, b: float,
-               xtol: float) -> float:
+def brent_root(f: Callable[[float], float], a: float, b: float, xtol: float,
+               fa: float | None = None, fb: float | None = None) -> float:
     """A root of f in [a, b] as a float, to |error| <= xtol + RTOL |root|.
 
+    ``fa`` and ``fb``, given, are the f(a) and f(b) it then does not call.
     Raises InvalidParams for xtol <= 0, BracketFailure when f(a) and f(b)
     are nonzero and of one sign, and NonConvergence when f is NaN or
     _MAX_ITER steps do not meet the tolerance.  The messages do not name
@@ -43,7 +44,7 @@ def brent_root(f: Callable[[float], float], a: float, b: float,
     if not xtol > 0.0:
         raise InvalidParams(f"root finder: xtol={xtol!r} must be > 0")
     xpre, xcur = float(a), float(b)
-    fpre, fcur = _value(f, xpre), _value(f, xcur)
+    fpre, fcur = _value(f, xpre, fa), _value(f, xcur, fb)
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:

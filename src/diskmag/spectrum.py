@@ -11,19 +11,13 @@ whose residual :func:`neumann_residual` evaluates in the O(1),
 overflow-free scaled form; the crossing system of
 :mod:`diskmag.crossings` is the same residual at n and n+1.
 
-For beta <= 2n the root is found in eta.  Between Dirichlet poles (zeros
-of M(nu, n+1, x) in eta) the residual strictly decreases in eta, and the
-Kummer ratio refuses every eta past the first pole, so a walk that uses
-only accepted values brackets the first root without a sign test of M
-at a distant point.
-
-For beta > 2n the ground state leaves the boundary and nu* lies within
-e^{-x}-small distance of 0 (1.7e-193 at (0, 900)), below the resolution
-of eta near 1.  There the root is found in u = ln nu, where the residual
-is smooth, on a bracket from the one series of M(1, n+2, x), and every
-EigenPoint carries nu, which eta = 1 - 2 nu rounds away.  For beta = 0
-the problem degenerates to the free Neumann Laplacian, solved through
-the first zero of the Bessel derivative J_n'.
+For beta <= 2n the root is found in eta by a walk that uses only the
+values the Kummer ratio accepts: between Dirichlet poles (zeros of M(nu,
+n+1, x) in eta) the residual decreases in eta, and the ratio refuses
+every eta past the first pole.  For beta > 2n nu* is e^{-x}-small
+(1.7e-193 at (0, 900)), which eta = 1 - 2 nu rounds away; the root is
+found in u = ln nu, and every EigenPoint carries nu.  beta = 0 is the
+free Neumann Laplacian, solved through the first zero of J_n'.
 """
 
 from __future__ import annotations
@@ -36,7 +30,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import jnp_zeros
 
-from .errors import BracketFailure, InvalidParams, NonConvergence
+from .errors import BracketFailure, InvalidParams, NonConvergence, SolverError
 from .kummer import _series, kummer_m, kummer_m_many, kummer_ratio_shift_b
 from .roots import RTOL, brent_root
 
@@ -45,6 +39,7 @@ _LN2 = math.log(2.0)
 _LOG_NU_MAX = -_LN2  # nu = 1/2, eta = 0: the top of the ln nu bracket
 _LOG_RATIO_MAX = 709.0  # ln M(1, n+2, x) past which the Kummer ratio overflows
 _TIE_REL = 1e-12  # ground_state: relative lambda margin that counts as a tie
+_SIGN_TOL = 1e-10  # ground_state: |residual| nu' below which its sign is not used
 XI0_SEED = -0.768  # xi0 to three digits: seeds ground_state and the crossing guess
 
 
@@ -175,7 +170,7 @@ def _lowest_eigenvalue_cached(n: int, beta: float) -> EigenPoint:
     # puts hi in (N1, D1), since past the first Dirichlet pole D1 the
     # Kummer ratio raises NonConvergence
     eta_max = _eta_scan_limit(n, beta)
-    lo, step, grow = (n - 0.5 * beta) ** 2 / beta, _ETA_SCAN_STEP, 2.0
+    lo, step, grow, f_lo = (n - 0.5 * beta) ** 2 / beta, _ETA_SCAN_STEP, 2.0, None
     while True:
         if lo >= eta_max:
             raise BracketFailure(f"no residual sign change for n={n}, "
@@ -193,8 +188,8 @@ def _lowest_eigenvalue_cached(n: int, beta: float) -> EigenPoint:
             continue
         if f_hi <= 0.0:
             break
-        lo, step = hi, grow * step
-    eta = brent_root(residual, lo, hi, xtol=1e-100)
+        lo, f_lo, step = hi, f_hi, grow * step
+    eta = brent_root(residual, lo, hi, xtol=1e-100, fa=f_lo, fb=f_hi)
     return EigenPoint(n, beta, beta * eta, eta)
 
 
@@ -216,23 +211,23 @@ def _solve_log_nu(n: int, beta: float) -> EigenPoint:
     if math.log(s) + e * _LN2 > _LOG_RATIO_MAX:
         # R overflows on the way to nu* < 1e-300, and nu_c is nu* to rounding
         return EigenPoint(n, beta, beta, 1.0, math.ldexp(c / d, -e))
-    values: dict[float, float] = {}
 
     def residual(u: float) -> float:
-        # memoized, so the bracket ends cost nothing again in brent_root
-        if u not in values:
-            values[u] = boundary_residual(n, beta, math.exp(u))
-        return values[u]
+        return boundary_residual(n, beta, math.exp(u))
 
     # the residual rises with u from (n - x)/max(1, x) < 0 at nu -> 0 to
-    # > 0 at nu = 1/2 (eta = 0); widen a missed bracket by ln 2 steps
+    # > 0 at nu = 1/2 (eta = 0); widen a missed bracket by ln 2 steps,
+    # keeping the residual at each end for brent_root
     lo = min(math.log(0.5 * c / s) - e * _LN2, _LOG_NU_MAX)
     hi = min(math.log(c / d) - e * _LN2, _LOG_NU_MAX)
-    while residual(lo) > 0.0:
-        lo, hi = lo - _LN2, lo
-    while residual(hi) < 0.0 and hi < _LOG_NU_MAX:
-        lo, hi = hi, min(hi + _LN2, _LOG_NU_MAX)
-    nu = math.exp(brent_root(residual, lo, hi, xtol=1e-100))
+    f_lo, f_hi = residual(lo), residual(hi)
+    while f_lo > 0.0:  # not seen: nu1 <= nu*, as proved above
+        lo, hi, f_hi = lo - _LN2, lo, f_lo
+        f_lo = residual(lo)
+    while f_hi < 0.0 and hi < _LOG_NU_MAX:
+        lo, hi, f_lo = hi, min(hi + _LN2, _LOG_NU_MAX), f_hi
+        f_hi = residual(hi)
+    nu = math.exp(brent_root(residual, lo, hi, xtol=1e-100, fa=f_lo, fb=f_hi))
     eta = 1.0 - 2.0 * nu
     return EigenPoint(n, beta, beta * eta, eta, nu)
 
@@ -242,25 +237,22 @@ def lowest_eigenvalue(n: int, beta: float) -> EigenPoint:
 
     For beta > 2n one Brent solve (:func:`~diskmag.roots.brent_root`,
     tolerance 4 eps |u|) for u = ln nu on a bracket from one Kummer series
-    (:func:`_solve_log_nu`) takes 2-11 residual evaluations, 2-4 where nu*
-    < 1e-17.  eta = 1 - 2 nu is correctly rounded there, and ``nu`` keeps
-    nu* (1.7e-193 at (0, 900)).  Past ln M(1, n+2, x) = 709 (beta >~ 1 400
-    at n = 0) eta is 1 and nu is nu* to 2 ulp where measured, with no
-    residual evaluated (0.0 once it underflows, beta >~ 1 490 at n = 0).
+    (:func:`_solve_log_nu`) takes 2-11 residual evaluations, 2-4 where nu* <
+    1e-17; there eta = 1 - 2 nu is correctly rounded and ``nu`` keeps nu*.
+    Past ln M(1, n+2, x) = 709 (beta >~ 1 400 at n = 0) eta is 1 and nu is
+    nu* to 2 ulp where measured (0.0 once it underflows), from no residual.
     eta is good to about eps absolute (<= 2 eps), not relative: at n = 0,
-    beta << 1, where eta ~ beta/8, lambda = beta eta carries a relative
-    error of order eps/eta (8e-8 at beta = 1e-9).
+    beta << 1, eta ~ beta/8 and lambda's relative error is ~ eps/eta.
 
     For beta <= 2n a walk up from the potential minimum (n - beta/2)^2 /
     beta brackets the root in eta: its step starts at 0.02 and doubles
-    while the residual is positive, and once a trial point is refused
-    (past the first Dirichlet pole, or by the Kummer recurrence's error
-    bound) it bisects toward the lowest refused point, so the first
-    accepted residual <= 0 closes a bracket holding one root and no pole;
-    Brent then solves in eta to 4 eps relative.  Raises BracketFailure
-    past the cap 1.05 j'_{n,1}^2 / beta + 5, and NonConvergence, chained
-    from the last refusal, once the step falls below that tolerance (seen
-    at beta <= 1 with eta >~ 8e4: (200, 0.5), (350, 1)).
+    while the residual is positive, and bisects toward the lowest refused
+    point (past the first Dirichlet pole, or by the Kummer recurrence's
+    error bound), so the first accepted residual <= 0 closes a bracket with
+    one root and no pole; Brent solves in eta to 4 eps relative, 10-21
+    residual evaluations in all.  Raises BracketFailure past the cap 1.05
+    j'_{n,1}^2 / beta + 5, and NonConvergence, chained from the last
+    refusal, once the step falls below that tolerance ((200, 0.5), (350, 1)).
 
     Raises InvalidParams unless n is an integer >= 0 (see
     :func:`mode_index`) and beta is finite and >= 0.  Results are memoized.
@@ -330,29 +322,41 @@ def eigenfunction(point: EigenPoint) -> EigenfunctionHandle:
 def ground_state(beta: float) -> tuple[EigenPoint, int]:
     """Global ground state lambda(beta) = min_n lambda(n, beta) and its mode.
 
-    For fixed beta the map n -> lambda(n, beta) decreases then increases,
-    so a downhill walk from the boundary-layer estimate of the minimizing
-    mode finds the minimum; ties at crossing points report the smaller n.
+    lambda(n, beta) falls then rises in n, so a downhill walk from the
+    boundary-layer estimate finds the mode; ties report the smaller n.  It
+    moves to m if lambda(m) < t = here (1 - _TIE_REL) and solves only the
+    modes it visits: at beta > 2m and nu' = (1 - t/beta)/2 > 0 that holds
+    iff nu*(m) > nu' iff r = boundary_residual(m, beta, nu') < 0, as r
+    rises with u = ln nu through one root (see _solve_log_nu), at dr/du in
+    (0, 1 + r] (R = M(nu+1, m+2, x)/M(nu, m+1, x) falls with nu).  Brent's
+    stop (4 eps |u|), r's error (<= 4 eps measured) and the roundings of
+    lambda and nu' (4 eps/nu' in u) cannot flip a sign with |r| > 40
+    eps/nu', 2e4 times below _SIGN_TOL/nu'.  Below it, where r raises, at
+    beta <= 2m or at nu' <= 0, lambda(m) is solved and compared.
     """
     if not 0.0 < beta < math.inf:
         raise InvalidParams(f"beta={beta} must be finite and > 0 for the "
                             "ground state scan")
 
-    def lam(m: int) -> float:
-        return lowest_eigenvalue(m, beta).lam
+    def lower(m: int, here: float) -> bool:
+        t = here * (1.0 - _TIE_REL)
+        nu = 0.5 * (1.0 - t / beta)
+        if beta > 2.0 * m and nu > 0.0:
+            try:
+                r = boundary_residual(m, beta, nu)
+            except SolverError:  # solved below, which raises if it must
+                r = 0.0
+            if abs(r) * nu > _SIGN_TOL:
+                return r < 0.0
+        return lowest_eigenvalue(m, beta).lam < t
 
     k = max(0, round(0.5 * beta + XI0_SEED * math.sqrt(beta)))
-    here = lam(k)
-    while k > 0:
-        below = lam(k - 1)
-        if below < here * (1.0 - _TIE_REL):
-            k, here = k - 1, below
-        else:
+    point = lowest_eigenvalue(k, beta)
+    for step in (-1, 1):
+        start = k
+        while k + step >= 0 and lower(k + step, point.lam):
+            k += step
+            point = lowest_eigenvalue(k, beta)
+        if k != start:  # it came down: lambda(k + 1) > here/(1 - _TIE_REL)
             break
-    while True:
-        above = lam(k + 1)
-        if above < here * (1.0 - _TIE_REL):
-            k, here = k + 1, above
-        else:
-            break
-    return lowest_eigenvalue(k, beta), k
+    return point, k

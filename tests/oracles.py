@@ -14,7 +14,8 @@ does not; boundary_trace_quadrature normalizes the eigenfunction at a
 given nu on a uniform mesh, and fd_boundary_trace takes the trace from
 the two-grid FD eigenvector.  sturm_smallest_mp bisects on the Sturm
 count of a given double tridiagonal in 30-digit arithmetic, the exact
-smallest eigenvalue of that very matrix.
+smallest eigenvalue of that very matrix.  ground_state_by_solves is the
+ground-state walk that solves every neighbour it compares.
 ScaledReal is the log-magnitude arithmetic these oracles compute in;
 eta_prime restates lambda_prime for the field-normalized ratio eta.
 """
@@ -39,7 +40,7 @@ from diskmag.fd import (Grid1D, _allowance, assemble_degennes_system,
                         assemble_disk_system, richardson, solve_pair,
                         solve_smallest)
 from diskmag.kummer import kummer_m
-from diskmag.spectrum import lowest_eigenvalue
+from diskmag.spectrum import XI0_SEED, _TIE_REL, lowest_eigenvalue
 
 _QUAD_REL_TOL = 1e-12  # relative tolerance of each adaptive quadrature piece
 
@@ -442,3 +443,28 @@ def fd_boundary_trace(n: int, beta: float, count: int = 4001) -> float:
         solve_smallest, assemble_disk_system(n, beta, grid),
         assemble_disk_system(n, beta, grid.refined()), vectors=True)
     return float(richardson(fine[-1], coarse[-1]))
+
+
+def ground_state_by_solves(beta: float):
+    """(lowest_eigenvalue(k, beta), k) at the mode k that minimizes
+    lambda(., beta), by a downhill walk that solves each neighbour and
+    compares the two eigenvalues, with the tie margin of ground_state."""
+
+    def lam(m: int) -> float:
+        return lowest_eigenvalue(m, beta).lam
+
+    k = max(0, round(0.5 * beta + XI0_SEED * math.sqrt(beta)))
+    here = lam(k)
+    while k > 0:
+        below = lam(k - 1)
+        if below < here * (1.0 - _TIE_REL):
+            k, here = k - 1, below
+        else:
+            break
+    while True:
+        above = lam(k + 1)
+        if above < here * (1.0 - _TIE_REL):
+            k, here = k + 1, above
+        else:
+            break
+    return lowest_eigenvalue(k, beta), k

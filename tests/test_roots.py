@@ -42,11 +42,14 @@ def assert_same_as_brentq(f, a, b, xtol) -> float | None:
 
 @pytest.fixture
 def recorded(monkeypatch):
-    """Record every brent_root call of the solver modules: (f, a, b, xtol, root)."""
+    """Record every brent_root call of the solver modules: (f, a, b, xtol,
+    root); each known end value passed on must be f at that end, bit for bit."""
     calls = []
 
-    def recording(f, a, b, xtol):
-        root = brent_root(f, a, b, xtol=xtol)
+    def recording(f, a, b, xtol, fa=None, fb=None):
+        for x, fx in ((a, fa), (b, fb)):
+            assert fx is None or fx.hex() == float(f(x)).hex()
+        root = brent_root(f, a, b, xtol=xtol, fa=fa, fb=fb)
         calls.append((f, a, b, xtol, root))
         return root
 
@@ -100,6 +103,78 @@ class TestMatchesBrentq:
              "exp": lambda x: math.expm1(slope * (x - root)),
              "scaled": lambda x: 1e-200 * math.atan(slope * (x - root))}[kind]
         assert_same_as_brentq(f, root - left, root + right, xtol)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: spectrum._lowest_eigenvalue_cached.__wrapped__(5, 40.0),
+    lambda: spectrum._lowest_eigenvalue_cached.__wrapped__(20, 0.5),
+    lambda: spectrum._lowest_eigenvalue_cached.__wrapped__(400, 10.0),
+    lambda: crossings.crossing_by_system(3)],
+    ids=["log_nu", "eta_walk_20", "eta_walk_400", "system"])
+def test_solvers_evaluate_no_residual_twice(solve, monkeypatch):
+    # the bracket ends reach brent_root as values, and the crossing
+    # system's last residuals reach the CrossingPoint
+    seen = []
+
+    def recording(original):
+        def residual(*args):
+            seen.append(args)
+            return original(*args)
+        return residual
+
+    monkeypatch.setattr(spectrum, "boundary_residual",
+                        recording(spectrum.boundary_residual))
+    monkeypatch.setattr(crossings, "neumann_residual",
+                        recording(crossings.neumann_residual))
+    solve()
+    assert seen and len(set(seen)) == len(seen)
+
+
+@pytest.mark.parametrize("module,solve", [
+    (spectrum, lambda: spectrum._lowest_eigenvalue_cached.__wrapped__(5, 40.0)),
+    (crossings, lambda: crossing_by_phi(3)),
+    (crossings, lambda: crossing_by_curves(3))], ids=["log_nu", "phi", "curves"])
+def test_bracket_ends_reach_brent_root(module, solve, monkeypatch):
+    # Brent itself may evaluate an interior point twice, as brentq does
+    # in crossing_by_phi(3); the ends it is given it never evaluates
+    given = []
+
+    def recording(f, a, b, xtol, fa=None, fb=None):
+        given.append((fa, fb))
+        return brent_root(f, a, b, xtol=xtol, fa=fa, fb=fb)
+
+    monkeypatch.setattr(module, "brent_root", recording)
+    solve()
+    assert given and None not in given[0]
+
+
+class TestKnownValues:
+    """fa and fb stand in for f(a) and f(b) and change no step."""
+
+    @pytest.mark.parametrize("fa,fb", [(math.nan, None), (None, math.nan)])
+    def test_nan_value_given(self, fa, fb):
+        with pytest.raises(NonConvergence, match="NaN"):
+            brent_root(lambda x: x - 0.5, 0.0, 1.0, xtol=1e-12, fa=fa, fb=fb)
+
+    def test_same_sign_values_given(self):
+        # f itself changes sign on [0, 1]; the given values decide
+        with pytest.raises(BracketFailure):
+            brent_root(lambda x: x - 0.5, 0.0, 1.0, xtol=1e-12, fa=1.0, fb=2.0)
+
+    @pytest.mark.parametrize("give_a,give_b", [(True, False), (False, True),
+                                               (True, True)])
+    @pytest.mark.parametrize("f,a,b", [
+        (lambda x: math.tanh(3.0 * (x - 0.3)), 0.0, 1.0),
+        (lambda x: x ** 3 - 2.0, -1.0, 4.0),
+        (lambda x: 1e-200 * math.atan(x - 1.7), -5.0, 2.0)],
+        ids=["tanh", "cubic", "scaled"])
+    def test_saves_exactly_those_calls(self, f, a, b, give_a, give_b):
+        theirs, ours = counted(f), counted(f)
+        expected = brentq(theirs, a, b, xtol=1e-100, rtol=RTOL)
+        root = brent_root(ours, a, b, xtol=1e-100, fa=f(a) if give_a else None,
+                          fb=f(b) if give_b else None)
+        assert root == expected
+        assert ours.calls == theirs.calls - give_a - give_b
 
 
 class TestFailures:

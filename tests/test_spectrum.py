@@ -4,6 +4,7 @@ import time
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from mpmath.calculus.quadrature import GaussLegendre
 from scipy.integrate import quad
 
@@ -19,7 +20,7 @@ from diskmag.spectrum import (EigenPoint, bessel_jnp_first_zero,
                               lowest_eigenvalue)
 
 from oracles import (bessel_jnp_first_zero_bisect, boundary_trace_quadrature,
-                     fd_boundary_trace, nu_root_mp)
+                     fd_boundary_trace, ground_state_by_solves, nu_root_mp)
 from refdata import CROSSINGS
 
 _EPS = np.finfo(float).eps
@@ -427,6 +428,68 @@ class TestGroundState:
         beta, _ = CROSSINGS[2]
         _, k = ground_state(beta)
         assert k == 2
+
+    def test_same_as_solving_every_neighbour(self, crossings400, monkeypatch):
+        betas = [5.0 * i for i in range(1, 181)] + [0.05 * i for i in range(1, 201)]
+        betas += [p.beta_n * f for p in crossings400
+                  for f in (1.0 - 1e-12, 1.0, 1.0 + 1e-12)]
+        expected = [ground_state_by_solves(beta) for beta in betas]  # fills the memo
+        signs = []
+        real = spectrum.boundary_residual
+        monkeypatch.setattr(spectrum, "boundary_residual", lambda m, beta, nu:
+                            signs.append((m, beta)) or real(m, beta, nu))
+        assert [ground_state(beta) for beta in betas] == expected
+        # at beta <= 10 the neighbours m >= beta/2 are solved, not signed
+        assert signs and all(beta > 2 * m for m, beta in signs)
+
+    @pytest.mark.parametrize("beta", [28.0, 100.0, 377.0, 899.0])
+    def test_solves_only_the_modes_it_visits(self, beta, monkeypatch):
+        solved = []
+        monkeypatch.setattr(spectrum, "lowest_eigenvalue",
+                            lambda n, b: solved.append(n) or lowest_eigenvalue(n, b))
+        _, k = ground_state(beta)
+        seed = round(0.5 * beta + spectrum.XI0_SEED * math.sqrt(beta))
+        assert set(solved) == set(range(min(seed, k), max(seed, k) + 1))
+
+    @pytest.mark.parametrize("untrusted", ["near_zero", "raises"])
+    @pytest.mark.parametrize("beta", [28.0, 100.0, 377.0, 899.0])
+    def test_untrusted_sign_solves_the_neighbour(self, beta, untrusted,
+                                                 monkeypatch):
+        expected = ground_state_by_solves(beta)  # fills the memo first
+
+        def residual(*args):
+            # a sign rule that took this would walk down past the minimum
+            if untrusted == "raises":
+                raise NonConvergence("refused")
+            return -1e-13
+
+        monkeypatch.setattr(spectrum, "boundary_residual", residual)
+        solved = []
+        monkeypatch.setattr(spectrum, "lowest_eigenvalue",
+                            lambda n, b: solved.append(n) or lowest_eigenvalue(n, b))
+        point, k = ground_state(beta)
+        assert (point, k) == expected
+        assert {k - 1, k + 1} <= set(solved)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 449).flatmap(lambda m: st.tuples(
+    st.just(m), st.floats(max(2.0 * m, 1e-3), 900.0, exclude_min=True))))
+@example((0, 0.1))
+@example((400, 800.5))
+@example((400, 899.0))
+def test_residual_changes_sign_once_at_the_root(case):
+    # the fact ground_state's sign rule rests on: at beta > 2m the residual
+    # rises through one root in nu, the solved nu*.  The floor 1e-3 keeps
+    # nu* (1 + 1e-9) below 1/2: at m = 0, 1/2 - nu* ~ eta/2 ~ beta/16
+    m, beta = case
+    nu_star = lowest_eigenvalue(m, beta).nu
+    grid = sorted({*np.geomspace(1e-300, 0.5, 48).tolist(),
+                   nu_star * (1.0 - 1e-9), nu_star * (1.0 + 1e-9)})
+    signs = [boundary_residual(m, beta, nu) > 0.0 for nu in grid]
+    changes = [i for i in range(len(grid) - 1) if signs[i] != signs[i + 1]]
+    assert len(changes) == 1 and not signs[0]
+    assert grid[changes[0]] < nu_star < grid[changes[0] + 1]
 
 
 @pytest.mark.parametrize("call, args, name", [
