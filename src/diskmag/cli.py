@@ -66,9 +66,11 @@ def _beta_grid(raw: str) -> list[float]:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"wants START:STOP:STEP as three numbers, got {raw!r}") from None
-    if not (0.0 <= start <= stop < math.inf and 0.0 < step < math.inf):
+    if not (0.0 <= start <= stop < math.inf and 0.0 < step < math.inf
+            and (stop - start) / step < math.inf):
         raise argparse.ArgumentTypeError(
-            f"{raw!r} needs finite values, 0 <= START <= STOP and STEP > 0")
+            f"{raw!r} needs finite values, 0 <= START <= STOP, STEP > 0 "
+            "and a finite point count")
     # the 1e-9 absorbs rounding in (stop - start)/step, as at 0.1:0.7:0.2
     count = math.floor((stop - start) / step + 1e-9) + 1
     return [start + i * step for i in range(count)]

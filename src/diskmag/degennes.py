@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.linalg import solveh_banded
@@ -160,11 +160,9 @@ class _GridSolve:
 def _solve_pair(xi: float) -> tuple[_GridSolve, _GridSolve]:
     """(coarse, fine) ground states at xi: the one place the grids are
     solved, by one :func:`fd.solve_pair`."""
-    coarse = Grid1D(0.0, _L, _GRID_COUNT)
-    grids = (coarse, coarse.refined())
-    systems = [assemble_degennes_system(xi, g) for g in grids]
-    pair = solve_pair(solve_smallest, *systems, vectors=True)
-    return tuple(_GridSolve(xi, *args) for args in zip(grids, systems, pair))
+    pair = solve_pair(solve_smallest, partial(assemble_degennes_system, xi),
+                      Grid1D(0.0, _L, _GRID_COUNT), vectors=True)
+    return tuple(_GridSolve(xi, *triple) for triple in pair)
 
 
 def _combine(pair: tuple[_GridSolve, _GridSolve], func):

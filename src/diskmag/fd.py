@@ -11,26 +11,28 @@ the Kummer route so they can serve as brute-force cross-checks:
 
 Both reduce to a symmetric generalized tridiagonal eigenproblem
 A v = lambda M v with diagonal positive mass M, symmetrized exactly by
-the diagonal scaling M^{-1/2}.  Each assembled system carries the same
-operator on its grid coarsened 16x.  A two-grid pair (:func:`solve_pair`,
-spacings h and h/2) fits lambda(h) = L + C h^2 through two coarser
-solves and brackets each grid on the predicted value +- 1/4 of the
-predicted change, plus 16 ulp: the grid h from the coarsened systems
-16h and 8h, the grid h/2 from 8h and the grid h.  On such a bracket
-(lo, hi], each end moved out by a rounding allowance of ~eps |T|_inf, the
-smallest eigenpair comes from inverse iteration shifted by lo: one
-LDL^T factorization (dpttrf), which shows no eigenvalue at or below lo,
-and 3-4 solves (dpttrs).  Without a bracket, or when it fails, LAPACK's
-Sturm-count bisection (dstebz) finds the first eigenvalue by index, and
-dstein computes the eigenvector only for the callers that read it.  The
-coarsened systems themselves are bisected: 16h by index, 8h on 16h's
-value +- 5 %.  Eigenvalues are reported through a two-grid Richardson
-combination assuming the second-order truncation error of the scheme.
+the diagonal scaling M^{-1/2}.  A two-grid pair (:func:`solve_pair`,
+spacings h and h/2) is assembled on one grid and its refinement.  When
+they coarsen 16x, the pair also assembles the coarsened grids, fits
+lambda(h) = L + C h^2 through two coarser solves and brackets each grid
+on the predicted value +- 1/4 of the predicted change, plus 16 ulp: the
+grid h from the coarsened grids 16h and 8h, the grid h/2 from 8h and
+the grid h.  On such a bracket (lo, hi], each end moved out by a
+rounding allowance of ~eps |T|_inf, the smallest eigenpair comes from
+inverse iteration shifted by lo: one LDL^T factorization (dpttrf),
+which shows no eigenvalue at or below lo, and 3-4 solves (dpttrs).
+Without a bracket, or when it fails, LAPACK's Sturm-count bisection
+(dstebz) finds the first eigenvalue by index, and dstein computes the
+eigenvector only for the callers that read it.  The coarsened grids
+themselves are bisected: 16h by index, 8h on 16h's value +- 5 %.
+Eigenvalues are reported through a two-grid Richardson combination
+assuming the second-order truncation error of the scheme.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs, dstebz, dstein
@@ -79,17 +81,11 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class TridiagSystem:
-    """Symmetric generalized eigenproblem A v = lambda M v, M = diag(mass).
-
-    bracketing, when set, is the same operator assembled on
-    :meth:`Grid1D.coarsened`: :func:`solve_pair` fits the h^2 model
-    through its smallest eigenvalue.
-    """
+    """Symmetric generalized eigenproblem A v = lambda M v, M = diag(mass)."""
 
     diag: np.ndarray
     offdiag: np.ndarray
     mass: np.ndarray
-    bracketing: "TridiagSystem | None" = None
 
     def __post_init__(self) -> None:
         if len(self.offdiag) != len(self.diag) - 1:
@@ -101,7 +97,7 @@ class TridiagSystem:
 # LAPACK dstebz: ABSTOL at twice the underflow threshold gives the most
 # accurate eigenvalues; the default eps*|T|_1 leaves ~1e-9 noise at our
 # grid sizes, which would dominate the minimization of the ground energy.
-# Only solve_pair's coarsened systems and the fallback bisect.
+# Only solve_pair's coarsened grids and the fallback bisect.
 _EIG_ABSTOL = 2.0 * np.finfo(float).tiny
 _BY_VALUE, _BY_INDEX = 1, 2  # dstebz RANGE: eigenvalues in (vl, vu], or il..iu
 _INVERSE_ITERATION_CAP = 8  # solves on a given bracket before the fallback
@@ -215,27 +211,33 @@ def _factored(d: np.ndarray, e: np.ndarray, shift: float):
     return (diag, offdiag) if info == 0 else None
 
 
-def solve_pair(solve, coarse: TridiagSystem, fine: TridiagSystem, *,
+def solve_pair(solve, assemble, grid: Grid1D, *,
                vectors: bool = False) -> tuple[tuple, tuple]:
-    """(solve(coarse, ...), solve(fine, ...)) for the systems of a two-grid
-    pair, spacings h and h/2, each solve given a bracket predicted from
-    coarser grids.
+    """(grid, system, eigenpair) for grid and grid.refined(), spacings h
+    and h/2: each system is assemble(grid), each eigenpair solve(system,
+    ...) on a bracket predicted from coarser grids.
 
     solve is :func:`solve_smallest`, as bound in the caller's module, and
-    is called once per grid.  With both systems coarsening, the coarsened
-    systems (16h, 8h) are solved first, 8h on 16h's value +- 5 %; the
-    grid h is bracketed from the h^2 model through 16h and 8h, the grid
-    h/2 from the model through 8h and h (:func:`_predicted`).  A bracket
-    that fails its checks costs a bisection by index, never the answer.
+    is called once per grid.  When grid coarsens (then so does its
+    refinement), assemble also builds the coarsened grids 16h and 8h,
+    which are solved first, 8h on 16h's value +- 5 %; the grid h is
+    bracketed from the h^2 model through 16h and 8h, the grid h/2 from
+    the model through 8h and h (:func:`_predicted`).  Otherwise both grids
+    are solved by index.  A bracket that fails its checks costs a
+    bisection by index, never the answer.
     """
-    if coarse.bracketing is None or fine.bracketing is None:
-        return solve(coarse, vectors=vectors), solve(fine, vectors=vectors)
-    lam16 = _smallest(coarse.bracketing)
-    lam8 = _smallest(fine.bracketing, lam16)
-    first = solve(coarse, vectors=vectors, bracket=_predicted(lam16, lam8, 16, 8, 1))
-    second = solve(fine, vectors=vectors,
-                   bracket=_predicted(lam8, first[0], 8, 1, 0.5))
-    return first, second
+    fine, coarse = grid.refined(), grid.coarsened()
+    systems = assemble(grid), assemble(fine)
+    if coarse is None:
+        first, second = (solve(system, vectors=vectors) for system in systems)
+    else:
+        lam16 = _smallest(assemble(coarse))
+        lam8 = _smallest(assemble(fine.coarsened()), lam16)
+        first = solve(systems[0], vectors=vectors,
+                      bracket=_predicted(lam16, lam8, 16, 8, 1))
+        second = solve(systems[1], vectors=vectors,
+                       bracket=_predicted(lam8, first[0], 8, 1, 0.5))
+    return (grid, systems[0], first), (fine, systems[1], second)
 
 
 def _predicted(far: float, near: float, h_far: float, h_near: float,
@@ -293,9 +295,11 @@ def richardson(fine, coarse):
 def assemble_disk_system(n: int, beta: float, grid: Grid1D) -> TridiagSystem:
     """Conservative-flux discretization of the radial disk operator.
 
-    The 1/r coefficient only ever appears at half-points, so no division
-    by zero occurs; for n = 0 the Neumann condition at r = 0 is the
-    natural boundary of the flux form (the flux r f' vanishes with r).
+    Every node, r = 0 included, takes one stencil.  The 1/r coefficient
+    only ever appears at half-points, and n/r is taken as 0 at r = 0, so
+    no division by zero occurs; for n = 0 the Neumann condition at r = 0
+    is the natural boundary of the flux form (the flux r f' vanishes with
+    r).  For n > 0 the Dirichlet condition at r = 0 drops node 0.
     """
     if grid.left != 0.0 or grid.right != 1.0:
         raise InvalidParams("disk grid must span [0, 1]")
@@ -304,31 +308,14 @@ def assemble_disk_system(n: int, beta: float, grid: Grid1D) -> TridiagSystem:
     h = grid.spacing
     r = grid.nodes()
     half = r[:-1] + 0.5 * h  # r_{i+1/2}, i = 0 .. count-2
-
-    if n > 0:
-        r_in = r[1:]
-        q = (n / r_in - 0.5 * beta * r_in) ** 2
-        mass = r_in * h
-        mass[-1] = 0.5 * h * (1.0 - 0.25 * h)
-        diag = np.empty_like(r_in)
-        diag[:-1] = (half[:-1] + half[1:]) / h
-        diag[-1] = half[-1] / h
-        diag += q * mass
-        offdiag = -half[1:] / h
-    else:
-        q = (0.5 * beta * r) ** 2
-        mass = r * h
-        mass[0] = h * h / 8.0
-        mass[-1] = 0.5 * h * (1.0 - 0.25 * h)
-        diag = np.empty_like(r)
-        diag[0] = half[0] / h
-        diag[1:-1] = (half[:-1] + half[1:]) / h
-        diag[-1] = half[-1] / h
-        diag += q * mass
-        offdiag = -half / h
-    coarse = grid.coarsened()
-    return TridiagSystem(diag, offdiag, mass, bracketing=None if coarse is None
-                         else assemble_disk_system(n, beta, coarse))
+    q = (np.concatenate(([0.0], n / r[1:])) - 0.5 * beta * r) ** 2
+    mass = r * h
+    mass[0] = h * h / 8.0
+    mass[-1] = 0.5 * h * (1.0 - 0.25 * h)
+    faces = np.concatenate(([0.0], half, [0.0]))  # no flux past either end
+    diag = (faces[:-1] + faces[1:]) / h + q * mass
+    first = int(n > 0)
+    return TridiagSystem(diag[first:], -half[first:] / h, mass[first:])
 
 
 def fd_disk_eigen(n: int, beta: float, grid: Grid1D) -> tuple[float, np.ndarray]:
@@ -348,10 +335,9 @@ def fd_disk_lambda(n: int, beta: float, count: int = _DISK_GRID_COUNT) -> float:
     of the eigensolve on these matrices, not relative: at n = 0 and
     beta <~ 0.1, where lambda ~ beta^2/8, that is a large relative error.
     """
-    grid = Grid1D(0.0, 1.0, count)
-    (coarse, _), (fine, _) = solve_pair(
-        solve_smallest, assemble_disk_system(n, beta, grid),
-        assemble_disk_system(n, beta, grid.refined()))
+    (*_, (coarse, _)), (*_, (fine, _)) = solve_pair(
+        solve_smallest, partial(assemble_disk_system, n, beta),
+        Grid1D(0.0, 1.0, count))
     return richardson(fine, coarse)
 
 
@@ -373,7 +359,4 @@ def assemble_degennes_system(xi: float, grid: Grid1D) -> TridiagSystem:
     diag = np.full_like(t, 2.0 / h)
     diag[0] = 1.0 / h
     diag += q * mass
-    offdiag = np.full(len(t) - 1, -1.0 / h)
-    coarse = grid.coarsened()
-    return TridiagSystem(diag, offdiag, mass, bracketing=None if coarse is None
-                         else assemble_degennes_system(xi, coarse))
+    return TridiagSystem(diag, np.full(len(t) - 1, -1.0 / h), mass)

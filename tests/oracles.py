@@ -26,7 +26,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import mpmath
 import numpy as np
@@ -326,12 +326,11 @@ def fd_degennes_lambda(xi: float, L: float = degennes._L,
     (count, 2*count-1) by :func:`diskmag.fd.solve_pair`, warning as
     fd_degennes_eigen does; the defaults are the grid pair of
     :func:`diskmag.degennes.lambda_dg`."""
-    grid = Grid1D(0.0, L, count)
-    pair = solve_pair(solve_smallest, assemble_degennes_system(xi, grid),
-                      assemble_degennes_system(xi, grid.refined()), vectors=True)
-    for _, vec in pair:
+    pair = solve_pair(solve_smallest, partial(assemble_degennes_system, xi),
+                      Grid1D(0.0, L, count), vectors=True)
+    for *_, (_, vec) in pair:
         _warn_if_truncated(xi, vec)
-    (coarse, _), (fine, _) = pair
+    (*_, (coarse, _)), (*_, (fine, _)) = pair
     return richardson(fine, coarse)
 
 
@@ -438,10 +437,9 @@ def fd_boundary_trace(n: int, beta: float, count: int = 4001) -> float:
     """r = 1 entry of the FD eigenvector, Richardson-combined over the grids
     (count, 2 count - 1) of one :func:`diskmag.fd.solve_pair`, normalized
     and sign-fixed as fd_disk_eigen's."""
-    grid = Grid1D(0.0, 1.0, count)
-    (_, coarse), (_, fine) = solve_pair(
-        solve_smallest, assemble_disk_system(n, beta, grid),
-        assemble_disk_system(n, beta, grid.refined()), vectors=True)
+    (*_, (_, coarse)), (*_, (_, fine)) = solve_pair(
+        solve_smallest, partial(assemble_disk_system, n, beta),
+        Grid1D(0.0, 1.0, count), vectors=True)
     return float(richardson(fine[-1], coarse[-1]))
 
 

@@ -67,6 +67,21 @@ def test_malformed_beta_grid_exits_three(capsys):
         assert "--beta-grid" in err and "Traceback" not in err, spec
 
 
+def test_beta_grid_without_a_finite_count_exits_three(capsys):
+    # (STOP - START)/STEP overflows to inf, and math.floor raised
+    # OverflowError; a huge finite count is not tried: it builds the grid
+    err = usage_error(capsys, "curves", "--beta-grid=0:1e300:1e-300")
+    assert "--beta-grid" in err and "finite point count" in err
+
+
+def test_subnormal_beta_exits_one(tmp_path: Path, capsys):
+    # beta = 5e-324 halves to 0 in the ln nu solve, which once ended in a
+    # ZeroDivisionError traceback; mode 1 is refused there, as at 1e-323
+    err = run_main(capsys, "curves", "--n-max", "1", "--output-dir", str(tmp_path),
+                   "--beta-grid", "5e-324:1:1", code=1)
+    assert "computation failed" in err
+
+
 @pytest.mark.parametrize("spec, count, last", [
     ("0.5:60:0.5", 120, 60.0), ("5:900:5", 180, 900.0),
     ("0.5:900:0.5", 1800, 900.0), ("0.1:0.7:0.2", 4, 0.1 + 3 * 0.2),

@@ -42,6 +42,14 @@ class TestLambdaPrime:
         assert record.dlambda == pytest.approx(0.25 * beta, rel=1e-12)
         assert record.fh_vs_fd_gap <= 1e-6 * record.dlambda
 
+    def test_subnormal_field(self):
+        # the central difference's lower point, beta - h = 5e-324, halved
+        # to x = 0 in the ln nu solve (ZeroDivisionError); there lambda is
+        # 0, as at 1e-323, and the eigenfunction is the constant sqrt(2)
+        record = lambda_prime(0, 1e-323)
+        assert (record.dlambda, record.fh_vs_fd_gap) == (0.0, 0.0)
+        assert record.boundary_trace_sq == pytest.approx(2.0, rel=1e-12)
+
     def test_trace_square_positive(self):
         record = lambda_prime(2, 9.0, cross_check=False)
         assert record.boundary_trace_sq > 0.0

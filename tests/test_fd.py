@@ -1,4 +1,5 @@
 import importlib.util
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -38,16 +39,6 @@ class TestGrid:
         assert Grid1D(0.0, 1.0, 225).coarsened() is None  # 15 nodes left
         assert Grid1D(0.0, 1.0, 241).coarsened().count == 16
 
-    def test_assembled_systems_carry_the_coarsened_operator(self):
-        grid = Grid1D(0.0, 1.0, 4001)
-        system = assemble_disk_system(3, 20.0, grid)
-        coarse = assemble_disk_system(3, 20.0, grid.coarsened())
-        assert np.array_equal(system.bracketing.diag, coarse.diag)
-        assert system.bracketing.bracketing is None  # 250 cells do not coarsen
-        assert assemble_disk_system(3, 20.0, Grid1D(0.0, 1.0, 1001)).bracketing is None
-        halfline = assemble_degennes_system(XI0, Grid1D(0.0, 15.0, 8001))
-        assert len(halfline.bracketing.diag) == 500
-
     def test_mass_positivity_enforced(self):
         with pytest.raises(InvalidParams):
             TridiagSystem(np.ones(4), -np.ones(3), np.array([1.0, -1.0, 1.0, 1.0]))
@@ -84,10 +75,9 @@ class TestDisk:
 
     def test_lambda_is_richardson_of_grid_pair(self):
         n, beta, count = 3, 20.0, 257
-        grid = Grid1D(0.0, 1.0, count)
-        (coarse, _), (fine, _) = solve_pair(
-            solve_smallest, assemble_disk_system(n, beta, grid),
-            assemble_disk_system(n, beta, grid.refined()))
+        (*_, (coarse, _)), (*_, (fine, _)) = solve_pair(
+            solve_smallest, partial(assemble_disk_system, n, beta),
+            Grid1D(0.0, 1.0, count))
         assert fd_disk_lambda(n, beta, count) == fine + (fine - coarse) / 3.0
 
     def test_grid_must_span_unit_interval(self):
@@ -198,8 +188,9 @@ def _index_mode_reference(system):
     return vals[0], v
 
 
-def _assert_same_as_index_mode(system):
-    lam = fd._smallest(system, fd._smallest(system.bracketing))
+def _assert_same_as_index_mode(assemble, grid):
+    system = assemble(grid)
+    lam = fd._smallest(system, fd._smallest(assemble(grid.coarsened())))
     ref_lam, ref_vec = _index_mode_reference(system)
     assert abs(lam - ref_lam) <= 4.0 * np.spacing(max(abs(lam), abs(ref_lam)))
     vec = solve_smallest(system, vectors=True)[1]
@@ -216,14 +207,14 @@ class TestBracketedSolve:
                                          (20, 900.0), (400, 1.0),
                                          (400, 400.5), (0, 900.0)])
     def test_disk(self, n, beta, count):
-        _assert_same_as_index_mode(
-            assemble_disk_system(n, beta, Grid1D(0.0, 1.0, count)))
+        _assert_same_as_index_mode(partial(assemble_disk_system, n, beta),
+                                   Grid1D(0.0, 1.0, count))
 
     @pytest.mark.parametrize("count", [8001, 16001])
     @pytest.mark.parametrize("xi", [-2.0, XI0_HP, 0.0])
     def test_half_line(self, xi, count):
-        _assert_same_as_index_mode(
-            assemble_degennes_system(xi, Grid1D(0.0, 15.0, count)))
+        _assert_same_as_index_mode(partial(assemble_degennes_system, xi),
+                                   Grid1D(0.0, 15.0, count))
 
     def test_bad_brackets_fall_back_to_the_index_mode(self):
         system = assemble_disk_system(400, 1.0, Grid1D(0.0, 1.0, 4001))
@@ -344,6 +335,40 @@ class TestPairSolve:
         d, e, _ = _symmetrized(fine)
         assert fd._inverse_iteration(d, e, *fine_bracket)[0] == fine_lam
 
+    @pytest.mark.parametrize("assemble, grid", [
+        (partial(assemble_disk_system, 3, 20.0), Grid1D(0.0, 1.0, 4001)),
+        (partial(assemble_degennes_system, XI0), Grid1D(0.0, 15.0, 8001))],
+        ids=["disk", "half-line"])
+    def test_pair_assembles_the_coarsened_ladder(self, monkeypatch, assemble, grid):
+        # the grid h coarsens (4 000 and 8 000 cells): 16h and 8h are the
+        # operator assembled on grid.coarsened() and grid.refined().coarsened()
+        ladder, real = [], fd._smallest
+
+        def recording(system, guess=None):
+            ladder.append(system)
+            return real(system, guess)
+        monkeypatch.setattr(fd, "_smallest", recording)
+        pair = solve_pair(solve_smallest, assemble, grid)
+        fine = grid.refined()
+        assert [g for g, _, _ in pair] == [grid, fine]
+        for got, want in zip([*ladder, *(system for _, system, _ in pair)],
+                             [assemble(grid.coarsened()), assemble(fine.coarsened()),
+                              assemble(grid), assemble(fine)], strict=True):
+            for field in ("diag", "offdiag", "mass"):
+                assert np.array_equal(getattr(got, field), getattr(want, field))
+
+    def test_grids_that_do_not_coarsen_are_solved_by_index(self, monkeypatch):
+        # 1 000 cells do not divide by 16 (the refined 2 000 do): no ladder,
+        # no bracket, dstebz by index on both grids
+        grid = Grid1D(0.0, 1.0, 1001)
+        assert grid.coarsened() is None
+        solved, calls = _recorded(monkeypatch, fd, lambda: fd.solve_pair(
+            fd.solve_smallest, partial(assemble_disk_system, 3, 20.0), grid))
+        assert [bracket for _, bracket, _ in solved] == [None, None]
+        assert [(size, args[1]) for size, _, args in calls["dstebz"]] == [
+            (1000, fd._BY_INDEX), (2000, fd._BY_INDEX)]
+        assert not calls["dpttrf"]
+
     def test_two_solves_through_the_callers_binding(self, monkeypatch):
         # perfbench traces solve_smallest by replacing the name in each
         # module that binds it, and checks that fd_disk_lambda and
@@ -397,10 +422,9 @@ class TestInverseIteration:
         # both unit vectors lie within residual / gap of the ground state
         # (Davis-Kahan): 2.4e-11 and 9.5e-11 apart on 4 001 and 8 001 nodes,
         # against bounds of 2.1e-9 and 1.2e-8
-        grid = Grid1D(0.0, 1.0, 4001)
-        systems = [assemble_disk_system(3, 20.0, g) for g in (grid, grid.refined())]
         solved, calls = _recorded(monkeypatch, fd, lambda: fd.solve_pair(
-            fd.solve_smallest, *systems, vectors=True))
+            fd.solve_smallest, partial(assemble_disk_system, 3, 20.0),
+            Grid1D(0.0, 1.0, 4001), vectors=True))
         for system, _, (lam, vec) in solved:
             d, e, root_m = _symmetrized(system)
             assert not _on_grid(calls, "dstebz", len(d))
@@ -421,7 +445,6 @@ class TestInverseIteration:
     @pytest.mark.parametrize("case", ["lo above lambda0", "cap", "rho above hi"])
     def test_failure_falls_back_to_the_index_mode(self, monkeypatch, case):
         system = assemble_disk_system(3, 20.0, Grid1D(0.0, 1.0, 1001))
-        assert system.bracketing is None  # the fallback is dstebz by index
         d, e, _ = _symmetrized(system)
         lam0, lam1 = eigh_tridiagonal(d, e, eigvals_only=True, select="i",
                                       select_range=(0, 1), tol=fd._EIG_ABSTOL)

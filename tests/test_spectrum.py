@@ -12,7 +12,8 @@ import diskmag.kummer as kummer_mod
 import diskmag.spectrum as spectrum
 from diskmag.crossings import crossing_by_phi, crossing_by_system
 from diskmag.derivatives import lambda_prime
-from diskmag.errors import BracketFailure, InvalidParams, NonConvergence
+from diskmag.errors import (BracketFailure, InvalidParams, NonConvergence,
+                            SolverError)
 from diskmag.fd import Grid1D, fd_disk_eigen, fd_disk_lambda
 from diskmag.kummer import kummer_m
 from diskmag.spectrum import (EigenPoint, bessel_jnp_first_zero,
@@ -244,6 +245,31 @@ class TestLowestEigenvalue:
             assert abs(point.eta - eta) <= 2 * _EPS
             assert abs(point.lam - beta * eta) <= 2 * _EPS * beta
 
+    @pytest.mark.parametrize("beta", [5e-324, 1e-323])
+    def test_subnormal_field_at_mode_zero(self, beta):
+        # at 5e-324, x = beta/2 rounds to 0, which the ln nu solve divided
+        # by (ZeroDivisionError); eta ~ beta/8 underflows at both
+        point = spectrum._lowest_eigenvalue_cached.__wrapped__(0, beta)
+        assert (point.lam, point.eta, point.nu) == (0.0, 0.0, 0.5)
+
+    @pytest.mark.parametrize("n,beta", [(218, 436.00000000000006),
+                                        (1, 2.0000000000000013)])
+    def test_lower_bracket_end_widens_where_the_ends_meet(self, n, beta,
+                                                          monkeypatch):
+        # beta = 2n (1 + O(eps)): nu1 = nu_c to rounding, and the residual
+        # there came out +1.7e-31 and +1.3e-30, so the lower end must widen
+        # (in 902 of 26 491 probe solves at beta just above 2n, n = 1..449,
+        # all within 8.7e-15 relative of 2n)
+        values = []
+        real = spectrum.boundary_residual
+        monkeypatch.setattr(spectrum, "boundary_residual", lambda *args:
+                            values.append(real(*args)) or values[-1])
+        point = spectrum._solve_log_nu(n, beta)
+        assert values[0] > 0.0 and values[2] < 0.0
+        monkeypatch.undo()
+        assert boundary_residual(n, beta, point.nu * (1.0 - 1e-9)) < 0.0
+        assert boundary_residual(n, beta, point.nu * (1.0 + 1e-9)) > 0.0
+
     def test_refusal_raises_fast(self):
         # at eta ~ 1.6e5 the recurrence's error bound refuses every trial
         # point near the root; the walk gives up once its step falls below
@@ -442,6 +468,13 @@ class TestGroundState:
         # at beta <= 10 the neighbours m >= beta/2 are solved, not signed
         assert signs and all(beta > 2 * m for m, beta in signs)
 
+    @pytest.mark.parametrize("beta", [5e-324, 1e-323])
+    def test_subnormal_field_raises_a_solver_error(self, beta):
+        # mode 0 returns lambda = 0; mode 1's eta walk starts at
+        # (1 - beta/2)^2 / beta = inf and finds no bracket
+        with pytest.raises(SolverError):
+            ground_state(beta)
+
     @pytest.mark.parametrize("beta", [28.0, 100.0, 377.0, 899.0])
     def test_solves_only_the_modes_it_visits(self, beta, monkeypatch):
         solved = []
@@ -478,6 +511,7 @@ class TestGroundState:
 @example((0, 0.1))
 @example((400, 800.5))
 @example((400, 899.0))
+@example((218, 436.00000000000006))  # the lower bracket end widens here
 def test_residual_changes_sign_once_at_the_root(case):
     # the fact ground_state's sign rule rests on: at beta > 2m the residual
     # rises through one root in nu, the solved nu*.  The floor 1e-3 keeps
