@@ -4,10 +4,10 @@
 Writes the crossing tables, the gap sequence with its extrapolation,
 the derivative table, the constants report, the conjecture scans and
 the curve samples into the output directory.  The full run (n up to
-400, beta up to 900) took 6.7 s on a shared 2-vCPU x86-64 machine
+400, beta up to 900) took 3.7 s on a shared 2-vCPU x86-64 machine
 (Python 3.11.7, numpy 2.4.6, scipy 1.17.1; the median of three runs,
-which spread 6.7-8.5 s): curves 5.0 s, conjectures 0.8 s, crossings
-0.2 s, constants, derivatives and richardson <= 0.1 s each.  --quick
+which spread 3.65-3.74 s): curves 2.5 s, conjectures 0.4 s, crossings
+0.1 s, constants, derivatives and richardson <= 0.1 s each.  --quick
 cuts the ranges for a smoke run.
 """
 

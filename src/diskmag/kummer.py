@@ -23,9 +23,10 @@ k ~ z, so at the crossings' b = n + 1 ~ z = beta/2 the sums are short.
 :func:`kummer_m_many` is the many-z kernel: for a >= 0 it sums the
 series at every z of an array as numpy cumulative products, one per
 band of rows with the same rounded-up count, falling back to
-:func:`kummer_m` for any row that does not settle; the numpy path of the
-scalar series (100 < z <= 600) is its one-row call.  Eigenfunction
-normalization takes all its Gauss nodes from one call.
+:func:`kummer_m` for any row that does not settle.  Eigenfunction
+normalization takes all its Gauss nodes from one call.  A single series
+at z <= 600 is one such row wherever its count makes numpy cheaper than
+the scalar loop (:data:`_NUMPY_MIN_COUNT`).
 
 :func:`kummer_ratio_shift_b` returns M(a+1, b+1, z) / M(a, b, z) as an
 ordinary float; eigenvalue residuals are built from this ratio so they
@@ -47,7 +48,13 @@ from .errors import InvalidParams, NonConvergence
 # exp(_RAW_LOG_CAP); the scalar loop rescales past _RESCALE_AT
 _RAW_LOG_CAP = 600.0
 _RESCALE_AT = 1e280
-_NUMPY_MIN_Z = 100.0
+# from this _numpy_count on, a one-row numpy series beats the scalar loop
+# in place: over the 378 points of the benchmark's `curves` workload,
+# numpy won in 25 of 41 points whose series count 52-55, in all from 56
+_NUMPY_MIN_COUNT = 56
+# k, k+1 and k+2 of a one-row series are its slices; the longest settled
+# row found at z <= 600 has ~870 terms (longer ones overflow a raw sum)
+_K = np.arange(1026.0)
 _LN2 = math.log(2.0)
 _EPS = sys.float_info.epsilon
 _MAX_REL_ERR = 1e-12  # largest error bound of a recurrence result returned
@@ -88,10 +95,11 @@ def _peak(a, b, z):
     sqrt(h^2 - b + a z), k2 = h + root cancels where h < 0, so there it is
     taken rationalized, as (a z - b)+ / (root - h)."""
     h = 0.5 * (z - b - 1.0)
-    root = _pos(h * h - b + a * z) ** 0.5
-    if not isinstance(h, np.ndarray):
-        return h + root if h >= 0.0 else _pos(a * z - b) / (root - h)
-    return np.divide(_pos(a * z - b), root - h, out=h + root, where=h < 0.0)
+    if isinstance(h, np.ndarray):
+        root = np.sqrt(_pos(h * h - b + a * z))
+        return np.divide(_pos(a * z - b), root - h, out=h + root, where=h < 0.0)
+    root = math.sqrt(_pos(h * h - b + a * z))  # np.sqrt's; x ** 0.5 may be 1 ulp off
+    return h + root if h >= 0.0 else _pos(a * z - b) / (root - h)
 
 
 def _numpy_count(a, b, z):
@@ -100,10 +108,24 @@ def _numpy_count(a, b, z):
     e^-_TAIL_FALL, and 20 more.  The model takes ln r_(k2+j) = -q - j/s
     with s = b + k2 + 1 and q = max(0, 1 - z/s) <= ln(s/z), so the fall
     over j terms is q j + j^2 / (2s); each row's settled test checks it."""
-    k2 = _peak(a, b, z)
+    return _count_from_peak(_peak(a, b, z), b, z)
+
+
+def _count_from_peak(k2, b, z):
+    """:func:`_numpy_count` from the peak k2 of the row's terms."""
     s = b + k2 + 1.0
     q = _pos(1.0 - z / s)
-    return k2 + 2.0 * _TAIL_FALL / (q + (q * q + 2.0 * _TAIL_FALL / s) ** 0.5) + 20.0
+    v = q * q + 2.0 * _TAIL_FALL / s
+    root = np.sqrt(v) if isinstance(v, np.ndarray) else math.sqrt(v)
+    return k2 + 2.0 * _TAIL_FALL / (q + root) + 20.0
+
+
+def _ratios(a, b, z, k, k1):
+    """The term ratios (a+k) z / ((b+k)(k+1)) at indices k, k1 = k + 1, in
+    one new buffer for the caller to work in; z may be an (N, 1) column."""
+    ratios = (a + k) * z
+    ratios /= (b + k) * k1
+    return ratios
 
 
 def _series_rows(a, b, z, count: int):
@@ -113,8 +135,7 @@ def _series_rows(a, b, z, count: int):
     row.  A row is settled when its total is finite and its last three
     terms are within _SERIES_REL_TOL of it."""
     k = np.arange(count, dtype=float)
-    terms = (a + k) * z  # one (N, count) buffer: divided and multiplied in place
-    terms /= (b + k) * (k + 1.0)
+    terms = _ratios(a, b, z, k, k + 1.0)
     np.cumprod(terms, axis=-1, out=terms)
     total = 1.0 + terms.sum(axis=-1)
     return terms, total, ((total < math.inf)
@@ -126,20 +147,28 @@ def _series(a: float, b: float, z: float) -> tuple[float, float, int]:
     positive for a >= 0; returns (S, W, e) with sum_k s_k = S * 2**e and
     sum_k s_k / (k+1) = W * 2**e.
 
-    For 100 < z <= 600 the one-row numpy product of _numpy_count terms,
-    fewer than the scalar loop's budget, is tried first.  Truncation
+    At z <= 600 a series of at least _NUMPY_MIN_COUNT terms (by
+    :func:`_numpy_count`) is first tried as one numpy row, with
+    :func:`_series_rows`' settled test; the scalar loop takes shorter
+    series, z > 600 (it rescales) and rows that do not settle.  Truncation
     requires three consecutive terms below the relative tolerance *and*
     the index to be past the peak k2 (:func:`_peak`), so a small early
     term cannot stop the sum before the terms rise again.
     """
     assert a >= 0.0, "the ascending series is summed only over positive terms"
-    if _NUMPY_MIN_Z < z <= _RAW_LOG_CAP:
-        count = int(_numpy_count(a, b, z))
-        terms, total, settled = _series_rows(a, b, z, count)
-        if settled:
-            weighted = 1.0 + float(np.sum(terms / np.arange(2.0, count + 2.0)))
-            return float(total), weighted, 0
-    budget, peak = _series_budget(z), _peak(a, b, z)
+    peak = _peak(a, b, z)
+    if z <= _RAW_LOG_CAP:
+        count = _count_from_peak(peak, b, z)
+        if _NUMPY_MIN_COUNT <= count <= _K.size - 2:  # false for inf and NaN
+            count = int(count)
+            terms = _ratios(a, b, z, _K[:count], _K[1:count + 1])
+            np.multiply.accumulate(terms, out=terms)  # np.cumprod, less overhead
+            total = 1.0 + float(np.add.reduce(terms))
+            last = max(terms[-3:].tolist())
+            if total < math.inf and last <= _SERIES_REL_TOL * total:
+                terms /= _K[2:count + 2]
+                return total, 1.0 + float(np.add.reduce(terms)), 0
+    budget = _series_budget(z)
     term = total = weighted = 1.0
     exp2 = small = 0
     for k in range(budget):

@@ -335,8 +335,10 @@ def ground_state(beta: float) -> tuple[EigenPoint, int]:
     (0, 1 + r] (R = M(nu+1, m+2, x)/M(nu, m+1, x) falls with nu).  Brent's
     stop (4 eps |u|), r's error (<= 4 eps measured) and the roundings of
     lambda and nu' (4 eps/nu' in u) cannot flip a sign with |r| > 40
-    eps/nu', 2e4 times below _SIGN_TOL/nu'.  Below it, where r raises, at
-    beta <= 2m or at nu' <= 0, lambda(m) is solved and compared.
+    eps/nu', 2e4 times below _SIGN_TOL/nu'.  At beta <= 2m, lambda(m)
+    exceeds the least potential (m - beta/2)^2, so m is not lower if that
+    reaches t; otherwise there, below the sign tolerance, where r raises or
+    at nu' <= 0, lambda(m) is solved and compared.
     """
     if not 0.0 < beta < math.inf:
         raise InvalidParams(f"beta={beta} must be finite and > 0 for the "
@@ -344,6 +346,8 @@ def ground_state(beta: float) -> tuple[EigenPoint, int]:
 
     def lower(m: int, here: float) -> bool:
         t = here * (1.0 - _TIE_REL)
+        if beta <= 2.0 * m and (m - 0.5 * beta) ** 2 >= t:
+            return False  # lambda(m) > min over r in (0, 1] of (m/r - beta r/2)^2
         nu = 0.5 * (1.0 - t / beta)
         if beta > 2.0 * m and nu > 0.0:
             try:

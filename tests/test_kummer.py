@@ -110,9 +110,20 @@ class TestSeries:
             func(*args)
 
     def test_term_budget_exhaustion(self, monkeypatch):
+        # both inputs reach the scalar loop: z = 2 with a count below the
+        # numpy crossover, z = 700 past the raw-sum cap
+        assert kummer_mod._numpy_count(0.5, 1.0, 2.0) < kummer_mod._NUMPY_MIN_COUNT
         monkeypatch.setattr(kummer_mod, "_series_budget", lambda z: 5)
+        for z in [2.0, 700.0]:
+            with pytest.raises(NonConvergence):
+                kummer_m(0.5, 1.0, z)
+
+    @pytest.mark.parametrize("z", [50.0, 150.0])
+    def test_overflowing_count_takes_the_loop(self, z):
+        # a z = inf makes the row's count inf: the scalar loop runs out of
+        # budget, where int(count) raised OverflowError
         with pytest.raises(NonConvergence):
-            kummer_m(0.5, 1.0, 50.0)
+            kummer_m(1e307, 1.0, z)
 
 
 class TestManyZ:
@@ -178,6 +189,31 @@ class TestManyZ:
         column = np.array([[z - 50.0], [z], [0.5 * z]])
         _, rows, settled = kummer_mod._series_rows(a, b, column, count)
         assert settled[1] and rows[1] == total
+
+    def test_one_row_is_the_former_numpy_row(self):
+        # every row the numpy path summed at 100 < z <= 600 before the
+        # count crossover gives the same (S, W, e) bit for bit: that path
+        # written out, a seeded draw of 2 000 rows
+        rng = np.random.default_rng(28)
+        rows = 0
+        for _ in range(2000):
+            a, b = rng.uniform(0.0, 2.0), float(rng.integers(1, 403))
+            z = float(rng.uniform(100.0, 600.0))
+            if z == 100.0:
+                continue
+            count = int(kummer_mod._numpy_count(a, b, z))
+            assert count >= kummer_mod._NUMPY_MIN_COUNT
+            k = np.arange(count, dtype=float)
+            terms = (a + k) * z
+            terms /= (b + k) * (k + 1.0)
+            np.cumprod(terms, axis=-1, out=terms)
+            total = 1.0 + terms.sum(axis=-1)
+            if not (total < math.inf and terms[-3:].max() <= 1e-16 * total):
+                continue  # the scalar loop's row, then as now
+            rows += 1
+            weighted = 1.0 + float(np.sum(terms / np.arange(2.0, count + 2.0)))
+            assert kummer_mod._series(a, b, z) == (float(total), weighted, 0)
+        assert rows >= 1900
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(InvalidParams):
@@ -252,28 +288,31 @@ class TestRatio:
                                          4.0 * math.ulp(ratio))
 
     def test_unsettled_two_row_product_falls_back(self, monkeypatch):
-        # 40 terms do not settle the one row at z = 150, so its one _series
-        # call sums with the scalar loop, and the ratio is that loop's
-        # quotient
+        # _NUMPY_MIN_COUNT terms do not settle the one row at z = 150, so
+        # its one _series call tries that row, then sums with the scalar
+        # loop, and the ratio is that loop's quotient
         expected = kummer_ratio_shift_b(0.3, 101.0, 150.0)
-        series, rows = kummer_mod._series, kummer_mod._series_rows
+        count = kummer_mod._NUMPY_MIN_COUNT
+        assert not kummer_mod._series_rows(1.3, 102.0, 150.0, count)[-1]
+        series, ratios = kummer_mod._series, kummer_mod._ratios
         calls, row_calls = [], []
 
         def counted(a, b, z):
             calls.append((a, b, z))
             return series(a, b, z)
 
-        def counted_rows(*args):
-            result = rows(*args)
-            row_calls.append(result[-1])
-            return result
+        def counted_ratios(a, b, z, k, k1):
+            row_calls.append((a, b, z, len(k)))
+            return ratios(a, b, z, k, k1)
 
-        monkeypatch.setattr(kummer_mod, "_numpy_count", lambda a, b, z: 40.0)
+        monkeypatch.setattr(kummer_mod, "_count_from_peak", lambda *args: float(count))
         monkeypatch.setattr(kummer_mod, "_series", counted)
-        monkeypatch.setattr(kummer_mod, "_series_rows", counted_rows)
+        monkeypatch.setattr(kummer_mod, "_ratios", counted_ratios)
         ratio = kummer_ratio_shift_b(0.3, 101.0, 150.0)
-        assert calls == [(1.3, 102.0, 150.0)] and row_calls == [False]
-        num, weighted, exp2 = series(*calls[0])
+        assert calls == [(1.3, 102.0, 150.0)] and row_calls == [(*calls[0], count)]
+        monkeypatch.setattr(kummer_mod, "_count_from_peak", lambda *args: 0.0)
+        num, weighted, exp2 = series(*calls[0])  # the scalar loop alone
+        assert len(row_calls) == 1
         assert ratio == num / (math.ldexp(1.0, -exp2) + 0.3 * 150.0 / 101.0 * weighted)
         assert ratio == pytest.approx(expected, rel=1e-14)
 
@@ -290,6 +329,38 @@ class TestRatio:
             new = max(new, float(abs(kummer_ratio_shift_b(a, b, z) / exact - 1)))
             old = max(old, float(abs(two_row_ratio(a, b, z) / exact - 1)))
         assert new <= old < 1e-13
+
+    def test_rows_moved_to_numpy_no_further_from_mpmath(self, monkeypatch):
+        # rows at z <= 100 whose count reaches _NUMPY_MIN_COUNT moved from
+        # the scalar loop to a numpy row: the same terms, summed pairwise
+        # and further into the tail.  Their worst error against 50-digit
+        # mpmath is no larger than the loop's in the ratio, and in ln M up
+        # to one rounding of ln M, since the order of summation moves the
+        # last bit of S either way
+        rng = np.random.default_rng(0)
+        least = kummer_mod._NUMPY_MIN_COUNT
+        points = []
+        while len(points) < 40:
+            a, b = rng.uniform(0.0, 0.5), float(rng.integers(1, 403))
+            z = rng.uniform(0.0, 100.0)
+            if (kummer_mod._numpy_count(a, b, z) >= least
+                    and kummer_mod._numpy_count(a + 1.0, b + 1.0, z) >= least):
+                points.append((a, b, z))
+        new, old, ulp = [], [], 0.0
+        for a, b, z in points:
+            with mpmath.workdps(50):
+                m = kummer_m_2f2(mpmath.mpf(a), b, z)
+                log_m = mpmath.log(m)
+                ratio = kummer_m_2f2(mpmath.mpf(a) + 1, b + 1, z) / m
+            ulp = max(ulp, math.ulp(float(log_m)))
+            for errors in (new, old):
+                errors.append((float(abs(kummer_m(a, b, z)[0] - log_m)),
+                               float(abs(kummer_ratio_shift_b(a, b, z) / ratio - 1))))
+                monkeypatch.setattr(kummer_mod, "_NUMPY_MIN_COUNT", math.inf)
+            monkeypatch.undo()  # the next point's first pass takes numpy rows
+        new, old = np.max(new, axis=0), np.max(old, axis=0)
+        assert new[1] <= old[1] < 1e-13
+        assert new[0] <= old[0] + ulp and old[0] < 1e-13
 
     def test_ratio_beyond_float_range_raises(self):
         # M(1, 2, z)/M(0, 1, z) = (e^z - 1)/z overflows a float at z = 725
@@ -472,15 +543,29 @@ class TestPeak:
             k = k2 + step * (1.0 + k2)
             assert (a + k) * z < (b + k) * (k + 1.0)
 
+    @given(st.floats(min_value=0.0, max_value=1e3, **bounded),
+           st.floats(min_value=0.0, max_value=1e3, exclude_min=True, **bounded),
+           st.floats(min_value=0.0, max_value=600.0, **bounded))
+    @example(a=1.4604547947608337, b=249.0, z=342.0901706770145)  # x ** 0.5 was
+    @example(a=1.3554526549396122, b=306.0, z=139.82405649291988)  # 1 ulp off sqrt
+    @settings(max_examples=300, deadline=None)
+    def test_float_count_is_the_array_count(self, a, b, z):
+        # _series sizes its one row by the float path of _numpy_count, and
+        # kummer_m_many its bands by the array path: bit for bit the same
+        for f in (kummer_mod._peak, kummer_mod._numpy_count):
+            scalar, array = f(a, b, z), f(a, b, np.array([z]))
+            assert type(scalar) is float and float.hex(scalar) == float.hex(array[0])
+
     @pytest.mark.parametrize("a", [1e-300, 1e-30, 1e-12, 0.05])
     @pytest.mark.parametrize("b,z", [(200.0, 170.0), (200.0, 200.0), (200.0, 240.0),
                                      (401.0, 371.0), (401.0, 401.0), (401.0, 441.0),
-                                     (200.0, 400.0), (10.0, 90.0)])
+                                     (200.0, 400.0), (10.0, 90.0), (400.0, 700.0)])
     def test_dip_then_rise(self, a, b, z):
         # the first terms are ~ a z / b, tiny for tiny a, and at z > b + 1
         # they rise again up to the peak: no sum may stop in the dip.  At
         # a = 1e-30 and z - b >= 80 the first three terms are < 1e-16 and
-        # the peak term is not; (10, 90) runs the scalar loop
+        # the peak term is not; (400, 700) runs the scalar loop (z > 600),
+        # the others numpy rows
         with mpmath.workdps(50):
             m = kummer_m_2f2(mpmath.mpf(a), b, z)
             log_m = float(mpmath.log(m))

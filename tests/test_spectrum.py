@@ -12,8 +12,7 @@ import diskmag.kummer as kummer_mod
 import diskmag.spectrum as spectrum
 from diskmag.crossings import crossing_by_phi, crossing_by_system
 from diskmag.derivatives import lambda_prime
-from diskmag.errors import (BracketFailure, InvalidParams, NonConvergence,
-                            SolverError)
+from diskmag.errors import BracketFailure, InvalidParams, NonConvergence
 from diskmag.fd import Grid1D, fd_disk_eigen, fd_disk_lambda
 from diskmag.kummer import kummer_m
 from diskmag.spectrum import (EigenPoint, bessel_jnp_first_zero,
@@ -465,15 +464,21 @@ class TestGroundState:
         monkeypatch.setattr(spectrum, "boundary_residual", lambda m, beta, nu:
                             signs.append((m, beta)) or real(m, beta, nu))
         assert [ground_state(beta) for beta in betas] == expected
-        # at beta <= 10 the neighbours m >= beta/2 are solved, not signed
+        # at beta <= 10 the neighbours m >= beta/2 are solved or bounded by
+        # their least potential, not signed
         assert signs and all(beta > 2 * m for m, beta in signs)
 
-    @pytest.mark.parametrize("beta", [5e-324, 1e-323])
-    def test_subnormal_field_raises_a_solver_error(self, beta):
-        # mode 0 returns lambda = 0; mode 1's eta walk starts at
-        # (1 - beta/2)^2 / beta = inf and finds no bracket
-        with pytest.raises(SolverError):
-            ground_state(beta)
+    @pytest.mark.parametrize("beta", [5e-324, 1e-323, 1e-300, 1e-8])
+    def test_tiny_field_is_mode_zero(self, beta, monkeypatch):
+        # lambda(1) exceeds its least potential (1 - beta/2)^2 ~ 1, far above
+        # lambda(0) ~ beta^2/8, so mode 1 is never solved: its eta walk
+        # starts at (1 - beta/2)^2 / beta, inf below ~5.6e-309, and its
+        # descent takes ~1/(2 beta) recurrence steps
+        solved = []
+        monkeypatch.setattr(spectrum, "lowest_eigenvalue",
+                            lambda n, b: solved.append(n) or lowest_eigenvalue(n, b))
+        assert ground_state(beta) == (lowest_eigenvalue(0, beta), 0)
+        assert solved == [0]
 
     @pytest.mark.parametrize("beta", [28.0, 100.0, 377.0, 899.0])
     def test_solves_only_the_modes_it_visits(self, beta, monkeypatch):
