@@ -11,22 +11,21 @@ the Kummer route so they can serve as brute-force cross-checks:
 
 Both reduce to a symmetric generalized tridiagonal eigenproblem
 A v = lambda M v with diagonal positive mass M, symmetrized exactly by
-the diagonal scaling M^{-1/2}.  A two-grid pair (:func:`solve_pair`,
-spacings h and h/2) is assembled on one grid and its refinement.  When
-they coarsen 16x, the pair also assembles the coarsened grids, fits
-lambda(h) = L + C h^2 through two coarser solves and brackets each grid
-on the predicted value +- 1/4 of the predicted change, plus 16 ulp: the
-grid h from the coarsened grids 16h and 8h, the grid h/2 from 8h and
-the grid h.  On such a bracket (lo, hi], each end moved out by a
-rounding allowance of ~eps |T|_inf, the smallest eigenpair comes from
-inverse iteration shifted by lo: one LDL^T factorization (dpttrf),
-which shows no eigenvalue at or below lo, and 3-4 solves (dpttrs).
-Without a bracket, or when it fails, LAPACK's Sturm-count bisection
-(dstebz) finds the first eigenvalue by index, and dstein computes the
-eigenvector only for the callers that read it.  The coarsened grids
-themselves are bisected: 16h by index, 8h on 16h's value +- 5 %.
-Eigenvalues are reported through a two-grid Richardson combination
-assuming the second-order truncation error of the scheme.
+the diagonal scaling M^{-1/2}.  Every eigenpair comes by one of two
+routes.  Given a bracket (lo, hi], each end moved out by a rounding
+allowance of ~eps |T|_inf, inverse iteration shifted by lo: one LDL^T
+factorization (dpttrf), which shows no eigenvalue at or below lo, and a
+few solves (dpttrs).  Without a bracket, or when it fails, LAPACK's
+Sturm-count bisection (dstebz) finds the first eigenvalue by index, and
+dstein computes the eigenvector only for the callers that read it.
+A two-grid pair (:func:`solve_pair`, spacings h and h/2) is assembled on
+one grid and its refinement.  When they coarsen 16x, the pair also
+solves the coarsened grids: 16h by index, 8h on 16h's value +- 1 %.
+It then fits lambda(h) = L + C h^2 through two coarser solves and
+brackets each grid on the predicted value +- 1/4 of the predicted
+change, plus 16 ulp: the grid h from 16h and 8h, the grid h/2 from 8h
+and the grid h.  Eigenvalues are reported through a two-grid Richardson
+combination assuming the second-order truncation error of the scheme.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from .errors import InvalidParams, NonConvergence
 
 _DISK_GRID_COUNT = 4001  # coarse grid of fd_disk_lambda's two-grid pair
 _BRACKET_COARSENING = 16  # bracketing grid: every 16th node, ~1/16 of the solve
-_BRACKET_WIDENING = 0.05  # bracket = lambda0 on the coarsened grid +- 5 %
+_BRACKET_WIDENING = 0.01  # 8h bracket = lambda0 on the 16h grid +- 1 %
 _PREDICTION_SHARE = 0.25  # bracket = h^2 prediction +- 1/4 of its change
 
 
@@ -97,9 +96,9 @@ class TridiagSystem:
 # LAPACK dstebz: ABSTOL at twice the underflow threshold gives the most
 # accurate eigenvalues; the default eps*|T|_1 leaves ~1e-9 noise at our
 # grid sizes, which would dominate the minimization of the ground energy.
-# Only solve_pair's coarsened grids and the fallback bisect.
+# Only unbracketed solves (solve_pair's 16h grid) and the fallback bisect.
 _EIG_ABSTOL = 2.0 * np.finfo(float).tiny
-_BY_VALUE, _BY_INDEX = 1, 2  # dstebz RANGE: eigenvalues in (vl, vu], or il..iu
+_BY_INDEX = 2  # dstebz RANGE: eigenvalues il..iu
 _INVERSE_ITERATION_CAP = 8  # solves on a given bracket before the fallback
 
 
@@ -109,11 +108,11 @@ def solve_smallest(system: TridiagSystem, *, vectors: bool = False,
     """Smallest eigenpair of A v = lambda M v; the eigenvector is None
     unless vectors is set.
 
-    A given bracket (lo, hi) (:func:`solve_pair` takes it from the h^2
-    model of coarser grids) is tried by :func:`_inverse_iteration`, which
-    returns lambda0 with its eigenvector, the last iterate.  Without a
-    bracket, or when it fails, lambda0 comes from dstebz by index, and
-    dstein computes the eigenvector where it is read.  Either way it is
+    A given bracket (lo, hi) (:func:`solve_pair` takes it from coarser
+    grids) is tried by :func:`_inverse_iteration`, which returns lambda0
+    with its eigenvector, the last iterate.  Without a bracket, or when
+    it fails, lambda0 comes from dstebz by index, and dstein computes the
+    eigenvector where it is read.  Either way it is
     the smallest eigenvalue, and a given system and bracket always take
     the same path, with or without vectors.  The eigenvector comes back
     sign-fixed positive and normalized to sum(v^2 * mass) = 1, i.e. unit
@@ -122,7 +121,12 @@ def solve_smallest(system: TridiagSystem, *, vectors: bool = False,
     d, e, root_m = _symmetrized(system)
     found = None if bracket is None else _inverse_iteration(d, e, *bracket)
     if found is None:
-        w, iblock, isplit = _stebz(d, e, _BY_INDEX, 0.0, 0.0)
+        m, w, iblock, isplit, info = dstebz(d, e, _BY_INDEX, 0.0, 0.0, 1, 1,
+                                            _EIG_ABSTOL, "E")
+        if info != 0:
+            raise NonConvergence(f"tridiagonal eigensolve (dstebz) failed: info = {info}")
+        if m == 0:
+            raise NonConvergence("tridiagonal eigensolve (dstebz) found no eigenvalue")
         if not vectors:
             return float(w[0]), None
         z, info = dstein(d, e, w[:1], iblock, isplit)
@@ -162,20 +166,21 @@ def _inverse_iteration(d: np.ndarray, e: np.ndarray, lo: float, hi: float):
     The start thus has a component along the positive ground state, and
     the iteration converges to it, never to lambda1, at the rate
     (lambda0 - lo) / (lambda1 - lo) per solve (~1e-5 from the h^2
-    prediction: 3-4 solves).  A Rayleigh quotient is >= lambda0, and the
-    factorization shows lambda0 > lo, so lambda0 lies in (lo, value].
+    prediction: 3-4 solves; 4-7 on the 8h grid's +- 1 %).  A Rayleigh
+    quotient is >= lambda0, and the factorization shows lambda0 > lo, so
+    lambda0 lies in (lo, value].
     """
     if not lo < hi:
         return None
     pad = _allowance(d, e)
     lo, hi = lo - pad, hi + pad
-    factors = _factored(d, e, lo)
-    if factors is None:
+    diag, offdiag, info = dpttrf(d - lo, e)
+    if info != 0:
         return None
     x = np.full(len(d), 1.0 / np.sqrt(len(d)))
     rho = np.inf
     for _ in range(_INVERSE_ITERATION_CAP):
-        y, info = dpttrs(*factors, x)
+        y, info = dpttrs(diag, offdiag, x)
         if info != 0:
             raise NonConvergence(f"tridiagonal solve (dpttrs) failed: info = {info}")
         y_y = _dot(y, y)
@@ -204,13 +209,6 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
     return np.einsum("i,i", x, y)
 
 
-def _factored(d: np.ndarray, e: np.ndarray, shift: float):
-    """dpttrf's L D L^T factors of T - shift I, or None unless T - shift I
-    is positive definite, i.e. no eigenvalue of T lies at or below shift."""
-    diag, offdiag, info = dpttrf(d - shift, e)
-    return (diag, offdiag) if info == 0 else None
-
-
 def solve_pair(solve, assemble, grid: Grid1D, *,
                vectors: bool = False) -> tuple[tuple, tuple]:
     """(grid, system, eigenpair) for grid and grid.refined(), spacings h
@@ -220,19 +218,21 @@ def solve_pair(solve, assemble, grid: Grid1D, *,
     solve is :func:`solve_smallest`, as bound in the caller's module, and
     is called once per grid.  When grid coarsens (then so does its
     refinement), assemble also builds the coarsened grids 16h and 8h,
-    which are solved first, 8h on 16h's value +- 5 %; the grid h is
-    bracketed from the h^2 model through 16h and 8h, the grid h/2 from
-    the model through 8h and h (:func:`_predicted`).  Otherwise both grids
-    are solved by index.  A bracket that fails its checks costs a
-    bisection by index, never the answer.
+    which are solved first: 16h by index, 8h on 16h's value +- 1 %.  The
+    grid h is bracketed from the h^2 model through 16h and 8h, the grid
+    h/2 from the model through 8h and h (:func:`_predicted`).  Otherwise
+    both grids are solved by index.  A bracket that fails its checks
+    costs a bisection by index, never the answer.
     """
     fine, coarse = grid.refined(), grid.coarsened()
     systems = assemble(grid), assemble(fine)
     if coarse is None:
         first, second = (solve(system, vectors=vectors) for system in systems)
     else:
-        lam16 = _smallest(assemble(coarse))
-        lam8 = _smallest(assemble(fine.coarsened()), lam16)
+        lam16 = solve(assemble(coarse))[0]
+        half = _BRACKET_WIDENING * abs(lam16)
+        lam8 = solve(assemble(fine.coarsened()),
+                     bracket=(lam16 - half, lam16 + half))[0]
         first = solve(systems[0], vectors=vectors,
                       bracket=_predicted(lam16, lam8, 16, 8, 1))
         second = solve(systems[1], vectors=vectors,
@@ -257,33 +257,6 @@ def _symmetrized(system: TridiagSystem):
     root_m = np.sqrt(system.mass)
     return (system.diag / system.mass,
             system.offdiag / (root_m[:-1] * root_m[1:]), root_m)
-
-
-def _smallest(system: TridiagSystem, guess: float | None = None) -> float:
-    """lambda0 of system by dstebz: on guess +- _BRACKET_WIDENING when
-    :func:`_factored` shows no eigenvalue at or below its lower end and
-    dstebz finds one in it, otherwise by index."""
-    d, e, _ = _symmetrized(system)
-    if guess is not None:
-        lo = guess - _BRACKET_WIDENING * abs(guess)
-        hi = guess + _BRACKET_WIDENING * abs(guess)
-        if lo < hi and _factored(d, e, lo) is not None:
-            w = _stebz(d, e, _BY_VALUE, lo, hi)[0]
-            if len(w):
-                return w[0]
-    return _stebz(d, e, _BY_INDEX, 0.0, 0.0)[0][0]
-
-
-def _stebz(d: np.ndarray, e: np.ndarray, select: int, vl: float, vu: float):
-    """(w, iblock, isplit) of dstebz for the first eigenvalue by index or
-    every eigenvalue in (vl, vu], w ascending; NonConvergence on info != 0
-    or when the index mode finds no eigenvalue."""
-    m, w, iblock, isplit, info = dstebz(d, e, select, vl, vu, 1, 1, _EIG_ABSTOL, "E")
-    if info != 0:
-        raise NonConvergence(f"tridiagonal eigensolve (dstebz) failed: info = {info}")
-    if m == 0 and select == _BY_INDEX:
-        raise NonConvergence("tridiagonal eigensolve (dstebz) found no eigenvalue")
-    return w[:m], iblock, isplit
 
 
 def richardson(fine, coarse):

@@ -269,7 +269,8 @@ def kummer_m_many(a: float, b: float, z) -> tuple[np.ndarray, np.ndarray]:
     multiple of _BAND share one product of that many terms.  Each row
     keeps the scalar path's test (a finite total and its last three terms
     within _SERIES_REL_TOL of it; the count is past the row's peak).  A
-    row that fails it, and every row for a < 0, comes from
+    row that fails it, a row whose count is past the one-row series'
+    window (_K.size - 2 terms), and every row for a < 0, come from
     :func:`kummer_m`.
     """
     z = np.asarray(z, dtype=float)
@@ -279,7 +280,11 @@ def kummer_m_many(a: float, b: float, z) -> tuple[np.ndarray, np.ndarray]:
         _check_args(a, b, float(z.max()))
     rows = np.flatnonzero(z <= _RAW_LOG_CAP) if a >= 0.0 else []
     if len(rows):
-        bands = np.ceil(_numpy_count(a, b, z[rows]) / _BAND).astype(int) * _BAND
+        with np.errstate(over="ignore", invalid="ignore"):  # a z may overflow
+            counts = _numpy_count(a, b, z[rows])
+        fits = counts <= _K.size - 2  # _series' window; false for inf and NaN
+        rows, counts = rows[fits], counts[fits]
+        bands = np.ceil(counts / _BAND).astype(int) * _BAND
         for count in np.unique(bands):
             band = rows[bands == count]
             _, total, settled = _series_rows(a, b, z[band, None], int(count))

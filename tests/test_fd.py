@@ -188,27 +188,50 @@ def _index_mode_reference(system):
     return vals[0], v
 
 
-def _assert_same_as_index_mode(assemble, grid):
+# Measured over TestInverseIteration's exact-value cases, in units of
+# fd._allowance: inverse iteration comes within 0.029 of the exact lambda0
+# of the double matrix, dstebz by index within 0.071; the bound leaves a
+# margin over both and over their difference.
+_BACKWARD_ERROR = 0.25
+
+
+def _widened(lam):
+    """solve_pair's 8h bracket around the coarser grid's lambda0."""
+    half = fd._BRACKET_WIDENING * abs(lam)
+    return lam - half, lam + half
+
+
+def _assert_same_as_index_mode(assemble, grid, taken=True):
     system = assemble(grid)
-    lam = fd._smallest(system, fd._smallest(assemble(grid.coarsened())))
+    d, e, _ = _symmetrized(system)
+    bracket = _widened(solve_smallest(assemble(grid.coarsened()))[0])
+    lam = solve_smallest(system, bracket=bracket)[0]
+    found = fd._inverse_iteration(d, e, *bracket)
+    assert lam == (found[0] if taken else solve_smallest(system)[0])
+    assert (found is not None) == taken
     ref_lam, ref_vec = _index_mode_reference(system)
-    assert abs(lam - ref_lam) <= 4.0 * np.spacing(max(abs(lam), abs(ref_lam)))
+    assert abs(lam - ref_lam) <= _BACKWARD_ERROR * fd._allowance(d, e)
     vec = solve_smallest(system, vectors=True)[1]
     assert np.max(np.abs(vec - ref_vec)) <= 1e-12
 
 
 class TestBracketedSolve:
-    """The value-range bisection on the coarsened system's lambda0 +- 5 %
-    returns what the bisection by index returns: lambda0 to 4 ulp; the
-    unbracketed solve returns the same eigenvector."""
+    """The 8h route, inverse iteration on the coarsened system's lambda0
+    +- 1 %, returns lambda0 within the backward error of the bisection by
+    index (16x coarser here, a wider step than 16h -> 8h); the unbracketed
+    solve returns the same eigenvector."""
 
     @pytest.mark.parametrize("count", [4001, 8001])
     @pytest.mark.parametrize("n, beta", [(0, 0.0), (0, 1e-4), (1, 0.0),
                                          (20, 900.0), (400, 1.0),
                                          (400, 400.5), (0, 900.0)])
     def test_disk(self, n, beta, count):
+        # at n = 400, beta = 1 lambda1 is 6.7 % above lambda0, so the rate
+        # (lambda0 - lo) / (lambda1 - lo) is ~0.13 and the iteration needs
+        # 9 solves: past the cap, the index mode answers
         _assert_same_as_index_mode(partial(assemble_disk_system, n, beta),
-                                   Grid1D(0.0, 1.0, count))
+                                   Grid1D(0.0, 1.0, count),
+                                   taken=(n, beta) != (400, 1.0))
 
     @pytest.mark.parametrize("count", [8001, 16001])
     @pytest.mark.parametrize("xi", [-2.0, XI0_HP, 0.0])
@@ -223,11 +246,12 @@ class TestBracketedSolve:
             d, e, eigvals_only=True, select="i", select_range=(0, 2),
             tol=fd._EIG_ABSTOL)
         between = 0.5 * (lam1 + lam2)
-        # lambda1 and lambda2 inside between +- 5 %, lambda0 below it
-        assert lam0 < 0.95 * between < lam1 < lam2 <= 1.05 * between
+        # around 0.5 lambda0 the iteration converges above hi; around
+        # between and 10 lambda0, lo lies above lambda0; 0: empty bracket
+        assert lam0 < _widened(between)[0] < lam2
         ref_lam = _index_mode_reference(system)[0]
-        for guess in (0.5 * lam0, between, 10.0 * lam0, 0.0):  # 0: empty bracket
-            assert fd._smallest(system, guess) == ref_lam
+        for guess in (0.5 * lam0, between, 10.0 * lam0, 0.0):
+            assert solve_smallest(system, bracket=_widened(guess))[0] == ref_lam
 
 
 def test_bad_hints_fall_back_to_the_unhinted_solve():
@@ -244,13 +268,6 @@ def test_bad_hints_fall_back_to_the_unhinted_solve():
         hinted, hinted_vec = solve_smallest(system, vectors=True, bracket=bracket)
         assert hinted == lam
         assert np.max(np.abs(hinted_vec - vec)) <= 1e-12
-
-
-# Measured over TestInverseIteration's exact-value cases, in units of
-# fd._allowance: inverse iteration comes within 0.029 of the exact lambda0
-# of the double matrix, dstebz by index within 0.071; the bound leaves a
-# margin over both and over their difference.
-_BACKWARD_ERROR = 0.25
 
 
 def _recorded(monkeypatch, module, call):
@@ -283,14 +300,32 @@ def _on_grid(calls, name, size):
     return [arg for length, arg, _ in calls[name] if length == size]
 
 
-def _assert_predicted_brackets_taken(solved, calls):
-    """Each grid of the pair is factored once, shifted by the lower end of
-    a bracket as narrow as the h^2 prediction gives (1e-3 relative on the
-    coarse grid, 1e-5 on the fine) with its rounding allowance, and solved
-    by inverse iteration in at most 4 solves, with no dstebz call on it,
-    to lambda0 within the backward error."""
-    assert len(solved) == 2
-    for (system, (lo, hi), (lam, _)), width in zip(solved, (1e-3, 1e-5)):
+def _assert_predicted_brackets_taken(solved, calls, bisected_8h=False):
+    """The ladder's four grids are solved through the caller's binding.
+    16h is solved by index.  8h is factored once, shifted by 16h's
+    lambda0 - 1 % less its rounding allowance, and comes by inverse
+    iteration, or, when bisected_8h, by index after _INVERSE_ITERATION_CAP
+    solves; dstebz runs on no other grid.  Each grid of the pair is
+    factored once, shifted by the lower end of a bracket as narrow as the
+    h^2 prediction gives (1e-3 relative on the coarse grid, 1e-5 on the
+    fine) with its rounding allowance, and solved by inverse iteration in
+    at most 4 solves.  8h, h and h/2 are lambda0 within the backward
+    error."""
+    assert len(solved) == 4
+    (coarse16, bracket16, (lam16, _)), (coarse8, bracket8, (lam8, _)) = solved[:2]
+    assert bracket16 is None
+    bisected = [coarse16, coarse8] if bisected_8h else [coarse16]
+    assert [size for size, _, _ in calls["dstebz"]] == [len(s.diag) for s in bisected]
+    assert bracket8 == _widened(lam16)
+    d, e, _ = _symmetrized(coarse8)
+    pad = fd._allowance(d, e)
+    shifted, = _on_grid(calls, "dpttrf", len(d))
+    assert np.array_equal(shifted, d - (bracket8[0] - pad))
+    solves = len(_on_grid(calls, "dpttrs", len(d)))
+    assert (solves == fd._INVERSE_ITERATION_CAP if bisected_8h
+            else solves <= fd._INVERSE_ITERATION_CAP)
+    assert abs(lam8 - _index_mode_reference(coarse8)[0]) <= _BACKWARD_ERROR * pad
+    for (system, (lo, hi), (lam, _)), width in zip(solved[2:], (1e-3, 1e-5)):
         d, e, _ = _symmetrized(system)
         pad = fd._allowance(d, e)
         shifted, = _on_grid(calls, "dpttrf", len(d))
@@ -308,8 +343,11 @@ class TestPairSolve:
     @pytest.mark.parametrize("beta", [2.0, 60.0, 600.0, 900.0])
     @pytest.mark.parametrize("n", [1, 20, 200, 400])
     def test_disk_pair_takes_the_predicted_brackets(self, monkeypatch, n, beta):
+        # at n = 400, beta <= 60 the 8h iteration converges at a rate of
+        # ~0.13 (lambda1 is within 7 % of lambda0) and needs 9 solves
         _assert_predicted_brackets_taken(
-            *_recorded(monkeypatch, fd, lambda: fd_disk_lambda(n, beta)))
+            *_recorded(monkeypatch, fd, lambda: fd_disk_lambda(n, beta)),
+            bisected_8h=n == 400 and beta <= 60.0)
 
     def test_half_line_pair_takes_the_predicted_brackets(self, monkeypatch):
         degennes._solve_pair.cache_clear()
@@ -322,16 +360,13 @@ class TestPairSolve:
         # predicted lower end, 729.30599
         solved, calls = _recorded(monkeypatch, fd,
                                   lambda: fd_disk_lambda(378, 851.0624))
-        (coarse, bracket, (lam, _)), (fine, fine_bracket, (fine_lam, _)) = solved
+        (coarse, bracket, (lam, _)), (fine, fine_bracket, (fine_lam, _)) = solved[2:]
         d, e, _ = _symmetrized(coarse)
         assert lam < bracket[0] - fd._allowance(d, e)
         assert fd._inverse_iteration(d, e, *bracket) is None
-        selects = {}
-        for size, _, args in calls["dstebz"]:
-            selects.setdefault(size, []).append(args[1])
-        # 16h by index, 8h by value, the grid h once by index, h/2 never
-        assert selects == {250: [fd._BY_INDEX], 500: [fd._BY_VALUE],
-                           4000: [fd._BY_INDEX]}
+        # dstebz by index on 16h and on the grid h, never on 8h or h/2
+        assert [(size, args[1]) for size, _, args in calls["dstebz"]] == [
+            (250, fd._BY_INDEX), (4000, fd._BY_INDEX)]
         d, e, _ = _symmetrized(fine)
         assert fd._inverse_iteration(d, e, *fine_bracket)[0] == fine_lam
 
@@ -339,19 +374,19 @@ class TestPairSolve:
         (partial(assemble_disk_system, 3, 20.0), Grid1D(0.0, 1.0, 4001)),
         (partial(assemble_degennes_system, XI0), Grid1D(0.0, 15.0, 8001))],
         ids=["disk", "half-line"])
-    def test_pair_assembles_the_coarsened_ladder(self, monkeypatch, assemble, grid):
+    def test_pair_assembles_the_coarsened_ladder(self, assemble, grid):
         # the grid h coarsens (4 000 and 8 000 cells): 16h and 8h are the
         # operator assembled on grid.coarsened() and grid.refined().coarsened()
-        ladder, real = [], fd._smallest
+        ladder = []
 
-        def recording(system, guess=None):
+        def recording(system, **kwargs):
             ladder.append(system)
-            return real(system, guess)
-        monkeypatch.setattr(fd, "_smallest", recording)
-        pair = solve_pair(solve_smallest, assemble, grid)
+            return solve_smallest(system, **kwargs)
+        pair = solve_pair(recording, assemble, grid)
         fine = grid.refined()
         assert [g for g, _, _ in pair] == [grid, fine]
-        for got, want in zip([*ladder, *(system for _, system, _ in pair)],
+        assert [system for _, system, _ in pair] == ladder[2:]
+        for got, want in zip(ladder,
                              [assemble(grid.coarsened()), assemble(fine.coarsened()),
                               assemble(grid), assemble(fine)], strict=True):
             for field in ("diag", "offdiag", "mass"):
@@ -369,7 +404,7 @@ class TestPairSolve:
             (1000, fd._BY_INDEX), (2000, fd._BY_INDEX)]
         assert not calls["dpttrf"]
 
-    def test_two_solves_through_the_callers_binding(self, monkeypatch):
+    def test_four_solves_through_the_callers_binding(self, monkeypatch):
         # perfbench traces solve_smallest by replacing the name in each
         # module that binds it, and checks that fd_disk_lambda and
         # lambda_dg each show their solves below them
@@ -380,11 +415,12 @@ class TestPairSolve:
                 counts[_module] += 1
                 return _real(*args, **kwargs)
             monkeypatch.setattr(module, "solve_smallest", counting)
+        # the whole ladder: 16h, 8h, h and h/2
         fd_disk_lambda(3, 20.0)
-        assert counts == {fd: 2, degennes: 0}
+        assert counts == {fd: 4, degennes: 0}
         degennes._solve_pair.cache_clear()
         degennes.lambda_dg(-0.5)
-        assert counts == {fd: 2, degennes: 2}
+        assert counts == {fd: 4, degennes: 4}
 
 
 class TestInverseIteration:
@@ -425,7 +461,9 @@ class TestInverseIteration:
         solved, calls = _recorded(monkeypatch, fd, lambda: fd.solve_pair(
             fd.solve_smallest, partial(assemble_disk_system, 3, 20.0),
             Grid1D(0.0, 1.0, 4001), vectors=True))
-        for system, _, (lam, vec) in solved:
+        # the pair's two grids; 16h and 8h are solved for their values only
+        assert [vec for *_, (_, vec) in solved[:2]] == [None, None]
+        for system, _, (lam, vec) in solved[2:]:
             d, e, root_m = _symmetrized(system)
             assert not _on_grid(calls, "dstebz", len(d))
             assert np.all(vec >= 0.0)
@@ -459,7 +497,8 @@ class TestInverseIteration:
             assert fd._inverse_iteration(d, e, bracket[0], np.inf) is not None
         assert fd._inverse_iteration(d, e, *bracket) is None
         by_index, by_index_vec = solve_smallest(system, vectors=True)
-        assert by_index == fd._stebz(d, e, fd._BY_INDEX, 0.0, 0.0)[0][0]
+        assert by_index == fd.dstebz(d, e, fd._BY_INDEX, 0.0, 0.0, 1, 1,
+                                     fd._EIG_ABSTOL, "E")[1][0]
         assert solve_smallest(system, bracket=bracket)[0] == by_index
         lam, vec = solve_smallest(system, vectors=True, bracket=bracket)
         assert lam == by_index and np.array_equal(vec, by_index_vec)
@@ -488,14 +527,15 @@ class TestLapackFailure:
         with pytest.raises(NonConvergence, match="no eigenvalue"):
             solve_smallest(system)
 
-    def test_stebz_info_by_value(self, monkeypatch):
-        # the 8h solve of fd_disk_lambda's pair bisects by value
+    def test_stebz_info_on_the_16h_grid(self, monkeypatch):
+        # the 16h solve of fd_disk_lambda's ladder bisects by index, on
+        # 250 nodes (4 000 cells / 16, the Dirichlet node dropped)
         real = fd.dstebz
 
-        def failing_by_value(d, e, select, *args):
-            m, w, iblock, isplit, info = real(d, e, select, *args)
-            return m, w, iblock, isplit, 3 if select == fd._BY_VALUE else info
-        monkeypatch.setattr(fd, "dstebz", failing_by_value)
+        def failing_on_16h(d, *args):
+            m, w, iblock, isplit, info = real(d, *args)
+            return m, w, iblock, isplit, 3 if len(d) == 250 else info
+        monkeypatch.setattr(fd, "dstebz", failing_on_16h)
         with pytest.raises(NonConvergence, match="info = 3"):
             fd_disk_lambda(2, 10.0)
 

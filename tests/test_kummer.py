@@ -215,6 +215,15 @@ class TestManyZ:
             assert kummer_mod._series(a, b, z) == (float(total), weighted, 0)
         assert rows >= 1900
 
+    @pytest.mark.parametrize("a", [1e307, 1e25, 1e12])
+    def test_rows_past_the_series_window_take_kummer_m(self, a):
+        # counts of inf (a z overflows), 2.2e13 and 7e6 terms: such a row
+        # gets no band, and kummer_m refuses it, where the bands raised
+        # ValueError, MemoryError (163 TiB), or took 0.27 s first
+        assert not kummer_mod._numpy_count(a, 1.0, 50.0) <= kummer_mod._K.size - 2
+        with pytest.raises(NonConvergence):
+            kummer_m_many(a, 1.0, np.array([50.0]))
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(InvalidParams):
             kummer_m_many(0.3, 2.0, np.array([1.0, -1.0]))
