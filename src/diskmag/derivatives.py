@@ -19,7 +19,8 @@ import math
 from dataclasses import dataclass
 
 from .crossings import CrossingPoint, crossings_range
-from .errors import InsufficientData, InvalidParams
+from .errors import IllConditioned, InsufficientData, InvalidParams
+from .kummer import _MAX_REL_ERR
 from .richardson import r4
 from .spectrum import eigenfunction, ground_state, lowest_eigenvalue, mode_index
 
@@ -44,9 +45,28 @@ def lambda_prime(n: int, beta: float, cross_check: bool = True) -> DerivativeRec
 
     The trace is the eigenfunction's at the point's own nu, which at
     beta > 2n lies below the resolution of 1 - eta (3.8e-42 at (0, 200)).
-    The central difference steps h = min(1e-5 max(1, beta), beta/2), so
-    beta - h stays positive.  Raises InvalidParams as lowest_eigenvalue
-    does, and for beta = 0."""
+    Raises InvalidParams as lowest_eigenvalue does, and for beta = 0.
+
+    The check takes the central difference of step h = min(1e-5 s, beta/2),
+    s = max(1, beta), so beta - h stays positive, and raises IllConditioned
+    where the gap exceeds that difference's error bound, the sum of:
+      - truncation, h^2 |lambda^(3)| / 6.  lambda bends on the boundary-
+        layer scale sqrt(beta) about beta = 2n, so |lambda^(3)| scales as
+        max(1, |lambda'|)/s: at most 1.1 times that on the probe grid n in
+        {0, 1, 3, 10, 30, 100, 200, 400} x beta in 0.05..900.  The bound
+        takes h^2 max(1, |lambda'|)/s, a 5x margin.
+      - rounding: that of lambda(beta + h) and lambda(beta - h) over 2h,
+        each taken good to 1e-12 of max(lambda, beta).  At eta >> 1 lambda
+        rests on the Kummer recurrence, trusted to its error bound 1e-12;
+        Brent's 4 eps stop bounds nothing there (lambda was off by up to
+        85 eps on the probe grid).  At beta > 2n eta is good to ~eps
+        absolute, hence max(lambda, beta).
+    On the probe grid plus (300, 1) the six points that raise lie >= 36x
+    outside the bound, the others <= 0.08 of it.  Among those, (100, 0.5)
+    and (100, 2), whose lambda' the quadrature mesh misses by 6.8e-7 and
+    1.7e-7 relative, pass: the rounding part there is 1.1e-5 and 5.3e-6
+    of |lambda'|, so a 1e-5 step cannot resolve them.
+    """
     point = lowest_eigenvalue(n, beta)
     n, beta = point.n, point.beta
     trace_sq = eigenfunction(point).boundary_trace ** 2
@@ -54,10 +74,18 @@ def lambda_prime(n: int, beta: float, cross_check: bool = True) -> DerivativeRec
         - (point.lam - (n - 0.5 * beta) ** 2) * trace_sq / (2.0 * beta)
     gap = math.nan
     if cross_check:
-        h = min(1e-5 * max(1.0, beta), 0.5 * beta)
-        fd = (lowest_eigenvalue(n, beta + h).lam
-              - lowest_eigenvalue(n, beta - h).lam) / (2.0 * h)
+        s = max(1.0, beta)
+        h = min(1e-5 * s, 0.5 * beta)
+        above = lowest_eigenvalue(n, beta + h).lam
+        below = lowest_eigenvalue(n, beta - h).lam
+        fd = (above - below) / (2.0 * h)
         gap = abs(dlam - fd)
+        tol = (h * h * max(1.0, abs(dlam)) / s + _MAX_REL_ERR
+               * (max(above, beta + h) + max(below, beta - h)) / (2.0 * h))
+        if not gap <= tol:
+            raise IllConditioned(
+                f"lambda'({n}, {beta!r}): Feynman-Hellmann {dlam!r} and the "
+                f"central difference {fd!r} differ by {gap:.3g} > {tol:.3g}")
     return DerivativeRecord(n, beta, dlam, trace_sq, gap)
 
 

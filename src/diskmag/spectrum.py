@@ -204,8 +204,9 @@ def _solve_log_nu(n: int, beta: float) -> EigenPoint:
     prod_{j<=k} (1 + nu/j), so D(nu) - D(0) = sum t_k(0) (P_k - 1)(2 - (x -
     n)/(k+1)), whose factors both rise with k; by Chebyshev's sum
     inequality it is >= 0, as D(0) > 0 (D/S >= 0.11 measured to n = 2 000).
-    Within ~1e-14 of beta = 2n they agree to rounding, and the residual's
-    sign there is rounding noise, so either end may widen.
+    The residual rises in u, so a value of the wrong sign at a proven end
+    is rounding noise and that end is the root: nu_c where nu* is below
+    rounding, nu1 within ~1e-14 of beta = 2n, where the two agree.
     """
     x = 0.5 * beta
     if x == 0.0:  # beta = 5e-324: eta ~ beta/8 underflows, as at beta = 1e-323
@@ -220,18 +221,12 @@ def _solve_log_nu(n: int, beta: float) -> EigenPoint:
         return boundary_residual(n, beta, math.exp(u))
 
     # the residual rises with u from (n - x)/max(1, x) < 0 at nu -> 0 to
-    # > 0 at nu = 1/2 (eta = 0); widen a missed bracket by ln 2 steps,
-    # keeping the residual at each end for brent_root
+    # > 0 at nu = 1/2 (eta = 0); an end value clamped to its proven sign
+    # reads 0 where it was noise, and brent_root then returns that end
     lo = min(math.log(0.5 * c / s) - e * _LN2, _LOG_NU_MAX)
     hi = min(math.log(c / d) - e * _LN2, _LOG_NU_MAX)
-    f_lo, f_hi = residual(lo), residual(hi)
-    while f_lo > 0.0:  # only where nu1 = nu_c to rounding (see above)
-        lo, hi, f_hi = lo - _LN2, lo, f_lo
-        f_lo = residual(lo)
-    while f_hi < 0.0 and hi < _LOG_NU_MAX:
-        lo, hi, f_lo = hi, min(hi + _LN2, _LOG_NU_MAX), f_hi
-        f_hi = residual(hi)
-    nu = math.exp(brent_root(residual, lo, hi, xtol=1e-100, fa=f_lo, fb=f_hi))
+    nu = math.exp(brent_root(residual, lo, hi, xtol=1e-100,
+                             fa=min(residual(lo), 0.0), fb=max(residual(hi), 0.0)))
     eta = 1.0 - 2.0 * nu
     return EigenPoint(n, beta, beta * eta, eta, nu)
 
@@ -241,7 +236,7 @@ def lowest_eigenvalue(n: int, beta: float) -> EigenPoint:
 
     For beta > 2n one Brent solve (:func:`~diskmag.roots.brent_root`,
     tolerance 4 eps |u|) for u = ln nu on a bracket from one Kummer series
-    (:func:`_solve_log_nu`) takes 2-11 residual evaluations, 2-4 where nu* <
+    (:func:`_solve_log_nu`) takes 2-10 residual evaluations, 2-3 where nu* <
     1e-17; there eta = 1 - 2 nu is correctly rounded and ``nu`` keeps nu*.
     Past ln M(1, n+2, x) = 709 (beta >~ 1 400 at n = 0) eta is 1 and nu is
     nu* to 2 ulp where measured (0.0 once it underflows), from no residual.

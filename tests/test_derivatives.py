@@ -1,11 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import diskmag.derivatives as derivatives
 from diskmag.derivatives import (conjecture_scan, lambda_prime,
                                  one_sided_chain, one_sided_derivatives)
-from diskmag.errors import InsufficientData, InvalidParams
+from diskmag.errors import IllConditioned, InsufficientData, InvalidParams
+from diskmag.fd import fd_disk_lambda
 from diskmag.richardson import richardson_iterate
 
 from oracles import eta_prime
@@ -64,6 +67,43 @@ class TestLambdaPrime:
         record = lambda_prime(n, beta)
         assert record.fh_vs_fd_gap <= 1e-6
         assert record.boundary_trace_sq < 1e-20
+
+
+class TestCrossCheckGate:
+    # the quadrature mesh misses the turning-point layer of these modes;
+    # |FH - central difference| / max(1, |lambda'|) is 7.1e-2, 1.4e-2,
+    # 3.9e-4, 7.9e-5, 3.6e-5 and 1.6e-2, >= 36 times the check's bound
+    @pytest.mark.parametrize("n,beta", [(400, 2.0), (400, 10.0), (200, 2.0),
+                                        (200, 10.0), (400, 40.0), (300, 1.0)])
+    def test_raises_where_the_formula_misses(self, n, beta):
+        with pytest.raises(IllConditioned, match="central difference"):
+            lambda_prime(n, beta)
+
+    @pytest.mark.parametrize("n,beta", [(0, 0.05), (1, 2.0), (3, 10.0),
+                                        (10, 40.0), (30, 100.0), (100, 900.0)])
+    def test_passes_within_both_central_differences(self, n, beta):
+        record = lambda_prime(n, beta)
+        # the FD oracle differenced at step 1e-3 sqrt(max(1, beta)), a
+        # thousandth of the boundary-layer scale: a shorter step lets the
+        # two-grid values' noise through (1.8e-6 of lambda' at (0, 0.05)
+        # for 1e-4), a longer one the curvature (8.4e-6 at (30, 100) for 0.1)
+        step = 1e-3 * math.sqrt(max(1.0, beta))
+        fd = (fd_disk_lambda(n, beta + step)
+              - fd_disk_lambda(n, beta - step)) / (2.0 * step)
+        assert abs(record.dlambda - fd) <= 1e-6 * max(1.0, abs(record.dlambda))
+
+    def test_a_perturbed_trace_raises(self, monkeypatch):
+        real = derivatives.eigenfunction
+
+        def perturbed(point):
+            handle = real(point)
+            return dataclasses.replace(
+                handle, boundary_trace=handle.boundary_trace * (1.0 + 1e-4))
+
+        monkeypatch.setattr(derivatives, "eigenfunction", perturbed)
+        assert not math.isnan(lambda_prime(10, 40.0, cross_check=False).dlambda)
+        with pytest.raises(IllConditioned):
+            lambda_prime(10, 40.0)
 
 
 class TestOneSided:

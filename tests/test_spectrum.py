@@ -162,10 +162,18 @@ class TestLowestEigenvalue:
     def test_log_nu_solve_summed_work_count(self, monkeypatch):
         # 99 points past beta = 2n, nu* from 0.21 down to 1.7e-193: the
         # bracket [u1, u1 + ln 3] took 697 evaluations, [ln nu1, ln nu_c] 385
-        total = sum(len(self._residual_calls(n, float(beta), monkeypatch))
-                    for n in (0, 5, 10, 20, 100, 400)
-                    for beta in range(45, 901, 45) if beta > 2 * n)
-        assert total <= 450
+        assert self._summed_log_nu_work(monkeypatch) <= 450
+
+    def test_log_nu_solve_summed_work_count_without_widening(self, monkeypatch):
+        # the same 99 points took 386 evaluations while a bracket end whose
+        # residual had the wrong sign first widened by ln 2; 316 once that
+        # end is taken as the root
+        assert self._summed_log_nu_work(monkeypatch) <= 330
+
+    def _summed_log_nu_work(self, monkeypatch):
+        return sum(len(self._residual_calls(n, float(beta), monkeypatch))
+                   for n in (0, 5, 10, 20, 100, 400)
+                   for beta in range(45, 901, 45) if beta > 2 * n)
 
     @staticmethod
     def _residual_calls(n, beta, monkeypatch):
@@ -251,23 +259,54 @@ class TestLowestEigenvalue:
         point = spectrum._lowest_eigenvalue_cached.__wrapped__(0, beta)
         assert (point.lam, point.eta, point.nu) == (0.0, 0.0, 0.5)
 
-    @pytest.mark.parametrize("n,beta", [(218, 436.00000000000006),
-                                        (1, 2.0000000000000013)])
-    def test_lower_bracket_end_widens_where_the_ends_meet(self, n, beta,
-                                                          monkeypatch):
-        # beta = 2n (1 + O(eps)): nu1 = nu_c to rounding, and the residual
-        # there came out +1.7e-31 and +1.3e-30, so the lower end must widen
-        # (in 902 of 26 491 probe solves at beta just above 2n, n = 1..449,
-        # all within 8.7e-15 relative of 2n)
+    @staticmethod
+    def _log_nu_ends(n, beta):
+        """(ln nu1, ln nu_c), each capped at ln 1/2, as _solve_log_nu
+        computes them from one series."""
+        x = 0.5 * beta
+        s, w, e = kummer_mod._series(1.0, n + 2.0, x)
+        c = (n + 1.0) * (x - n) / x
+        return tuple(min(math.log(v) - e * math.log(2.0), -math.log(2.0))
+                     for v in (0.5 * c / s, c / (2.0 * s - (x - n) * w)))
+
+    @staticmethod
+    def _end_values(n, beta, monkeypatch):
+        """The solved point and the residual at each call of its solve."""
         values = []
         real = spectrum.boundary_residual
-        monkeypatch.setattr(spectrum, "boundary_residual", lambda *args:
-                            values.append(real(*args)) or values[-1])
-        point = spectrum._solve_log_nu(n, beta)
-        assert values[0] > 0.0 and values[2] < 0.0
-        monkeypatch.undo()
+        with monkeypatch.context() as patch:
+            patch.setattr(spectrum, "boundary_residual", lambda *args:
+                          values.append(real(*args)) or values[-1])
+            point = spectrum._solve_log_nu(n, beta)
+        return point, values
+
+    @pytest.mark.parametrize("n,beta", [(218, 436.00000000000006),
+                                        (1, 2.0000000000000013)])
+    def test_lower_bracket_end_is_the_root_where_the_ends_meet(self, n, beta,
+                                                               monkeypatch):
+        # beta = 2n (1 + O(eps)): nu1 = nu_c to rounding, and the residual
+        # at nu1 comes out +1.7e-31 and +1.3e-30, rounding noise of the
+        # wrong sign, so nu1 is the root (731 of 28 709 probe solves at
+        # beta just above 2n, n = 1..449, have a lower end like this)
+        point, values = self._end_values(n, beta, monkeypatch)
+        assert len(values) == 2 and values[0] >= 0.0
+        assert point.nu == math.exp(self._log_nu_ends(n, beta)[0])
         assert boundary_residual(n, beta, point.nu * (1.0 - 1e-9)) < 0.0
         assert boundary_residual(n, beta, point.nu * (1.0 + 1e-9)) > 0.0
+
+    @pytest.mark.parametrize("n,beta", [(10, 200.0), (20, 900.0), (0, 900.0)])
+    def test_upper_bracket_end_is_the_root_below_rounding(self, n, beta,
+                                                          monkeypatch):
+        # nu* = 9.3e-29, 7.6e-159, 1.7e-193: nu_c is nu* to rounding and the
+        # residual there comes out <= 0 (-2.7e-15, -4.1e-15, -1.2e-15),
+        # rounding noise of the wrong sign, so nu_c is the root
+        point, values = self._end_values(n, beta, monkeypatch)
+        assert len(values) == 2 and values[1] <= 0.0
+        assert point.nu == math.exp(self._log_nu_ends(n, beta)[1])
+        nu = nu_root_mp(n, beta)
+        with mpmath.workdps(50):
+            # brent_root's tolerance 4 eps |u| in u = ln nu
+            assert abs(point.nu - nu) <= 4 * _EPS * (1 - mpmath.log(nu)) * nu
 
     def test_refusal_raises_fast(self):
         # at eta ~ 1.6e5 the recurrence's error bound refuses every trial
@@ -516,7 +555,7 @@ class TestGroundState:
 @example((0, 0.1))
 @example((400, 800.5))
 @example((400, 899.0))
-@example((218, 436.00000000000006))  # the lower bracket end widens here
+@example((218, 436.00000000000006))  # the lower bracket end is the root here
 def test_residual_changes_sign_once_at_the_root(case):
     # the fact ground_state's sign rule rests on: at beta > 2m the residual
     # rises through one root in nu, the solved nu*.  The floor 1e-3 keeps
@@ -591,8 +630,8 @@ class TestFdAgreement:
     @pytest.mark.parametrize("n,beta", [
         (0, 1450.0), (0, 1500.0), (0, 2000.0), (1, 1500.0), (3, 1500.0)])
     def test_large_field_past_ratio_overflow(self, n, beta):
-        # x = beta/2 > 710: the Kummer ratio at brentq's eta = 1 end,
-        # (e^x - 1)/x for n = 0, overflows, so the residual there skips it
+        # ln M(1, n+2, beta/2) > 709: the Kummer ratio would overflow on
+        # the way to nu*, so the solve returns nu_c with no residual
         fd_lam = fd_disk_lambda(n, beta)
         assert lowest_eigenvalue(n, beta).lam == pytest.approx(fd_lam, rel=1e-9)
 
