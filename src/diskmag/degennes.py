@@ -222,13 +222,6 @@ def lambda1_check(constants: DeGennesConstants, delta: float = 0.0) -> float:
                     lambda s: s.inner(s.apply_h1(s.u0, delta)))
 
 
-def boundary_pairing_check(constants: DeGennesConstants) -> tuple[float, float]:
-    """(<u0, u0'>, -u0(0)^2/2): equal by integration by parts."""
-    lhs = _combine(_solve_pair(constants.xi0),
-                   lambda s: s.inner(_derivative(s.u0, s.h)))
-    return lhs, -0.5 * constants.u0_trace ** 2
-
-
 def lambda2_coefficients(constants: DeGennesConstants) -> tuple[float, float, float]:
     """(c2, c1, c0) of lambda2(delta) = c2 delta^2 + c1 delta + c0 at xi0.
 

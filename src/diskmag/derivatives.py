@@ -58,9 +58,9 @@ def lambda_prime(n: int, beta: float, cross_check: bool = True) -> DerivativeRec
       - rounding: that of lambda(beta + h) and lambda(beta - h) over 2h,
         each taken good to 1e-12 of max(lambda, beta).  At eta >> 1 lambda
         rests on the Kummer recurrence, trusted to its error bound 1e-12;
-        Brent's 4 eps stop bounds nothing there (lambda was off by up to
-        85 eps on the probe grid).  At beta > 2n eta is good to ~eps
-        absolute, hence max(lambda, beta).
+        Brent's 4 eps stop bounds nothing there (against the 90-digit root
+        lambda is 15 eps off at (400, 10), 2.8e-17 relative at (400, 2)).
+        At beta > 2n eta is good to ~eps absolute, hence max(lambda, beta).
     On the probe grid plus (300, 1) the six points that raise lie >= 36x
     outside the bound, the others <= 0.08 of it.  Among those, (100, 0.5)
     and (100, 2), whose lambda' the quadrature mesh misses by 6.8e-7 and

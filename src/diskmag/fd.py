@@ -233,10 +233,10 @@ def solve_pair(solve, assemble, grid: Grid1D, *,
         half = _BRACKET_WIDENING * abs(lam16)
         lam8 = solve(assemble(fine.coarsened()),
                      bracket=(lam16 - half, lam16 + half))[0]
-        first = solve(systems[0], vectors=vectors,
-                      bracket=_predicted(lam16, lam8, 16, 8, 1))
-        second = solve(systems[1], vectors=vectors,
-                       bracket=_predicted(lam8, first[0], 8, 1, 0.5))
+        first = solve(systems[0], vectors=vectors, bracket=_predicted(  # spacings in h
+            lam16, lam8, _BRACKET_COARSENING, _BRACKET_COARSENING / 2, 1.0))
+        second = solve(systems[1], vectors=vectors, bracket=_predicted(
+            lam8, first[0], _BRACKET_COARSENING / 2, 1.0, 0.5))
     return (grid, systems[0], first), (fine, systems[1], second)
 
 
@@ -289,15 +289,6 @@ def assemble_disk_system(n: int, beta: float, grid: Grid1D) -> TridiagSystem:
     diag = (faces[:-1] + faces[1:]) / h + q * mass
     first = int(n > 0)
     return TridiagSystem(diag[first:], -half[first:] / h, mass[first:])
-
-
-def fd_disk_eigen(n: int, beta: float, grid: Grid1D) -> tuple[float, np.ndarray]:
-    """Smallest disk eigenpair on one grid.
-
-    For n > 0 the eigenvector lives on the nodes r_1 .. r_N (Dirichlet
-    node dropped); for n = 0 on all nodes.  Last entry is the r = 1 trace.
-    """
-    return solve_smallest(assemble_disk_system(n, beta, grid), vectors=True)
 
 
 def fd_disk_lambda(n: int, beta: float, count: int = _DISK_GRID_COUNT) -> float:

@@ -120,26 +120,15 @@ def _count_from_peak(k2, b, z):
     return k2 + 2.0 * _TAIL_FALL / (q + root) + 20.0
 
 
-def _ratios(a, b, z, k, k1):
-    """The term ratios (a+k) z / ((b+k)(k+1)) at indices k, k1 = k + 1, in
-    one new buffer for the caller to work in; z may be an (N, 1) column."""
-    ratios = (a + k) * z
-    ratios /= (b + k) * k1
-    return ratios
-
-
-def _series_rows(a, b, z, count: int):
-    """Terms 1 .. ``count`` of the positive-term series, as one numpy
-    cumulative product per row: (terms, total, settled), with total = 1 +
-    their sum.  Rows differ in z (an (N, 1) column); a scalar z gives one
-    row.  A row is settled when its total is finite and its last three
-    terms are within _SERIES_REL_TOL of it."""
-    k = np.arange(count, dtype=float)
-    terms = _ratios(a, b, z, k, k + 1.0)
-    np.cumprod(terms, axis=-1, out=terms)
-    total = 1.0 + terms.sum(axis=-1)
-    return terms, total, ((total < math.inf)
-                          & (terms[..., -3:].max(axis=-1) <= _SERIES_REL_TOL * total))
+def _terms(a, b, z, count: int) -> np.ndarray:
+    """Terms 1 .. ``count`` of the positive-term series, the cumulative
+    products of the ratios (a+k) z / ((b+k)(k+1)), k = 0 .. count - 1, in
+    one new buffer: one row for a float z, one per row of an (N, 1) z."""
+    k = _K[:count]
+    terms = (a + k) * z
+    terms /= (b + k) * _K[1:count + 1]
+    np.multiply.accumulate(terms, axis=-1, out=terms)  # np.cumprod, less overhead
+    return terms
 
 
 def _series(a: float, b: float, z: float) -> tuple[float, float, int]:
@@ -148,8 +137,9 @@ def _series(a: float, b: float, z: float) -> tuple[float, float, int]:
     sum_k s_k / (k+1) = W * 2**e.
 
     At z <= 600 a series of at least _NUMPY_MIN_COUNT terms (by
-    :func:`_numpy_count`) is first tried as one numpy row, with
-    :func:`_series_rows`' settled test; the scalar loop takes shorter
+    :func:`_numpy_count`) is first tried as one numpy row (:func:`_terms`),
+    settled where its total is finite and its last three terms are within
+    _SERIES_REL_TOL of it; the scalar loop takes shorter
     series, z > 600 (it rescales) and rows that do not settle.  Truncation
     requires three consecutive terms below the relative tolerance *and*
     the index to be past the peak k2 (:func:`_peak`), so a small early
@@ -161,8 +151,7 @@ def _series(a: float, b: float, z: float) -> tuple[float, float, int]:
         count = _count_from_peak(peak, b, z)
         if _NUMPY_MIN_COUNT <= count <= _K.size - 2:  # false for inf and NaN
             count = int(count)
-            terms = _ratios(a, b, z, _K[:count], _K[1:count + 1])
-            np.multiply.accumulate(terms, out=terms)  # np.cumprod, less overhead
+            terms = _terms(a, b, z, count)
             total = 1.0 + float(np.add.reduce(terms))
             last = max(terms[-3:].tolist())
             if total < math.inf and last <= _SERIES_REL_TOL * total:
@@ -249,7 +238,7 @@ def kummer_m(a: float, b: float, z: float) -> tuple[float, int]:
     (b > 1) the recurrence, M(a) = M(a+1) / (1 + p(a)), which may cross a
     zero of M only in its last step."""
     _check_args(a, b, z)
-    if z == 0.0:
+    if z == 0.0 or a == 0.0:  # M(a, b, 0) = M(0, b, z) = 1
         return 0.0, 1
     if a >= 0.0:
         total, _, exp2 = _series(a, b, z)
@@ -287,7 +276,10 @@ def kummer_m_many(a: float, b: float, z) -> tuple[np.ndarray, np.ndarray]:
         bands = np.ceil(counts / _BAND).astype(int) * _BAND
         for count in np.unique(bands):
             band = rows[bands == count]
-            _, total, settled = _series_rows(a, b, z[band, None], int(count))
+            terms = _terms(a, b, z[band, None], int(count))
+            total = 1.0 + terms.sum(axis=-1)
+            settled = (total < math.inf) & (terms[:, -3:].max(axis=-1)
+                                             <= _SERIES_REL_TOL * total)
             log_m[band[settled]] = np.log(total[settled])
     for i in np.flatnonzero(np.isnan(log_m)):
         log_m[i], sign[i] = kummer_m(a, b, float(z[i]))

@@ -248,10 +248,13 @@ def lowest_eigenvalue(n: int, beta: float) -> EigenPoint:
     while the residual is positive, and bisects toward the lowest refused
     point (past the first Dirichlet pole, or by the Kummer recurrence's
     error bound), so the first accepted residual <= 0 closes a bracket with
-    one root and no pole; Brent solves in eta to 4 eps relative, 10-21
-    residual evaluations in all.  Raises BracketFailure past the cap 1.05
-    j'_{n,1}^2 / beta + 5, and NonConvergence, chained from the last
-    refusal, once the step falls below that tolerance ((200, 0.5), (350, 1)).
+    one root and no pole; Brent solves in eta, 10-21 residual evaluations
+    in all.  Its stop, 4 eps relative, is not lambda's error: against the
+    90-digit root of the residual lambda is 12 eps off at (30, 0.05) and
+    15 eps at (400, 10), where the Kummer recurrence's rounding dominates.
+    Raises BracketFailure past the cap 1.05 j'_{n,1}^2 / beta + 5, and
+    NonConvergence, chained from the last refusal, once the step falls
+    below that tolerance ((200, 0.5), (350, 1)).
 
     Raises InvalidParams unless n is an integer >= 0 (see
     :func:`mode_index`) and beta is finite and >= 0.  Results are memoized.
@@ -263,19 +266,25 @@ def _graded_mesh(n: int, beta: float) -> np.ndarray:
     """Cell edges on [0, 1], refined toward r = 1 at the boundary-layer
     scale, and as finely within 12 layer widths of the potential minimum
     r0 = sqrt(2n/beta) when that lies more than a width inside: at beta >
-    2n with n << beta/2 the ground state's mass sits there, not at r = 1."""
+    2n with n << beta/2 the ground state's mass sits there, not at r = 1.
+    Below the layer the steps grow 1.8x, and the step that reaches that
+    window ends at its edge, so no cell leaps over r0."""
     width = min(0.25, 1.0 / math.sqrt(max(beta, 16.0)))
     r0 = math.sqrt(2.0 * n / beta)
+    window = 1.0 - r0 > width
+    low, top = r0 - 12.0 * width, r0 + 12.0 * width
     edges = [1.0]
     pos = 1.0
     step = 0.5 * width  # 8-point cells -> 16 nodes per layer width
     layer_left = 1.0 - 12.0 * width
     while pos > 0.0:
-        if 1.0 - r0 > width and abs(pos - r0) < 12.0 * width:
+        if window and low < pos <= top:
             step = 0.5 * width
         elif pos <= layer_left:
             step *= 1.8
-        pos = max(0.0, pos - step)
+        last, pos = pos, max(0.0, pos - step)
+        if window and pos < top < last:
+            pos = top
         edges.append(pos)
     return np.array(edges[::-1])
 

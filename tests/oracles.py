@@ -7,14 +7,17 @@ Kummer values, an ascending-series bisection for Bessel derivative
 zeros, and an RK4 shooting integrator for the half-line eigenvalue.
 fd_degennes_eigen takes the half-line FD eigenpair on one grid and warns
 (TruncationWarning) when the domain is too short; fd_degennes_lambda
-combines two grids solved by fd.solve_pair, as degennes.lambda_dg does.
-For beta > 2n, nu_root_mp roots the Neumann condition in mpmath with M
-in the 2F2 form, which stays right at the tiny nu where mpmath's hyp1f1
-does not; boundary_trace_quadrature normalizes the eigenfunction at a
-given nu on a uniform mesh, and fd_boundary_trace takes the trace from
-the two-grid FD eigenvector.  sturm_smallest_mp bisects on the Sturm
-count of a given double tridiagonal in 30-digit arithmetic, the exact
-smallest eigenvalue of that very matrix.  ground_state_by_solves is the
+combines two grids solved by fd.solve_pair, as degennes.lambda_dg does,
+and boundary_pairing_check checks <u0, u0'> = -u0(0)^2/2 on degennes'
+own grid pair.  For beta > 2n, nu_root_mp roots the Neumann condition in
+mpmath with M in the 2F2 form, which stays right at the tiny nu where
+mpmath's hyp1f1 does not; boundary_trace_quadrature normalizes the
+eigenfunction at a given nu on a uniform mesh, and fd_boundary_trace
+takes the trace from the two-grid FD eigenvector.  fd_crossing and
+fd_lambda_prime take the crossings and the derivatives of lambda from
+fd_disk_lambda alone.  sturm_smallest_mp bisects on the Sturm count of a
+given double tridiagonal in 30-digit arithmetic, the exact smallest
+eigenvalue of that very matrix.  ground_state_by_solves is the
 ground-state walk that solves every neighbour it compares.
 ScaledReal is the log-magnitude arithmetic these oracles compute in;
 eta_prime restates lambda_prime for the field-normalized ratio eta.
@@ -32,13 +35,15 @@ import mpmath
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from diskmag import degennes
+from diskmag.crossings import saint_james_beta
 from diskmag.derivatives import lambda_prime
 from diskmag.errors import InvalidParams, SolverError
 from diskmag.fd import (Grid1D, _allowance, assemble_degennes_system,
-                        assemble_disk_system, richardson, solve_pair,
-                        solve_smallest)
+                        assemble_disk_system, fd_disk_lambda, richardson,
+                        solve_pair, solve_smallest)
 from diskmag.kummer import kummer_m
 from diskmag.spectrum import XI0_SEED, _TIE_REL, lowest_eigenvalue
 
@@ -320,6 +325,14 @@ def _warn_if_truncated(xi: float, vec: np.ndarray) -> None:
             f"increase L for xi = {xi}", TruncationWarning, stacklevel=3)
 
 
+def boundary_pairing_check(constants: degennes.DeGennesConstants) -> tuple[float, float]:
+    """(<u0, u0'>, -u0(0)^2/2) on degennes' own grid pair at xi0: equal by
+    integration by parts."""
+    lhs = degennes._combine(degennes._solve_pair(constants.xi0),
+                            lambda s: s.inner(degennes._derivative(s.u0, s.h)))
+    return lhs, -0.5 * constants.u0_trace ** 2
+
+
 def fd_degennes_lambda(xi: float, L: float = degennes._L,
                        count: int = degennes._GRID_COUNT) -> float:
     """Richardson-combined half-line FD eigenvalue from grids
@@ -436,11 +449,36 @@ def boundary_trace_quadrature(n: int, beta: float, nu: float,
 def fd_boundary_trace(n: int, beta: float, count: int = 4001) -> float:
     """r = 1 entry of the FD eigenvector, Richardson-combined over the grids
     (count, 2 count - 1) of one :func:`diskmag.fd.solve_pair`, normalized
-    and sign-fixed as fd_disk_eigen's."""
+    and sign-fixed by :func:`diskmag.fd.solve_smallest`."""
     (*_, (_, coarse)), (*_, (_, fine)) = solve_pair(
         solve_smallest, partial(assemble_disk_system, n, beta),
         Grid1D(0.0, 1.0, count), vectors=True)
     return float(richardson(fine[-1], coarse[-1]))
+
+
+def fd_crossing(n: int) -> tuple[float, float]:
+    """(beta_n, eta_n*) from the FD route alone: the Brent root of beta ->
+    fd_disk_lambda(n, beta) - fd_disk_lambda(n+1, beta) on the bracket of
+    crossing_by_curves, [2(n+1) + 1e-9, SJ(n, 0.99) + 10], which comes from
+    the Saint-James relation, not from a Kummer solve; eta* is
+    fd_disk_lambda(n, beta_n) / beta_n."""
+    def gap(beta: float) -> float:
+        return fd_disk_lambda(n, beta) - fd_disk_lambda(n + 1, beta)
+
+    beta = brentq(gap, 2.0 * (n + 1.0) + 1e-9, saint_james_beta(n, 0.99) + 10.0,
+                  xtol=1e-13, rtol=1e-15)
+    return beta, fd_disk_lambda(n, beta) / beta
+
+
+def fd_lambda_prime(n: int, beta: float, h: float) -> float:
+    """d fd_disk_lambda(n, .) / d beta: central differences of steps h and
+    2h, Richardson-combined, (4 D(h) - D(2h)) / 3, so the error is O(h^4)
+    plus 1.5 delta / h from an absolute noise delta in the FD values."""
+    def central(step: float) -> float:
+        return (fd_disk_lambda(n, beta + step)
+                - fd_disk_lambda(n, beta - step)) / (2.0 * step)
+
+    return (4.0 * central(h) - central(2.0 * h)) / 3.0
 
 
 def ground_state_by_solves(beta: float):

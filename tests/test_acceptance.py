@@ -11,8 +11,9 @@ import time
 import numpy as np
 import pytest
 
-from diskmag.crossings import (crossing_by_curves, crossing_by_phi,
-                               crossings_range)
+from diskmag.cli import TABLE4_ROWS
+from diskmag.crossings import (_crossings_pass, crossing_by_curves,
+                               crossing_by_phi)
 from diskmag.derivatives import conjecture_scan, lambda_prime
 from diskmag.fd import fd_disk_lambda
 from diskmag.kummer import kummer_m
@@ -21,7 +22,8 @@ from diskmag.spectrum import lowest_eigenvalue
 
 import refdata
 from checks import delta_at_crossings, eta_deficit, limits, loglog_slope
-from oracles import ScaledReal, check_recurrences, kummer_m_integral
+from oracles import (ScaledReal, check_recurrences, fd_crossing, fd_lambda_prime,
+                     kummer_m_integral)
 
 
 def report(capsys, name: str, ok: bool, detail: str) -> bool:
@@ -33,6 +35,15 @@ def report(capsys, name: str, ok: bool, detail: str) -> bool:
 TABLE1_ROWS = sorted(refdata.CROSSINGS)
 ORACLE_GRID = [(n, beta) for n in (0, 1, 2, 5, 10)
                for beta in (1.0, 5.0, 10.0, 30.0, 100.0)]
+# fd_disk_lambda's error at the crossings of the table-4 rows, modes n and
+# n+1, beta_n and beta_n +- 0.01, against the Kummer lambda: <= 2.3e-10 at
+# n = 0 and 1.2e-8 at n = 400 (lambda = 491), a part smooth in beta of
+# ~2e-11 lambda plus noise.  Second differences of fd_disk_lambda over
+# beta steps of 1e-7 reach 2.5e-9, so the noise is <~ 6e-10.  The bound
+# taken for fd_disk_lambda is FD_NOISE + FD_REL lambda
+FD_NOISE = 1e-9
+FD_REL = 3e-11
+FD_STEP = 0.1  # fd_lambda_prime's step: its noise term 1.5 FD_NOISE / h
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +56,7 @@ def conjecture_report_full(constants):
 def test_crossing_table_reproduction(capsys):
     t0 = time.time()
     # a cold solve: the memo would turn the 120 s gate into a cache hit
-    points = {p.n: p for p in crossings_range.__wrapped__(400)}
+    points = {p.n: p for p in _crossings_pass.__wrapped__(400)}
     elapsed = time.time() - t0
     worst = 0.0
     for n in TABLE1_ROWS:
@@ -153,6 +164,44 @@ def test_derivative_table(capsys, constants, crossings400, envelope_derivatives)
     assert report(capsys, "derivative-table", ok,
                   f"row0 errs {row0[0]:.2e}/{row0[1]:.2e}, "
                   f"R4 {r4_left:.6f}/{r4_right:.6f}")
+
+
+def test_fd_route_tables(capsys, crossings400, envelope_derivatives):
+    # tables 1, 2 and 4 by the FD route alone (fd_crossing on the
+    # Saint-James bracket, fd_lambda_prime at the FD crossing), each gap
+    # within the bound fd_disk_lambda's error carries into it: beta_n is
+    # off by <= 2 err(lambda*) / (lambda'_- - lambda'_+), the slope of the
+    # gap between the curves; eta* = lambda(beta_n) / beta_n takes
+    # err(lambda*) and beta_n's error; gamma_n those of beta_n and
+    # beta_n+1; each derivative twice fd_lambda_prime's noise term, the
+    # other half for its h^4 truncation (measured <= 7.5e-9 in all)
+    t0 = time.time()
+    left, right = envelope_derivatives
+    gammas = gamma_sequence(crossings400)
+    checks = {"beta": [], "eta": [], "gamma": [], "dlambda": []}  # (gap, bound)
+    fd_beta, dbeta = {}, {}
+    for n in sorted({*TABLE4_ROWS, 11}):  # beta_11 for gamma_10
+        beta, eta = fd_crossing(n)
+        fd_left = fd_lambda_prime(n, beta, FD_STEP)
+        fd_right = fd_lambda_prime(n + 1, beta, FD_STEP)
+        err = FD_NOISE + FD_REL * beta * eta
+        fd_beta[n], dbeta[n] = beta, 2.0 * err / (fd_left - fd_right)
+        point = crossings400[n]
+        checks["beta"].append((abs(beta - point.beta_n), dbeta[n]))
+        checks["eta"].append((abs(eta - point.eta_star),
+                              (err + (abs(fd_left) + eta) * dbeta[n]) / beta))
+        checks["dlambda"] += [(abs(fd_left - left[n]), 3.0 * FD_NOISE / FD_STEP),
+                              (abs(fd_right - right[n]), 3.0 * FD_NOISE / FD_STEP)]
+    checks["gamma"] = [(abs(fd_beta[n + 1] - fd_beta[n] - gammas[n]),
+                        dbeta[n] + dbeta[n + 1]) for n in range(11)]
+    elapsed = time.time() - t0
+    share = {table: max(gap / bound for gap, bound in pairs)
+             for table, pairs in checks.items()}
+    detail = ", ".join(f"{table} {max(gap for gap, _ in pairs):.1e} "
+                       f"({share[table]:.2f} of its bound)"
+                       for table, pairs in checks.items())
+    assert report(capsys, "fd-route-tables", max(share.values()) <= 1.0,
+                  f"worst gaps {detail}; {elapsed:.1f}s")
 
 
 def test_oracle_equivalence(capsys):

@@ -306,8 +306,8 @@ def test_one_crossing_pass_per_process(tmp_path: Path, capsys, monkeypatch):
 
     monkeypatch.setattr(crossings, "crossing_by_system", counted)
     # in-process tests above may have memoized crossings_range(40) already
-    crossings.crossings_range.cache_clear()
-    misses = crossings.crossings_range.cache_info().misses
+    crossings._crossings_pass.cache_clear()
+    misses = crossings._crossings_pass.cache_info().misses
     for command, out_dir, fmt in (("crossings", "a", "csv"),
                                   ("richardson", "b", "json"),
                                   ("derivatives", "a", "json"),
@@ -316,5 +316,5 @@ def test_one_crossing_pass_per_process(tmp_path: Path, capsys, monkeypatch):
                          "--output-dir", str(tmp_path / out_dir),
                          "--format", fmt])
         assert code == 0, command
-    assert crossings.crossings_range.cache_info().misses == misses + 1
+    assert crossings._crossings_pass.cache_info().misses == misses + 1
     assert solves == list(range(41))

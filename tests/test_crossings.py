@@ -187,11 +187,11 @@ class TestSweep:
     def test_n_max_checked_before_the_memo(self):
         # crossings_range(2.5) raised TypeError and crossings_range(-1)
         # returned (); 3.0 and 3 are one memo entry
-        from diskmag.crossings import crossings_range
+        from diskmag.crossings import _crossings_pass, crossings_range
         for bad in (2.5, -1, math.nan):
             with pytest.raises(InvalidParams, match=r"\bn_max="):
                 crossings_range(bad)
         points = crossings_range(3)
-        misses = crossings_range.cache_info().misses
+        misses = _crossings_pass.cache_info().misses
         assert crossings_range(3.0) is points
-        assert crossings_range.cache_info().misses == misses
+        assert _crossings_pass.cache_info().misses == misses

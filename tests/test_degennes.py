@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from diskmag import degennes
-from diskmag.degennes import (DeGennesConstants, boundary_pairing_check,
-                              lambda1_check, lambda2_coefficients, lambda_dg,
-                              minimize_theta0, stationarity)
+from diskmag.degennes import (DeGennesConstants, lambda1_check,
+                              lambda2_coefficients, lambda_dg, minimize_theta0,
+                              stationarity)
 from diskmag.errors import BracketFailure, InvalidParams
 from diskmag.fd import Grid1D, assemble_degennes_system, solve_smallest
 
-from oracles import fd_degennes_lambda, shooting_halfline_eigenvalue
+from oracles import (boundary_pairing_check, fd_degennes_lambda,
+                     shooting_halfline_eigenvalue)
 from refdata import C1, C1_HP, THETA0, THETA0_HP, U00_HP, XI0, XI0_HP
 
 

@@ -4,10 +4,16 @@ from pathlib import Path
 
 import pytest
 
-_SPEC = importlib.util.spec_from_file_location(
-    "digests", Path(__file__).resolve().parents[1] / "scripts" / "digests.py")
-digests = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(digests)
+
+def _script(name: str):
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+digests = _script("digests")
 
 
 @pytest.fixture
@@ -47,3 +53,15 @@ def test_cells_are_listed_without_summary(two_dirs, capsys):
     assert "    row 2 (n=1) beta: 6.0 -> 6.3  rel 4.76e-02" in out
     assert "    /items/0/extremal: 1.0 -> 1.5  rel 3.33e-01" in out
     assert digests.main([str(old), "--against", str(old)]) == 0
+
+
+def test_quick_tables_write_every_output(tmp_path):
+    # the byte-identity check compares these files; the quick run makes
+    # each of them, from every stage, without an error
+    assert _script("make_tables").run(str(tmp_path), quick=True) == 0
+    names = sorted(path.name for path in tmp_path.iterdir())
+    assert names == sorted(
+        ["conjectures.json", "constants.json", "curve_references.csv",
+         *(f"curve_n{n:02d}.csv" for n in range(21)),
+         *(f"table{k}_{name}.csv" for k, name in
+           enumerate(("crossings", "gaps", "implicit", "derivatives"), start=1))])

@@ -9,8 +9,8 @@ from scipy.linalg import eigh_tridiagonal
 from diskmag import degennes, fd
 from diskmag.errors import InvalidParams, NonConvergence
 from diskmag.fd import (Grid1D, TridiagSystem, assemble_degennes_system,
-                        assemble_disk_system, fd_disk_eigen, fd_disk_lambda,
-                        solve_pair, solve_smallest)
+                        assemble_disk_system, fd_disk_lambda, solve_pair,
+                        solve_smallest)
 from diskmag.spectrum import bessel_jnp_first_zero, lowest_eigenvalue
 
 from oracles import (TruncationWarning, fd_degennes_eigen, fd_degennes_lambda,
@@ -48,7 +48,8 @@ class TestGrid:
 
 class TestDisk:
     def test_free_neumann_ground_state(self):
-        lam, vec = fd_disk_eigen(0, 0.0, Grid1D(0.0, 1.0, 257))
+        lam, vec = solve_smallest(assemble_disk_system(0, 0.0, Grid1D(0.0, 1.0, 257)),
+                                  vectors=True)
         assert abs(lam) < 1e-10
         assert np.ptp(vec) < 1e-6 * abs(vec[0])  # constant eigenvector
 
@@ -64,13 +65,14 @@ class TestDisk:
         grid = Grid1D(0.0, 1.0, 1001)
         lams = []
         for g in (grid, grid.refined(), grid.refined().refined()):
-            lam, _ = fd_disk_eigen(3, 20.0, g)
+            lam, _ = solve_smallest(assemble_disk_system(3, 20.0, g))
             lams.append(lam)
         ratio = (lams[0] - lams[1]) / (lams[1] - lams[2])
         assert ratio == pytest.approx(4.0, abs=0.2)
 
     def test_ground_eigenvector_positive(self):
-        _, vec = fd_disk_eigen(4, 30.0, Grid1D(0.0, 1.0, 2001))
+        _, vec = solve_smallest(assemble_disk_system(4, 30.0, Grid1D(0.0, 1.0, 2001)),
+                                vectors=True)
         assert np.all(vec > -1e-12)
 
     def test_lambda_is_richardson_of_grid_pair(self):
@@ -162,7 +164,7 @@ class TestSolver:
     (degennes.lambda_dg, (np.nan,)), (degennes.stationarity, (np.inf,)),
     (degennes.lambda_dg, (-np.inf,)), (fd_disk_lambda, (0, np.nan, 101)),
     (fd_disk_lambda, (3, np.inf, 4001)),
-    (fd_disk_eigen, (1, -np.inf, Grid1D(0.0, 1.0, 64)))])
+    (assemble_disk_system, (1, -np.inf, Grid1D(0.0, 1.0, 64)))])
 def test_non_finite_field_or_shift_rejected(call, args):
     # LAPACK's dstebz took them and failed with info = 4 (NonConvergence)
     with pytest.raises(InvalidParams, match="must be finite"):
@@ -391,6 +393,21 @@ class TestPairSolve:
                               assemble(grid), assemble(fine)], strict=True):
             for field in ("diag", "offdiag", "mass"):
                 assert np.array_equal(getattr(got, field), getattr(want, field))
+
+    def test_ladder_spacings_follow_the_coarsening(self, monkeypatch):
+        # at every 8th node the ladder is 8h, 4h, h, h/2, and the h^2 model
+        # must take those spacings: with 16h and 8h written in, the grid h/2
+        # missed its bracket and fell back to dstebz by index
+        monkeypatch.setattr(fd, "_BRACKET_COARSENING", 8)
+        taken, iterate = [], fd._inverse_iteration
+
+        def recorded(d, e, lo, hi):
+            found = iterate(d, e, lo, hi)
+            taken.append((len(d), found is not None))
+            return found
+        monkeypatch.setattr(fd, "_inverse_iteration", recorded)
+        fd_disk_lambda(3, 20.0)
+        assert taken == [(1000, True), (4000, True), (8000, True)]
 
     def test_grids_that_do_not_coarsen_are_solved_by_index(self, monkeypatch):
         # 1 000 cells do not divide by 16 (the refined 2 000 do): no ladder,

@@ -186,9 +186,9 @@ class TestManyZ:
         terms = np.cumprod((a + k) * z / ((b + k) * (k + 1.0)))
         assert (total, weighted, exp2) == (1.0 + float(terms.sum()),
                                            1.0 + float(np.sum(terms / (k + 2.0))), 0)
-        column = np.array([[z - 50.0], [z], [0.5 * z]])
-        _, rows, settled = kummer_mod._series_rows(a, b, column, count)
-        assert settled[1] and rows[1] == total
+        rows = kummer_mod._terms(a, b, np.array([[z - 50.0], [z], [0.5 * z]]), count)
+        assert (1.0 + rows.sum(axis=-1))[1] == total
+        assert rows[1, -3:].max() <= kummer_mod._SERIES_REL_TOL * total
 
     def test_one_row_is_the_former_numpy_row(self):
         # every row the numpy path summed at 100 < z <= 600 before the
@@ -302,21 +302,22 @@ class TestRatio:
         # loop, and the ratio is that loop's quotient
         expected = kummer_ratio_shift_b(0.3, 101.0, 150.0)
         count = kummer_mod._NUMPY_MIN_COUNT
-        assert not kummer_mod._series_rows(1.3, 102.0, 150.0, count)[-1]
-        series, ratios = kummer_mod._series, kummer_mod._ratios
+        terms = kummer_mod._terms(1.3, 102.0, 150.0, count)
+        assert not terms[-3:].max() <= kummer_mod._SERIES_REL_TOL * (1.0 + terms.sum())
+        series, row = kummer_mod._series, kummer_mod._terms
         calls, row_calls = [], []
 
         def counted(a, b, z):
             calls.append((a, b, z))
             return series(a, b, z)
 
-        def counted_ratios(a, b, z, k, k1):
-            row_calls.append((a, b, z, len(k)))
-            return ratios(a, b, z, k, k1)
+        def counted_row(a, b, z, count):
+            row_calls.append((a, b, z, count))
+            return row(a, b, z, count)
 
         monkeypatch.setattr(kummer_mod, "_count_from_peak", lambda *args: float(count))
         monkeypatch.setattr(kummer_mod, "_series", counted)
-        monkeypatch.setattr(kummer_mod, "_ratios", counted_ratios)
+        monkeypatch.setattr(kummer_mod, "_terms", counted_row)
         ratio = kummer_ratio_shift_b(0.3, 101.0, 150.0)
         assert calls == [(1.3, 102.0, 150.0)] and row_calls == [(*calls[0], count)]
         monkeypatch.setattr(kummer_mod, "_count_from_peak", lambda *args: 0.0)

@@ -1,5 +1,7 @@
 import math
+import signal
 import time
+from contextlib import contextmanager
 
 import mpmath
 import numpy as np
@@ -13,7 +15,8 @@ import diskmag.spectrum as spectrum
 from diskmag.crossings import crossing_by_phi, crossing_by_system
 from diskmag.derivatives import lambda_prime
 from diskmag.errors import BracketFailure, InvalidParams, NonConvergence
-from diskmag.fd import Grid1D, fd_disk_eigen, fd_disk_lambda
+from diskmag.fd import (Grid1D, assemble_disk_system, fd_disk_lambda,
+                        solve_smallest)
 from diskmag.kummer import kummer_m
 from diskmag.spectrum import (EigenPoint, bessel_jnp_first_zero,
                               boundary_residual, eigenfunction, ground_state,
@@ -24,6 +27,20 @@ from oracles import (bessel_jnp_first_zero_bisect, boundary_trace_quadrature,
 from refdata import CROSSINGS
 
 _EPS = np.finfo(float).eps
+
+
+@contextmanager
+def alarm(seconds: float):
+    """Raise TimeoutError in this process if the block runs past seconds."""
+    def expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestBoundaryResidual:
@@ -421,6 +438,36 @@ class TestEigenfunction:
                          epsabs=1e-12, limit=200)
         assert norm == pytest.approx(1.0, abs=1e-10)
 
+    def test_normalization_past_the_potential_minimum(self):
+        # r0 = sqrt(2n/beta) = 0.085: one 8-point cell once spanned [0.062,
+        # 0.383], leaping over r0's window, and the norm was 4.7e-2 off
+        handle = eigenfunction(lowest_eigenvalue(10, 2800.0))
+        norm, _ = quad(lambda r: handle.evaluate(r) ** 2 * r, 0.0, 1.0,
+                       epsabs=1e-13, epsrel=1e-13, points=[0.085], limit=200)
+        assert norm == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("beta", [1600.0, 2800.0, 2e4])
+    def test_mode_zero_at_underflowed_nu_is_the_gaussian(self, beta, monkeypatch):
+        # nu underflows to 0.0, and M(0, 1, z) = 1: f = e^(-beta r^2 / 4),
+        # whose trace is sqrt(beta) e^(-beta/4) / sqrt(1 - e^(-beta/2)); no
+        # series runs at a = 0 (summing one to z = 1e4 took eigenfunction
+        # 0.65 s at beta = 2e4), and at 2 800 no cell leaps over r = 0's
+        # window (the trace was 4.8e-5 off)
+        series = kummer_mod._series
+
+        def no_series_at_zero_a(a, b, z):
+            assert a != 0.0, f"series summed at a = 0 (b={b}, z={z})"
+            return series(a, b, z)
+
+        monkeypatch.setattr(kummer_mod, "_series", no_series_at_zero_a)
+        with alarm(10.0):
+            point = lowest_eigenvalue(0, beta)
+            assert point.nu == 0.0
+            trace = eigenfunction(point).boundary_trace
+        closed = math.sqrt(beta) * math.exp(-0.25 * beta) / math.sqrt(
+            -math.expm1(-0.5 * beta))
+        assert abs(trace - closed) <= 1e-12 * closed
+
     def test_mode_zero_above_beta_is_refused(self):
         # eta > 1 at n = 0 is no eigenpoint (lambda(0, beta) < beta), and
         # M(nu, 1, x) with nu < 0 is outside the Kummer domain
@@ -437,7 +484,8 @@ class TestEigenfunction:
         beta, _ = CROSSINGS[5]
         point = lowest_eigenvalue(5, beta)
         trace = eigenfunction(point).boundary_trace
-        _, vec = fd_disk_eigen(5, beta, Grid1D(0.0, 1.0, 8001))
+        _, vec = solve_smallest(assemble_disk_system(5, beta, Grid1D(0.0, 1.0, 8001)),
+                                vectors=True)
         assert trace == pytest.approx(vec[-1], rel=1e-4)
 
     # (n, beta) past beta = 2n, nu* from 0.2 down to 1.7e-193 (traces 2 .. 1e-96)
