@@ -59,7 +59,7 @@ def lambda_prime(n: int, beta: float, cross_check: bool = True) -> DerivativeRec
         each taken good to 1e-12 of max(lambda, beta).  At eta >> 1 lambda
         rests on the Kummer recurrence, trusted to its error bound 1e-12;
         Brent's 4 eps stop bounds nothing there (against the 90-digit root
-        lambda is 15 eps off at (400, 10), 2.8e-17 relative at (400, 2)).
+        lambda is 12.6 eps off at (30, 0.05), 1.5e-16 relative at (400, 2)).
         At beta > 2n eta is good to ~eps absolute, hence max(lambda, beta).
     On the probe grid plus (300, 1) the six points that raise lie >= 36x
     outside the bound, the others <= 0.08 of it.  Among those, (100, 0.5)

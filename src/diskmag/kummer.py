@@ -260,13 +260,15 @@ def kummer_m_many(a: float, b: float, z) -> tuple[np.ndarray, np.ndarray]:
     within _SERIES_REL_TOL of it; the count is past the row's peak).  A
     row that fails it, a row whose count is past the one-row series'
     window (_K.size - 2 terms), and every row for a < 0, come from
-    :func:`kummer_m`.
+    :func:`kummer_m`.  At a = 0 every row is ln M = 0 with sign +1.
     """
     z = np.asarray(z, dtype=float)
     log_m, sign = np.full_like(z, math.nan), np.ones_like(z)
     if z.size:  # the min is NaN if any z_i is, the max inf if any z_i is
         _check_args(a, b, float(z.min()))
         _check_args(a, b, float(z.max()))
+    if a == 0.0:  # M(0, b, z) = 1
+        return np.zeros_like(z), sign
     rows = np.flatnonzero(z <= _RAW_LOG_CAP) if a >= 0.0 else []
     if len(rows):
         with np.errstate(over="ignore", invalid="ignore"):  # a z may overflow

@@ -14,7 +14,9 @@ overflow-free scaled form; the crossing system of
 For beta <= 2n the root is found in eta by a walk that uses only the
 values the Kummer ratio accepts: between Dirichlet poles (zeros of M(nu,
 n+1, x) in eta) the residual decreases in eta, and the ratio refuses
-every eta past the first pole.  For beta > 2n nu* is e^{-x}-small
+every eta past the first pole.  It starts from the field-free (Bessel)
+bounds j'_{n,1}^2/beta - n <= eta <= j'_{n,1}^2/beta - n + beta/4.
+For beta > 2n nu* is e^{-x}-small
 (1.7e-193 at (0, 900)), which eta = 1 - 2 nu rounds away; the root is
 found in u = ln nu, and every EigenPoint carries nu.  beta = 0 is the
 free Neumann Laplacian, solved through the first zero of J_n'.
@@ -35,6 +37,9 @@ from .kummer import _series, kummer_m, kummer_m_many, kummer_ratio_shift_b
 from .roots import RTOL, brent_root
 
 _ETA_SCAN_STEP = 0.02  # first eta step of the bracket walk at beta <= 2n
+# margin of the beta <= 2n lower end, relative to j'_{n,1}^2: j' taken good
+# to 4 eps (0.67 eps at worst, n = 1..400), 8 in j'^2, 4 roundings: 12 eps
+_JNP_SQ_MARGIN = 3e-15
 _LN2 = math.log(2.0)
 _LOG_NU_MAX = -_LN2  # nu = 1/2, eta = 0: the top of the ln nu bracket
 _LOG_RATIO_MAX = 709.0  # ln M(1, n+2, x) past which the Kummer ratio overflows
@@ -165,12 +170,27 @@ def _lowest_eigenvalue_cached(n: int, beta: float) -> EigenPoint:
     def residual(eta: float) -> float:
         return boundary_residual(n, beta, 0.5 * (1.0 - eta))
 
-    # the potential (n/r - beta r/2)^2 is >= (n - beta/2)^2 on (0, 1], so
-    # the walk starts below the first Neumann root N1; a residual <= 0
-    # puts hi in (N1, D1), since past the first Dirichlet pole D1 the
-    # Kummer ratio raises NonConvergence
+    # lowest_eigenvalue's docstring derives the bounds and the restart
     eta_max = _eta_scan_limit(n, beta)
-    lo, step, grow, f_lo = (n - 0.5 * beta) ** 2 / beta, _ETA_SCAN_STEP, 2.0, None
+    j2 = bessel_jnp_first_zero(n) ** 2
+    start = (n - 0.5 * beta) ** 2 / beta
+    lo = max(start, j2 * (1.0 - _JNP_SQ_MARGIN) / beta - n)
+    upper = j2 / beta - n + 0.25 * beta
+    lo, hi, f_lo, f_hi = _walk(residual, n, beta, lo, upper - lo, eta_max)
+    if f_lo is None:
+        f_lo = residual(lo)
+        if f_lo <= 0.0:
+            lo, hi, f_lo, f_hi = _walk(residual, n, beta, start, _ETA_SCAN_STEP, eta_max)
+    eta = brent_root(residual, lo, hi, xtol=1e-100, fa=f_lo, fb=f_hi)
+    return EigenPoint(n, beta, beta * eta, eta)
+
+
+def _walk(residual, n: int, beta: float, lo: float, step: float, eta_max: float):
+    """(lo, hi, f(lo), f(hi)) about the first root above lo < N1, the first
+    Neumann root; f(lo) is None unless evaluated.  The Kummer ratio refuses
+    past the first Dirichlet pole D1, so the first accepted residual <= 0
+    lies in (N1, D1)."""
+    grow, f_lo = 2.0, None
     while True:
         if lo >= eta_max:
             raise BracketFailure(f"no residual sign change for n={n}, "
@@ -187,10 +207,8 @@ def _lowest_eigenvalue_cached(n: int, beta: float) -> EigenPoint:
                     f"every trial above eta={lo!r} refused ({exc})") from exc
             continue
         if f_hi <= 0.0:
-            break
+            return lo, hi, f_lo, f_hi
         lo, f_lo, step = hi, f_hi, grow * step
-    eta = brent_root(residual, lo, hi, xtol=1e-100, fa=f_lo, fb=f_hi)
-    return EigenPoint(n, beta, beta * eta, eta)
 
 
 def _solve_log_nu(n: int, beta: float) -> EigenPoint:
@@ -243,15 +261,24 @@ def lowest_eigenvalue(n: int, beta: float) -> EigenPoint:
     eta is good to about eps absolute (<= 2 eps), not relative: at n = 0,
     beta << 1, eta ~ beta/8 and lambda's relative error is ~ eps/eta.
 
-    For beta <= 2n a walk up from the potential minimum (n - beta/2)^2 /
-    beta brackets the root in eta: its step starts at 0.02 and doubles
-    while the residual is positive, and bisects toward the lowest refused
-    point (past the first Dirichlet pole, or by the Kummer recurrence's
-    error bound), so the first accepted residual <= 0 closes a bracket with
-    one root and no pole; Brent solves in eta, 10-21 residual evaluations
-    in all.  Its stop, 4 eps relative, is not lambda's error: against the
-    90-digit root of the residual lambda is 12 eps off at (30, 0.05) and
-    15 eps at (400, 10), where the Kummer recurrence's rounding dominates.
+    For beta <= 2n the fiber form q_0(f) - n beta |f|^2 + (beta^2/4) |r f|^2
+    puts eta in [L, L + beta/4], L = j'_{n,1}^2/beta - n: below by q_0 >=
+    j'^2 |f|^2, above by the Rayleigh quotient of J_n(j' r).  A walk
+    from L, less 12 eps of j'^2/beta for j'_{n,1}'s rounding, or from the
+    potential minimum (n - beta/2)^2/beta where that is higher, brackets
+    the root in eta: it first tries L + beta/4, then doubles its step while
+    the residual is positive and bisects toward the lowest refused point
+    (past the first Dirichlet pole, or by the Kummer recurrence's error
+    bound), so the first accepted residual <= 0 closes a bracket with one
+    root and no pole.  Where the lower end's residual reads <= 0 (L within
+    rounding of the root), the walk starts again from the potential
+    minimum with a step of 0.02.  Brent solves in eta, 5-10 residual
+    evaluations in all at the 840 points of the `curves` grid below beta =
+    2n (10-21 from the potential minimum).  Its stop, 4 eps relative, is
+    not lambda's error: against the 90-digit root of the residual lambda
+    is 12.6 eps off at (30, 0.05), where the Kummer recurrence's rounding
+    dominates, and at most 1.1 eps off at 13 other points from (1, 0.5) to
+    (400, 10).
     Raises BracketFailure past the cap 1.05 j'_{n,1}^2 / beta + 5, and
     NonConvergence, chained from the last refusal, once the step falls
     below that tolerance ((200, 0.5), (350, 1)).

@@ -3,8 +3,9 @@
 Each of these deliberately avoids the code paths it checks: rational
 series summation and adaptive quadrature of the integral representation
 for the Kummer series, the contiguous recurrences as identities between
-Kummer values, an ascending-series bisection for Bessel derivative
-zeros, and an RK4 shooting integrator for the half-line eigenvalue.
+Kummer values, a bisection on Miller's backward recurrence for Bessel
+derivative zeros, and an RK4 shooting integrator for the half-line
+eigenvalue.
 fd_degennes_eigen takes the half-line FD eigenpair on one grid and warns
 (TruncationWarning) when the domain is too short; fd_degennes_lambda
 combines two grids solved by fd.solve_pair, as degennes.lambda_dg does,
@@ -227,39 +228,44 @@ def kummer_series_rational(a: Fraction, b: Fraction, z: Fraction,
     return total
 
 
-def bessel_j_derivative(n: int, x: float, terms: int = 60) -> float:
-    """J_n'(x) from the ascending series of J_n, differentiated termwise."""
-    total = 0.0
-    for k in range(terms):
-        exponent = n + 2 * k
-        if exponent == 0:
-            continue
-        coeff = (-1.0) ** k / (math.factorial(k) * math.factorial(n + k))
-        total += coeff * exponent * (0.5 * x) ** (exponent - 1) * 0.5
-    return total
+def bessel_j_derivative(n: int, x: float) -> float:
+    """J_n'(x) = (J_{n-1}(x) - J_{n+1}(x))/2, n >= 1, x > 0, by Miller's
+    backward recurrence J_{k-1} = (2k/x) J_k - J_{k+1}, started far past x
+    where J is negligible and normalized by J_0 + 2 sum_k J_{2k} = 1.  The
+    recurrence is stable downward, unlike the ascending series, which
+    cancels e^{0.53 n} at x ~ n."""
+    top = int(x + 10.0 * x ** (1.0 / 3.0)) + 40
+    above, here = 0.0, 1e-300  # J_{top+1}, J_top up to one common factor
+    norm = j_below = j_above = 0.0
+    for k in range(top, 0, -1):
+        above, here = here, 2.0 * k / x * here - above  # here = J_{k-1}
+        if k - 1 == n + 1:
+            j_above = here
+        elif k - 1 == n - 1:
+            j_below = here
+        if k % 2 == 1 and k > 1:
+            norm += 2.0 * here
+        if abs(here) > 1e250:
+            above, here, norm = 1e-250 * above, 1e-250 * here, 1e-250 * norm
+            j_below, j_above = 1e-250 * j_below, 1e-250 * j_above
+    return 0.5 * (j_below - j_above) / (norm + here)
 
 
+@lru_cache(maxsize=None)
 def bessel_jnp_first_zero_bisect(n: int) -> float:
-    """First positive zero of J_n' by scan plus bisection on the series."""
-    lo = max(n, 1e-6)
-    step = 0.05
-    f_lo = bessel_j_derivative(n, lo)
-    hi = lo
-    while True:
-        hi = hi + step
-        f_hi = bessel_j_derivative(n, hi)
-        if f_lo * f_hi < 0.0:
-            break
-        lo, f_lo = hi, f_hi
-        if hi > n + 20:
-            raise AssertionError("no J_n' sign change found")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if bessel_j_derivative(n, mid) * f_lo > 0.0:
+    """First positive zero of J_n', n >= 1: J_n' > 0 on (0, n], so a scan up
+    from n in steps of 0.5, below the gap to the second zero, then bisection
+    down to adjacent doubles."""
+    lo = float(n)
+    while bessel_j_derivative(n, lo + 0.5) > 0.0:
+        lo += 0.5
+    hi = lo + 0.5
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if bessel_j_derivative(n, mid) > 0.0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return mid
 
 
 def shooting_halfline_eigenvalue(xi: float, L: float = 15.0,

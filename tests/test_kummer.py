@@ -164,6 +164,20 @@ class TestManyZ:
         assert np.all(np.abs(log_m - scalar)
                       <= 1e-14 * np.maximum(1.0, np.abs(scalar)))
 
+    def test_zero_a_is_one_without_a_product(self, monkeypatch):
+        # M(0, b, z) = 1 at every z, past the raw-sum cap of 600 too
+        z = np.array([0.0, 1e-3, 1.0, 50.0, 599.9, 600.0, 600.1, 2e3, 1e4])
+
+        def refused(*args):
+            raise AssertionError("no series at a = 0")
+
+        monkeypatch.setattr(kummer_mod, "_terms", refused)
+        monkeypatch.setattr(kummer_mod, "_series", refused)
+        for b in (1.0, 21.0, 401.0):
+            log_m, sign = kummer_mod.kummer_m_many(0.0, b, z)
+            assert log_m.tolist() == [0.0] * z.size
+            assert sign.tolist() == [1.0] * z.size
+
     def test_negative_a_is_per_node(self):
         z = np.array([0.5, 3.0, 5.0, 12.0])
         log_m, sign = kummer_m_many(-0.5, 2.0, z)
